@@ -44,8 +44,9 @@ func (c *memCache) Put(key string, s *core.Schedule) {
 // recruitment. The whole-graph solve is the reference case; the sharded
 // cases run the full pipeline — geometric partition, per-shard solves on a
 // transient pool, boundary-repair stitch — and carry the whole-graph time
-// as their baseline, so Speedup is the end-to-end wall-clock win (bounded
-// by min(shards, cores) and eroded by the stitch). The cache=warm case
+// as their baseline, so Speedup is whole-graph time over pipeline time:
+// above 1 only when the concurrent per-shard solves save more than the
+// partition and the stitch cost. The cache=warm case
 // re-runs the 4-shard pipeline with every per-shard schedule already
 // cached — the serving path's cost for a repeated or single-tile-delta
 // request — against the cold 4-shard run as baseline: Speedup there is

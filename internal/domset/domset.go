@@ -45,122 +45,93 @@ func UndominatedNodes(g *graph.Graph, set []int, k int, alive []bool) []int {
 // (ties broken by smallest ID). The result is within ln(Δ+1)+1 of the
 // minimum dominating set. The returned set is sorted.
 func Greedy(g *graph.Graph) []int {
-	return GreedyRestricted(g, nil, nil)
+	return GreedyK(g, 1, nil, nil)
 }
 
 // GreedyRestricted runs the set-cover greedy where only nodes with
 // allowed[v] == true may join the dominating set and only alive nodes need
-// to be dominated (nil slices mean "all nodes"). It returns nil if no
-// allowed set dominates all alive nodes (e.g. an alive node whose entire
-// closed neighborhood is disallowed).
+// to be dominated (nil slices mean "all nodes"); dead nodes never join. It
+// returns nil if no allowed set dominates all alive nodes (e.g. an alive
+// node whose entire closed neighborhood is disallowed).
 func GreedyRestricted(g *graph.Graph, allowed, alive []bool) []int {
-	n := g.N()
-	need := make([]bool, n) // nodes still requiring domination
-	remaining := 0
-	for v := 0; v < n; v++ {
-		if alive == nil || alive[v] {
-			need[v] = true
-			remaining++
-		}
-	}
-	covers := func(v int) int {
-		c := 0
-		if need[v] {
-			c++
-		}
-		for _, u := range g.Neighbors(v) {
-			if need[u] {
-				c++
-			}
-		}
-		return c
-	}
-	var set []int
-	for remaining > 0 {
-		best, bestCover := -1, 0
-		for v := 0; v < n; v++ {
-			if allowed != nil && !allowed[v] {
-				continue
-			}
-			if c := covers(v); c > bestCover {
-				best, bestCover = v, c
-			}
-		}
-		if best == -1 {
-			return nil // some alive node cannot be dominated
-		}
-		set = append(set, best)
-		if need[best] {
-			need[best] = false
-			remaining--
-		}
-		for _, u := range g.Neighbors(best) {
-			if need[u] {
-				need[u] = false
-				remaining--
-			}
-		}
-	}
-	sort.Ints(set)
-	return set
+	return GreedyK(g, 1, allowed, alive)
 }
 
 // GreedyK returns a k-dominating set greedily: every alive node must end up
 // with at least k dominators in its closed neighborhood. Each step adds the
-// allowed node that reduces the total residual demand the most. Returns nil
-// if infeasible (some node's closed neighborhood has fewer than k allowed
-// members).
+// allowed, alive node that reduces the total residual demand the most, the
+// lowest ID on ties; dead nodes never join, since a dead member dominates
+// no one. Returns nil if infeasible (some alive node's closed neighborhood
+// has fewer than k allowed, alive members). The returned set is sorted.
+//
+// A candidate's gain (the alive nodes in its closed neighborhood that still
+// need a dominator) is kept current rather than recounted: it only drops,
+// once per neighbor whose demand reaches 0, so an extraction costs
+// O(n + m + |D|·n) — one scan of the gains per pick — instead of
+// O(|D|·(n + m)).
 func GreedyK(g *graph.Graph, k int, allowed, alive []bool) []int {
 	if k < 1 {
 		panic("domset: k must be >= 1")
 	}
 	n := g.N()
-	demand := make([]int, n)
+	demand := make([]int32, n)
 	total := 0
 	for v := 0; v < n; v++ {
 		if alive == nil || alive[v] {
-			demand[v] = k
+			demand[v] = int32(k)
 			total += k
 		}
 	}
-	inSet := make([]bool, n)
-	gain := func(v int) int {
-		c := 0
-		if demand[v] > 0 {
-			c++
+	// gain[v] = |{u ∈ N+[v] : demand[u] > 0}| for every candidate; nodes
+	// that may not join, or already have, sit at 0 or below and never win.
+	gain := make([]int32, n)
+	for v := 0; v < n; v++ {
+		if (allowed != nil && !allowed[v]) || (alive != nil && !alive[v]) {
+			continue
 		}
+		if alive == nil {
+			gain[v] = int32(g.Degree(v) + 1)
+			continue
+		}
+		c := int32(1)
 		for _, u := range g.Neighbors(v) {
-			if demand[u] > 0 {
+			if alive[u] {
 				c++
 			}
 		}
-		return c
+		gain[v] = c
+	}
+	// serve hands u one more dominator; when u's demand is met, it stops
+	// counting toward the gain of every node in its closed neighborhood.
+	serve := func(u int) {
+		if demand[u] == 0 {
+			return
+		}
+		demand[u]--
+		total--
+		if demand[u] == 0 {
+			gain[u]--
+			for _, w := range g.Neighbors(u) {
+				gain[w]--
+			}
+		}
 	}
 	var set []int
 	for total > 0 {
-		best, bestGain := -1, 0
-		for v := 0; v < n; v++ {
-			if inSet[v] || (allowed != nil && !allowed[v]) {
-				continue
-			}
-			if c := gain(v); c > bestGain {
+		best, bestGain := -1, int32(0)
+		for v, c := range gain {
+			if c > bestGain {
 				best, bestGain = v, c
 			}
 		}
 		if best == -1 {
 			return nil
 		}
-		inSet[best] = true
+		gain[best] = 0
 		set = append(set, best)
-		if demand[best] > 0 {
-			demand[best]--
-			total--
-		}
+		serve(best)
 		for _, u := range g.Neighbors(best) {
-			if demand[u] > 0 {
-				demand[u]--
-				total--
-			}
+			serve(int(u))
 		}
 	}
 	sort.Ints(set)

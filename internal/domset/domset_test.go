@@ -1,6 +1,10 @@
 package domset
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -166,6 +170,187 @@ func TestGreedyKPanicsOnBadK(t *testing.T) {
 	GreedyK(gen.Path(3), 0, nil, nil)
 }
 
+func TestGreedyNeverPicksDeadNode(t *testing.T) {
+	// Node 1 covers all three nodes of the path, but it is dead: a dead
+	// member dominates no one, so it must not serve.
+	g := gen.Path(3)
+	alive := []bool{true, false, true}
+	want := []int{0, 2}
+	for name, set := range map[string][]int{
+		"GreedyK":          GreedyK(g, 1, nil, alive),
+		"GreedyRestricted": GreedyRestricted(g, nil, alive),
+	} {
+		if !reflect.DeepEqual(set, want) {
+			t.Errorf("%s(path3, alive %v) = %v, want %v", name, alive, set, want)
+		}
+	}
+}
+
+// greedyKReference is the naive greedy loop GreedyK replaced: every pick
+// recounts every candidate's closed neighborhood. It is kept as the oracle
+// for the differential test (it does not exclude dead nodes itself; callers
+// fold alive into allowed).
+func greedyKReference(g *graph.Graph, k int, allowed, alive []bool) []int {
+	n := g.N()
+	demand := make([]int, n)
+	total := 0
+	for v := 0; v < n; v++ {
+		if alive == nil || alive[v] {
+			demand[v] = k
+			total += k
+		}
+	}
+	inSet := make([]bool, n)
+	gain := func(v int) int {
+		c := 0
+		if demand[v] > 0 {
+			c++
+		}
+		for _, u := range g.Neighbors(v) {
+			if demand[u] > 0 {
+				c++
+			}
+		}
+		return c
+	}
+	var set []int
+	for total > 0 {
+		best, bestGain := -1, 0
+		for v := 0; v < n; v++ {
+			if inSet[v] || (allowed != nil && !allowed[v]) {
+				continue
+			}
+			if c := gain(v); c > bestGain {
+				best, bestGain = v, c
+			}
+		}
+		if best == -1 {
+			return nil
+		}
+		inSet[best] = true
+		set = append(set, best)
+		if demand[best] > 0 {
+			demand[best]--
+			total--
+		}
+		for _, u := range g.Neighbors(best) {
+			if demand[u] > 0 {
+				demand[u]--
+				total--
+			}
+		}
+	}
+	sort.Ints(set)
+	return set
+}
+
+// randomMask returns nil (all nodes) a quarter of the time, otherwise a
+// mask with each node set independently with a random probability in
+// [0.5, 1).
+func randomMask(n int, src *rng.Source) []bool {
+	if src.Intn(4) == 0 {
+		return nil
+	}
+	p := 0.5 + 0.5*src.Float64()
+	mask := make([]bool, n)
+	for v := range mask {
+		mask[v] = src.Float64() < p
+	}
+	return mask
+}
+
+// kFeasible reports whether every alive node has at least k allowed, alive
+// members in its closed neighborhood — exactly when a k-dominating set
+// drawn from the allowed, alive nodes exists.
+func kFeasible(g *graph.Graph, k int, allowed, alive []bool) bool {
+	can := func(v int) bool {
+		return (allowed == nil || allowed[v]) && (alive == nil || alive[v])
+	}
+	for v := 0; v < g.N(); v++ {
+		if alive != nil && !alive[v] {
+			continue
+		}
+		c := 0
+		if can(v) {
+			c++
+		}
+		for _, u := range g.Neighbors(v) {
+			if can(int(u)) {
+				c++
+			}
+		}
+		if c < k {
+			return false
+		}
+	}
+	return true
+}
+
+// TestGreedyKDifferential checks GreedyK against the naive loop on random
+// GNP and UDG instances with random allowed and alive masks, infeasible
+// ones included: the sets must be identical pick for pick (nil included),
+// Greedy and GreedyRestricted must agree with GreedyK at k = 1, and every
+// result must be a k-dominating set of allowed, alive nodes, nil exactly
+// when none exists or no node is alive.
+func TestGreedyKDifferential(t *testing.T) {
+	src := rng.New(13)
+	infeasible := 0
+	const cases = 2400
+	for i := 0; i < cases; i++ {
+		n := 1 + src.Intn(80)
+		var g *graph.Graph
+		family := "gnp"
+		if i%2 == 0 {
+			g = gen.GNP(n, 0.02+0.3*src.Float64(), src.Split())
+		} else {
+			family = "udg"
+			g, _ = gen.RandomUDG(n, 1, 0.08+0.3*src.Float64(), src.Split())
+		}
+		k := 1 + src.Intn(3)
+		allowed, alive := randomMask(n, src), randomMask(n, src)
+		folded := allowed
+		if alive != nil {
+			folded = make([]bool, n)
+			for v := range folded {
+				folded[v] = alive[v] && (allowed == nil || allowed[v])
+			}
+		}
+
+		got := GreedyK(g, k, allowed, alive)
+		if want := greedyKReference(g, k, folded, alive); !reflect.DeepEqual(got, want) {
+			t.Fatalf("case %d (%s n=%d k=%d): GreedyK = %v, reference = %v", i, family, n, k, got, want)
+		}
+		// With no alive node the empty set is the answer, returned as nil.
+		anyAlive := alive == nil || slices.Contains(alive, true)
+		if feasible := kFeasible(g, k, allowed, alive); (got != nil) != (feasible && anyAlive) {
+			t.Fatalf("case %d (%s n=%d k=%d): GreedyK = %v but feasible = %v", i, family, n, k, got, feasible)
+		}
+		if got == nil {
+			infeasible++
+		} else {
+			if !IsKDominating(g, got, k, alive) {
+				t.Fatalf("case %d (%s n=%d k=%d): %v is not %d-dominating", i, family, n, k, got, k)
+			}
+			for _, v := range got {
+				if folded != nil && !folded[v] {
+					t.Fatalf("case %d (%s n=%d k=%d): disallowed or dead node %d in %v", i, family, n, k, v, got)
+				}
+			}
+		}
+
+		one := GreedyK(g, 1, allowed, alive)
+		if r := GreedyRestricted(g, allowed, alive); !reflect.DeepEqual(r, one) {
+			t.Fatalf("case %d: GreedyRestricted = %v, GreedyK(1) = %v", i, r, one)
+		}
+		if gr, want := Greedy(g), GreedyK(g, 1, nil, nil); !reflect.DeepEqual(gr, want) {
+			t.Fatalf("case %d: Greedy = %v, GreedyK(1) = %v", i, gr, want)
+		}
+	}
+	if infeasible == 0 || infeasible == cases {
+		t.Fatalf("%d of %d cases infeasible; the generator must cover both outcomes", infeasible, cases)
+	}
+}
+
 func TestLubyMIS(t *testing.T) {
 	src := rng.New(3)
 	graphs := []*graph.Graph{
@@ -289,5 +474,33 @@ func TestIsIndependent(t *testing.T) {
 	}
 	if !IsIndependent(g, nil) {
 		t.Error("empty set is independent")
+	}
+}
+
+// BenchmarkGreedyK times one greedy k-dominating extraction on random unit
+// disk graphs of the two shapes the service benchmark replans most: n = 512
+// at r = 0.09 (patch-churn's graphs) and n = 2048 at r = 0.115
+// (shard-large's). Graphs are redrawn until no node is isolated, so k = 2
+// is feasible.
+func BenchmarkGreedyK(b *testing.B) {
+	for _, c := range []struct {
+		n int
+		r float64
+	}{{512, 0.09}, {2048, 0.115}} {
+		src := rng.New(uint64(c.n))
+		g, _ := gen.RandomUDG(c.n, 1, c.r, src.Split())
+		for g.MinDegree() == 0 {
+			g, _ = gen.RandomUDG(c.n, 1, c.r, src.Split())
+		}
+		for _, k := range []int{1, 2} {
+			b.Run(fmt.Sprintf("udg/n=%d/k=%d", c.n, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if GreedyK(g, k, nil, nil) == nil {
+						b.Fatal("infeasible instance")
+					}
+				}
+			})
+		}
 	}
 }

@@ -37,11 +37,13 @@ func init() {
 //
 // The expected shape: stitched lifetime stays within a few percent of the
 // whole-graph solve (boundary repair recruits across seams instead of
-// truncating), repairs stay small relative to the phase count, and the
+// truncating) and repairs stay small relative to the phase count. The
 // "solve ms" column — one sequential timed pass per arm on the trial-0
-// instance, per-shard solves racing on a transient pool — drops as shards
-// go up. Timing is machine-dependent and excluded from the deterministic
-// trial averages by construction.
+// instance, per-shard solves racing on a transient pool — records what the
+// pipeline costs against the whole-graph solve; with the incremental greedy
+// the partition and stitch outweigh what the smaller solves save. Timing
+// is machine-dependent and excluded from the deterministic trial averages
+// by construction.
 func runE26(cfg Config) *Table {
 	t := &Table{
 		ID:     "E26",

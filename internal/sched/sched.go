@@ -98,43 +98,41 @@ func Extend(g *graph.Graph, s *core.Schedule, batteries []int, k int) *core.Sche
 	return out
 }
 
-// appendGreedyPhases repeatedly extracts a greedy k-dominating set over the
-// nodes with positive residual (restricted to alive nodes when alive is
-// non-nil — dead nodes can neither serve nor need coverage) and appends it
-// as a phase running as long as its weakest member allows. residual is
-// consumed in place.
+// appendGreedyPhases appends GreedyPhase's phases to out until the residual
+// budgets admit no further one. residual is consumed in place.
 func appendGreedyPhases(g *graph.Graph, out *core.Schedule, residual []int, k int, alive []bool) {
 	for {
-		allowed := make([]bool, g.N())
-		any := false
-		for v, r := range residual {
-			if r > 0 && (alive == nil || alive[v]) {
-				allowed[v] = true
-				any = true
-			}
-		}
-		if !any {
-			return
-		}
-		set := domset.GreedyK(g, k, allowed, alive)
+		set, dur := GreedyPhase(g, residual, k, alive)
 		if set == nil {
 			return
 		}
-		// Run the new phase as long as its weakest member allows.
-		dur := -1
-		for _, v := range set {
-			if dur == -1 || residual[v] < dur {
-				dur = residual[v]
-			}
-		}
-		if dur <= 0 {
-			return
-		}
-		for _, v := range set {
-			residual[v] -= dur
-		}
 		out.Phases = append(out.Phases, core.Phase{Set: set, Duration: dur})
 	}
+}
+
+// GreedyPhase extracts one phase from the residual budgets: a greedy
+// k-dominating set over the nodes with positive residual (restricted to
+// alive nodes when alive is non-nil — dead nodes can neither serve nor need
+// coverage), run for as many slots as its weakest member allows. The phase
+// is charged to residual in place. It returns a nil set when no alive node
+// is left to cover or the residual network admits no k-dominating set.
+func GreedyPhase(g *graph.Graph, residual []int, k int, alive []bool) (set []int, dur int) {
+	allowed := make([]bool, len(residual))
+	for v, r := range residual {
+		allowed[v] = r > 0
+	}
+	set = domset.GreedyK(g, k, allowed, alive)
+	if len(set) == 0 {
+		return nil, 0
+	}
+	dur = residual[set[0]]
+	for _, v := range set[1:] {
+		dur = min(dur, residual[v])
+	}
+	for _, v := range set {
+		residual[v] -= dur
+	}
+	return set, dur
 }
 
 // Replan builds a fresh schedule for a degraded network from scratch: greedy

@@ -1,12 +1,15 @@
 package sched
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/domset"
-	"repro/internal/graph"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
@@ -185,5 +188,54 @@ func TestReplanZeroAliveNodes(t *testing.T) {
 	// Same with tolerance above 1 and zero residuals.
 	if s := Replan(g, make([]int, 20), 2, nil); s.Lifetime() != 0 {
 		t.Fatalf("zero-residual Replan produced %v", s)
+	}
+}
+
+// scheduleSHA is the SHA-256 of s's interchange JSON, the form the golden
+// pins below compare.
+func scheduleSHA(t *testing.T, s *core.Schedule) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	return hex.EncodeToString(sum[:])
+}
+
+// TestReplanGolden pins Replan's schedules byte for byte on two fixed
+// instances, so a change to the greedy's internals that moves a single pick
+// or tie-break shows here. The hashes were computed on the naive greedy
+// loop (full neighbourhood recount per candidate per pick).
+func TestReplanGolden(t *testing.T) {
+	src := rng.New(2026)
+	udg, _ := gen.RandomUDG(300, 1, 0.11, src.Split())
+	udgRes := make([]int, udg.N())
+	for v := range udgRes {
+		udgRes[v] = 1 + src.Intn(8)
+	}
+	gnp := gen.GNP(200, 0.08, src.Split())
+	gnpRes := make([]int, gnp.N())
+	alive := make([]bool, gnp.N())
+	for v := range gnpRes {
+		gnpRes[v] = 1 + src.Intn(8)
+		alive[v] = src.Intn(10) != 0
+	}
+	cases := []struct {
+		name string
+		s    *core.Schedule
+		want string
+	}{
+		{"udg/k=1", Replan(udg, udgRes, 1, nil), "101510b8bbef134d4e6e58714e67c22bc31a8c71db49f6a9243fba4e3a00d123"},
+		{"gnp/alive/k=2", Replan(gnp, gnpRes, 2, alive), "f2f52d033a3b86cad968f4d5ca8e47b322efc85d2233c8a955836f8574368cb9"},
+	}
+	for _, c := range cases {
+		if c.s.Lifetime() == 0 {
+			t.Fatalf("%s: empty schedule pins nothing", c.name)
+		}
+		if got := scheduleSHA(t, c.s); got != c.want {
+			t.Errorf("%s: schedule SHA-256 = %s, want %s (lifetime %d, %d phases)",
+				c.name, got, c.want, c.s.Lifetime(), len(c.s.Phases))
+		}
 	}
 }

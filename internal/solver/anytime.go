@@ -12,7 +12,7 @@
 //     can afford the slot (the stepwise feasibility-preserving exchange of
 //     the reconfiguration literature);
 //   - extension: after each pass, pour the refunded budget back into
-//     lifetime — greedy phases over the residual (sched.Extend's shape),
+//     lifetime — greedy phases over the residual (sched.GreedyPhase),
 //     then stretch existing phases as far as their weakest member allows.
 //
 // tabu and anneal share the engine and differ only in the acceptance
@@ -35,6 +35,7 @@ import (
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/sched"
 )
 
 // DefaultRefineBudget is the candidate-move budget a refiner runs under
@@ -100,8 +101,8 @@ func newTabuPolicy(n, _ int) movePolicy {
 	return &tabuPolicy{tenure: 7 + n/32, until: make([]int, n)}
 }
 
-func (p *tabuPolicy) admitAdd(u, it int) bool { return it >= p.until[u] }
-func (p *tabuPolicy) noteLeave(v, it int)     { p.until[v] = it + p.tenure }
+func (p *tabuPolicy) admitAdd(u, it int) bool                         { return it >= p.until[u] }
+func (p *tabuPolicy) noteLeave(v, it int)                             { p.until[v] = it + p.tenure }
 func (p *tabuPolicy) acceptSwap(d float64, _ int, _ *rng.Source) bool { return d <= 0 }
 
 // annealPolicy accepts worsening swaps with probability exp(-d/T), cooling
@@ -290,7 +291,7 @@ func refineSchedule(inst *instance.Instance, start *core.Schedule,
 			}
 			st.refinePhase(g, ck, k, p, pol, src, observe)
 		}
-		st.extend(g, ck, k)
+		st.extend(g, k)
 		st.stretch()
 		if life := st.lifetime(); life > bestLife {
 			best = st.snapshot()
@@ -390,41 +391,15 @@ func (st *refineState) refinePhase(g *graph.Graph, ck *domset.Checker, k, p int,
 // when the battery is nearly drained, vanishing when plentiful.
 func scarcity(r int) float64 { return 1 / float64(1+r) }
 
-// extend pours refunded budget back into lifetime: greedy k-dominating
-// phases over the nodes with positive residual, each running as long as
-// its weakest member allows (sched.Extend's loop, kept local so the
-// engine's residual bookkeeping stays incremental). One budget unit per
-// extraction attempt.
-func (st *refineState) extend(g *graph.Graph, ck *domset.Checker, k int) {
-	n := g.N()
+// extend pours refunded budget back into lifetime: sched.GreedyPhase
+// phases over the nodes with positive residual until none exists. One
+// budget unit per extraction attempt.
+func (st *refineState) extend(g *graph.Graph, k int) {
 	for !st.exhausted() {
 		st.it++
-		allowed := make([]bool, n)
-		any := false
-		for v, r := range st.residual {
-			if r > 0 {
-				allowed[v] = true
-				any = true
-			}
-		}
-		if !any {
-			return
-		}
-		set := domset.GreedyK(g, k, allowed, nil)
+		set, dur := sched.GreedyPhase(g, st.residual, k, nil)
 		if set == nil {
 			return
-		}
-		dur := -1
-		for _, v := range set {
-			if dur == -1 || st.residual[v] < dur {
-				dur = st.residual[v]
-			}
-		}
-		if dur <= 0 {
-			return
-		}
-		for _, v := range set {
-			st.residual[v] -= dur
 		}
 		st.sets = append(st.sets, set)
 		st.durs = append(st.durs, dur)

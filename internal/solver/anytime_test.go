@@ -1,6 +1,9 @@
 package solver
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"testing"
@@ -235,5 +238,27 @@ type refineTap struct{ names []string }
 func (r *refineTap) Emit(ev obs.Event) {
 	if ev.Type == obs.EvRefine {
 		r.names = append(r.names, ev.Name)
+	}
+}
+
+// TestTabuGolden pins a greedy+tabu solve byte for byte: the refiner's
+// re-extension and the greedy base both run through the greedy
+// k-domination kernel, so any moved pick changes this hash. The value was
+// computed on the naive greedy loop.
+func TestTabuGolden(t *testing.T) {
+	in := hetInstance(t, 256, 13)
+	s, err := Solve(in, Spec{Name: NameTabu, Base: NameGreedy},
+		Options{Tries: 1, Budget: 20000, Src: rng.New(13)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	const want = "28c9fde91f3c3cbc98189c8f9523664ee17fb544e8b006f3bc1ca277f3449d5e"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("greedy+tabu schedule SHA-256 = %s, want %s (lifetime %d)", got, want, s.Lifetime())
 	}
 }
