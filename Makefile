@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet race fuzz bench microbench cover experiments examples clean
+.PHONY: all build test vet race fuzz bench cover experiments examples clean
 
 all: build vet test
 
@@ -22,14 +22,10 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/core/
 
-# Fixed benchmark suite → BENCH_PR10.json (the performance trajectory; see
-# EXPERIMENTS.md "Benchmarks"). Pass BENCHFLAGS=-quick for the CI smoke run.
+# Every Go benchmark across all packages (EXPERIMENTS.md, "Benchmarks"). The
+# service benchmark is benchmark/run.sh.
 bench:
-	go run ./cmd/ltbench -bench -benchout BENCH_PR10.json $(BENCHFLAGS)
-
-# Raw go-test microbenchmarks across all packages.
-microbench:
-	go test -bench=. -benchmem ./...
+	go test -run '^$$' -bench . -benchmem ./...
 
 cover:
 	go test -cover ./...

@@ -1,21 +1,18 @@
 // Command ltbench runs the reproduction experiments of DESIGN.md and prints
 // their tables. By default it runs everything at full scale; use -quick for
-// a fast smoke pass and -run to select specific experiments. With -bench it
-// instead runs the fixed benchmark suite of internal/bench and writes a
-// BENCH_*.json report (the repository's performance trajectory).
+// a fast smoke pass and -run to select specific experiments, and
+// -cpuprofile/-memprofile to profile the experiment runs.
 //
 // Usage:
 //
 //	ltbench [-run E1,E7] [-seed 42] [-trials 10] [-quick] [-trace e.jsonl]
 //	ltbench -run E25 -budget 50000          (refinement lifetime-vs-budget curve)
 //	ltbench -deadline 2m                    (stop between trials at the wall clock)
-//	ltbench -bench [-quick] [-benchout BENCH_PR10.json]
-//	        [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//	ltbench -run E26 -cpuprofile cpu.pprof [-memprofile mem.pprof]
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/budgetflag"
 	"repro/internal/experiments"
 	"repro/internal/obs"
@@ -42,8 +38,6 @@ func run() int {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast pass")
 	list := flag.Bool("list", false, "list available experiments and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
-	doBench := flag.Bool("bench", false, "run the fixed benchmark suite instead of experiments")
-	benchOut := flag.String("benchout", "BENCH_PR10.json", "benchmark report path (with -bench)")
 	traceOut := flag.String("trace", "", "write experiment trial/reconfig events as JSONL to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -80,10 +74,6 @@ func run() int {
 				fmt.Fprintln(os.Stderr, "ltbench:", err)
 			}
 		}()
-	}
-
-	if *doBench {
-		return runBench(*quick, *benchOut)
 	}
 
 	if *list {
@@ -157,28 +147,5 @@ func run() int {
 		}
 		fmt.Fprintf(os.Stderr, "trace written to %s\n", *traceOut)
 	}
-	return 0
-}
-
-func runBench(quick bool, out string) int {
-	rep := bench.Run(quick)
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ltbench:", err)
-		return 1
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "ltbench:", err)
-		return 1
-	}
-	for _, c := range rep.Cases {
-		line := fmt.Sprintf("%-40s %12.0f ns/op %6d allocs/op", c.Name, c.NsPerOp, c.AllocsPerOp)
-		if c.Speedup > 0 {
-			line += fmt.Sprintf("   %.2fx vs baseline", c.Speedup)
-		}
-		fmt.Println(line)
-	}
-	fmt.Printf("wrote %s (%d cases)\n", out, len(rep.Cases))
 	return 0
 }

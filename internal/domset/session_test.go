@@ -1,6 +1,7 @@
 package domset
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/gen"
@@ -298,7 +299,7 @@ func TestSessionZeroAllocs(t *testing.T) {
 		"speculate+rollback": func() {
 			mk := sess.Mark()
 			sess.Flip(v)
-			sess.SetAlive((v + 1) % g.N(), false)
+			sess.SetAlive((v+1)%g.N(), false)
 			sess.Rollback(mk)
 		},
 		"AppendUndominated": func() { undom = sess.AppendUndominated(undom[:0]) },
@@ -335,6 +336,47 @@ func TestCheckerAliveLengthValidation(t *testing.T) {
 		// nil stays "all alive".
 		if !ck.IsKDominating([]int{0, 1, 2, 3, 4}, 1, nil) {
 			t.Fatalf("%s: nil alive mask rejected", name)
+		}
+	}
+}
+
+// coveredSink keeps the compiler from eliding the O(1) query that
+// BenchmarkSessionFlip times.
+var coveredSink int
+
+// BenchmarkSessionFlip times the incremental kernel's single-node delta: one
+// O(deg) Flip plus one O(1) coverage query per op, committed so the undo log
+// stays flat. The flipped node alternates in and out of a greedy
+// k-dominating set, the heal/reconfig/prune access pattern. Read it against
+// BenchmarkCheckerCoveredCount, the full re-fold the same query costs
+// without a session.
+func BenchmarkSessionFlip(b *testing.B) {
+	for _, n := range []int{1024, 4096} {
+		g, _ := benchCheckerGraph(n)
+		ck := NewChecker(g)
+		alive := make([]bool, n)
+		for v := range alive {
+			alive[v] = true
+		}
+		for _, k := range []int{1, 2} {
+			set := GreedyK(g, k, nil, nil)
+			if set == nil {
+				b.Fatalf("n=%d: no %d-dominating set", n, k)
+			}
+			v := set[len(set)/2]
+			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+				sess := ck.Begin(set, k, alive)
+				sess.Flip(v) // warm the undo log so the loop measures the steady state
+				sess.Flip(v)
+				sess.Commit()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sess.Flip(v)
+					coveredSink = sess.CoveredCount()
+					sess.Commit()
+				}
+			})
 		}
 	}
 }

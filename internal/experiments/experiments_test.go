@@ -124,6 +124,47 @@ func TestE1ReportsOptimumSix(t *testing.T) {
 	}
 }
 
+// TestE25CurvesMonotone pins the shape of the refinement curves: in each
+// family, the tabu and anneal rows are nondecreasing in budget and never
+// below the greedy schedule they refine. This holds for the trial means,
+// not for every seed: a larger budget moves where the last pass is cut, and
+// annealing's cooling schedule depends on the budget.
+func TestE25CurvesMonotone(t *testing.T) {
+	tab, err := Run("E25", quickCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	greedy := map[string]float64{}
+	last := map[string]float64{} // family/refiner -> lifetime at the previous budget
+	for _, row := range tab.Rows {
+		family, alg := row[0], row[1]
+		lifetime, err := strconv.ParseFloat(row[3], 64)
+		if err != nil {
+			t.Fatalf("E25 row %v: lifetime %q: %v", row, row[3], err)
+		}
+		switch alg {
+		case "greedy":
+			greedy[family] = lifetime
+		case "tabu", "anneal":
+			base, ok := greedy[family]
+			if !ok {
+				t.Fatalf("E25 row %v precedes its family's greedy row", row)
+			}
+			if lifetime < base {
+				t.Errorf("E25 %s %s at budget %s: lifetime %v below greedy %v", family, alg, row[2], lifetime, base)
+			}
+			key := family + "/" + alg
+			if prev, ok := last[key]; ok && lifetime < prev {
+				t.Errorf("E25 %s %s at budget %s: lifetime %v below %v at the smaller budget", family, alg, row[2], lifetime, prev)
+			}
+			last[key] = lifetime
+		}
+	}
+	if len(last) != 4 {
+		t.Fatalf("E25 has %d refinement curves, want 4 (tabu/anneal x gnp/udg)", len(last))
+	}
+}
+
 func TestE7GreedyCollapseVisibleInTable(t *testing.T) {
 	tab, err := Run("E7", quickCfg())
 	if err != nil {

@@ -29,15 +29,18 @@ func init() {
 // (Spec{Name: refiner, Base: "greedy"}), so the numbers here are exactly what
 // a /v1/schedule request with refine=... would return.
 //
-// The expected shape: refined lifetime is monotone in budget (more probes
-// never hurt — the driver keeps the best snapshot), dominates its greedy
-// start everywhere, and at the largest budget closes most of the gap to —
-// often beating — the WHP randomized schedules, which get their lifetime from
-// retries rather than repair.
+// The expected shape: mean refined lifetime rises with budget, dominates its
+// greedy start everywhere, and at the largest budget closes most of the gap
+// to — often beating — the WHP randomized schedules, which get their
+// lifetime from retries rather than repair. The rise holds for the means,
+// not for every seed: solver.Solve keeps the best snapshot within one run,
+// but a larger budget moves the point where the last pass is cut, and
+// annealing's cooling schedule depends on the budget, so one instance can
+// score lower at a larger budget.
 func runE25(cfg Config) *Table {
 	t := &Table{
-		ID:    "E25",
-		Title: "Anytime refinement — lifetime vs move budget for tabu and annealing over the baselines",
+		ID:     "E25",
+		Title:  "Anytime refinement — lifetime vs move budget for tabu and annealing over the baselines",
 		Header: []string{"family", "algorithm", "budget", "lifetime", "vs greedy"},
 	}
 	n := 128
@@ -129,7 +132,7 @@ func runE25(cfg Config) *Table {
 	}
 	t.Notes = append(t.Notes,
 		"every trial regenerates the graph from the trial seed, so all arms of a trial score the same instance",
-		"tabu/anneal rows refine the greedy arm's schedule under the stated move budget; the driver keeps the best snapshot, so lifetime is monotone in budget",
+		"tabu/anneal rows refine the greedy arm's schedule under the stated move budget; mean lifetime rises with budget, though one seed need not (the budget moves where the last pass is cut and sets annealing's cooling)",
 		"vs greedy is the arm's mean lifetime over the greedy baseline's on the same family")
 	return t
 }

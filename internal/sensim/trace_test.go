@@ -115,3 +115,41 @@ func TestTraceDeterministicUnderChaos(t *testing.T) {
 		t.Fatal("identical seeds produced different traces")
 	}
 }
+
+// discardTracer drops every event: the cheapest non-nil sink, so the
+// obs=trace case isolates the cost of building and emitting events.
+type discardTracer struct{}
+
+func (discardTracer) Emit(obs.Event) {}
+
+// BenchmarkRun times one full Run of a general-algorithm schedule on a GNP
+// network with n = 512, rebuilding the network each op because Run drains
+// it. The three cases differ only in the hooks: none (the instrumented but
+// idle hot path), a metrics sink, and a trace sink consuming every event.
+// The gap between obs=off and the other two is the observability overhead
+// docs/OBSERVABILITY.md reports.
+func BenchmarkRun(b *testing.B) {
+	n := 512
+	src := rng.New(42)
+	g := gen.GNP(n, 8*math.Log(float64(n))/float64(n), src)
+	bt := make([]int, n)
+	for i := range bt {
+		bt[i] = 4 + src.Intn(4)
+	}
+	s := mustSolve(b, g, bt, "general", 1, 5, rng.New(7))
+	for _, c := range []struct {
+		name  string
+		hooks obs.Hooks
+	}{
+		{"obs=off", obs.Hooks{}},
+		{"obs=metrics", obs.Hooks{Trace: obs.NewMetricsSink(obs.NewRegistry())}},
+		{"obs=trace", obs.Hooks{Trace: discardTracer{}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Run(energy.NewNetwork(g, bt), s, Options{K: 1, Hooks: c.hooks})
+			}
+		})
+	}
+}

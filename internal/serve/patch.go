@@ -168,16 +168,23 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	for v, used := range ctx.sched.UsagePrefix(n, req.At) {
 		residual[v] = ctx.inst.Budgets[v] - used
 	}
-	// Validate the delta up front so malformed requests are 400s at the door,
-	// not job failures; the plan itself re-applies it.
-	g2, _, _, err := req.Delta.Apply(ctx.inst.Graph, residual)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+	// Enforce the node cap before Apply allocates the post-delta graph, so a
+	// huge add_nodes costs nothing. The count is exact for every delta Apply
+	// accepts (it rejects duplicate or out-of-range removals), and comparing
+	// against the headroom cannot overflow.
+	survivors := n - len(req.Delta.RemoveNodes)
+	if req.Delta.AddNodes > s.cfg.MaxNodes-survivors {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			"delta adds %d nodes to %d survivors, exceeding the service cap of %d",
+			req.Delta.AddNodes, survivors, s.cfg.MaxNodes)
 		return
 	}
-	if g2.N() > s.cfg.MaxNodes {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"delta grows the graph to %d nodes, exceeding the service cap of %d", g2.N(), s.cfg.MaxNodes)
+	// Validate the delta up front so malformed requests are 400s at the door,
+	// not job failures. A sharded base rebases its partition on this result;
+	// reconfig.Compute re-applies the delta for the plan.
+	g2, budgets2, mapping, err := req.Delta.Apply(ctx.inst.Graph, residual)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 
@@ -190,10 +197,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		var incoming *core.Schedule
 		var part2 *shard.Partition
 		if ctx.part != nil {
-			g2, budgets2, mapping, err := req.Delta.Apply(ctx.inst.Graph, residual)
-			if err != nil {
-				return nil, err
-			}
 			part2 = ctx.part.Rebase(g2, mapping)
 			// The post-delta parent instance: same tolerance, and the prior
 			// structure hint rides along as classification trial ordering.

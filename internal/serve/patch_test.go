@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -249,11 +251,21 @@ func TestPatchValidation(t *testing.T) {
 		{"at past lifetime", PatchRequest{At: 1000}, http.StatusBadRequest},
 		{"bad delta", PatchRequest{Delta: graph.Delta{RemoveNodes: []int{99}}}, http.StatusBadRequest},
 		{"grows past cap", PatchRequest{Delta: growDelta(8, 3)}, http.StatusRequestEntityTooLarge},
+		{"huge add_nodes", PatchRequest{Delta: graph.Delta{AddNodes: 1 << 24}}, http.StatusRequestEntityTooLarge},
+		{"add_nodes at MaxInt", PatchRequest{Delta: graph.Delta{AddNodes: math.MaxInt}}, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
+		// A rejection must be cheap: the node cap is enforced before the
+		// delta is applied, so no request allocates the graph it asks for.
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		w := patch(h, base.Fingerprint, patchBody(t, tc.req))
+		runtime.ReadMemStats(&after)
 		if w.Code != tc.want {
 			t.Errorf("%s: status %d, want %d: %s", tc.name, w.Code, tc.want, w.Body.String())
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes, want under 1 MB", tc.name, alloc)
 		}
 	}
 	// Delta edge pairs must be exactly two integers, in both edge lists.

@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -288,5 +289,65 @@ func TestSolveShardsCanceled(t *testing.T) {
 	}
 	if _, err := shard.SolveShards(instance.New(g, budgets), p, opt); err != solver.ErrCanceled {
 		t.Fatalf("got %v, want solver.ErrCanceled", err)
+	}
+}
+
+// BenchmarkPipeline times the partition-solve-stitch pipeline on the instance
+// class it exists for: a unit-disk graph with n = 2048 under greedy
+// recruitment. whole is the unsharded solve the pipeline competes with;
+// shards=4 and shards=16 run the geometric partition's per-shard solves on a
+// transient pool plus the boundary-repair stitch, with no cache;
+// shards=4/warm reruns the 4-shard pipeline with every per-shard schedule
+// already cached, the serving path's cost for a repeated or single-tile
+// delta request.
+func BenchmarkPipeline(b *testing.B) {
+	n := 2048
+	radius := 2.0 * math.Sqrt(math.Log(float64(n))/float64(n))
+	g, pts := gen.RandomUDG(n, 1, radius, rng.New(9))
+	budgets := make([]int, n)
+	for i := range budgets {
+		budgets[i] = 8
+	}
+	spec := solver.Spec{Name: solver.NameGreedy}
+	in := instance.New(g, budgets)
+	b.Run("whole", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := solver.Solve(in, spec, solver.Options{Tries: 1, Src: rng.New(9)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	pipeline := func(b *testing.B, p *shard.Partition, cache shard.Cache) {
+		solved, err := shard.SolveShards(in, p, shard.Options{
+			Spec: spec, Seed: 9, TransientPool: true, Cache: cache,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := shard.Stitch(in, p, solved, obs.Hooks{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		shards int
+		warm   bool
+	}{{"shards=4", 4, false}, {"shards=16", 16, false}, {"shards=4/warm", 4, true}} {
+		p, err := shard.Geometric(g, pts, c.shards)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var cache shard.Cache
+		if c.warm {
+			cache = newMapCache()
+			pipeline(b, p, cache) // fill every per-shard key
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pipeline(b, p, cache)
+			}
+		})
 	}
 }

@@ -171,9 +171,9 @@ func TestRefineRejectsGridFastPath(t *testing.T) {
 // and delivers nothing. The tiling reads the grid's 5-class partition off
 // the certified embedding in one deterministic pass, so auto must beat the
 // searching arm on wall clock AND strictly on lifetime, while also
-// matching-or-beating the instant arm's lifetime. The pinned headline
-// margin (≥10x) lives in BENCH_PR10.json; the test asserts a generous 3x
-// so slow CI machines stay green. Arms take the best of three runs (each
+// matching-or-beating the instant arm's lifetime. BENCH_PR10.json recorded
+// the headline margin (36x); the test asserts a generous 3x so slow CI
+// machines stay green. Arms take the best of three runs (each
 // auto run classifies a fresh instance, the cost a real request pays;
 // graph construction is outside the clock), so a cold cache or GC pause
 // cannot flip the comparison.
