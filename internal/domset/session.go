@@ -17,10 +17,11 @@ import (
 // This is the shape of every hot single-delta caller: heal's recruit loop
 // (enlist one node, recheck), reconfig's slot-by-slot verification
 // (consecutive phases differ in a few members), and local-search refiners
-// (speculatively drop one dominator, test, undo). For the speculative case
-// the Session keeps an undo log: Mark returns an epoch, Rollback(epoch)
-// rewinds every Flip/SetAlive applied since, restoring counters, masks, and
-// the undominated set exactly.
+// (try dropping or swapping one dominator, keep the move only if the set
+// stays covered). For the last, DropKeeps and SwapKeeps answer "would this
+// move keep the set k-dominating?" with one read-only pass over the moved
+// nodes' neighborhoods, so a rejected move costs no mutation at all; an
+// accepted one is then applied with Flip, which is its own inverse.
 //
 // Invariants maintained after every operation, matching the fold path's
 // contract bit for bit:
@@ -47,21 +48,7 @@ type Session struct {
 	undom  *bitset.Set // alive nodes with counts < k
 	undomN int
 	aliveN int
-
-	log []sessOp // undo log; Mark/Rollback index into it
 }
-
-// sessOp is one undoable mutation. Both kinds are self-inverse toggles, so
-// rollback replays them in reverse.
-type sessOp struct {
-	v    int32
-	kind uint8
-}
-
-const (
-	opFlip  uint8 = iota // membership toggle of v
-	opAlive              // alive toggle of v
-)
 
 // Begin starts (or restarts) an incremental session over the candidate set
 // with tolerance k and the given alive mask (nil = all alive). It pays one
@@ -86,7 +73,6 @@ func (c *Checker) Begin(set []int, k int, alive []bool) *Session {
 		c.session = s
 	}
 	s.k = k
-	s.log = s.log[:0]
 	for i := range s.counts {
 		s.counts[i] = 0
 	}
@@ -175,60 +161,10 @@ func (s *Session) AppendUndominated(dst []int) []int { return s.undom.AppendBits
 func (s *Session) AppendMembers(dst []int) []int { return s.member.AppendBits(dst) }
 
 // Flip toggles v's membership in the candidate set and updates the kernel
-// state in O(deg(v)) words. The mutation is logged: a later Rollback past
-// this point restores it (Flip is its own inverse, so flipping twice is
-// also an undo).
+// state in O(deg(v)) words. Flip is its own inverse: flipping v twice
+// restores every counter and mask exactly.
 func (s *Session) Flip(v int) {
 	s.c.checkNode(v)
-	s.log = append(s.log, sessOp{v: int32(v), kind: opFlip})
-	s.applyFlip(v)
-}
-
-// SetAlive sets v's alive flag. A node dying withdraws its dominator
-// contribution (if a member) and leaves the undominated set (the dead need
-// no coverage); a node reviving does the reverse. No-op when the flag
-// already matches — only real toggles are logged.
-func (s *Session) SetAlive(v int, up bool) {
-	s.c.checkNode(v)
-	if s.alive.Test(v) == up {
-		return
-	}
-	s.log = append(s.log, sessOp{v: int32(v), kind: opAlive})
-	s.applyAlive(v)
-}
-
-// Mark returns the current undo epoch. Pass it to Rollback to rewind every
-// mutation applied since — the speculative-move primitive.
-func (s *Session) Mark() int { return len(s.log) }
-
-// Commit declares the current state the new baseline: it clears the undo
-// log without touching the kernel state, making all outstanding marks
-// stale. Long-running non-speculative callers (a simulator streaming slot
-// deltas, a refiner that kept a move) call this so the log stays bounded
-// instead of growing with every Flip for the lifetime of the session.
-func (s *Session) Commit() { s.log = s.log[:0] }
-
-// Rollback rewinds the session to the state at Mark() == mark, undoing the
-// logged mutations in reverse order. Rolling back to a stale mark (after a
-// later Rollback already passed it) panics.
-func (s *Session) Rollback(mark int) {
-	if mark < 0 || mark > len(s.log) {
-		panic(fmt.Sprintf("domset: rollback to epoch %d outside log [0, %d]", mark, len(s.log)))
-	}
-	for i := len(s.log) - 1; i >= mark; i-- {
-		op := s.log[i]
-		switch op.kind {
-		case opFlip:
-			s.applyFlip(int(op.v))
-		default:
-			s.applyAlive(int(op.v))
-		}
-	}
-	s.log = s.log[:mark]
-}
-
-// applyFlip is the unlogged membership toggle.
-func (s *Session) applyFlip(v int) {
 	nowMember := s.member.Toggle(v)
 	if !s.alive.Test(v) {
 		return // dead members contribute nothing; counters untouched
@@ -240,9 +176,16 @@ func (s *Session) applyFlip(v int) {
 	}
 }
 
-// applyAlive is the unlogged alive toggle.
-func (s *Session) applyAlive(v int) {
-	if s.alive.Test(v) {
+// SetAlive sets v's alive flag. A node dying withdraws its dominator
+// contribution (if a member) and leaves the undominated set (the dead need
+// no coverage); a node reviving does the reverse. No-op when the flag
+// already matches.
+func (s *Session) SetAlive(v int, up bool) {
+	s.c.checkNode(v)
+	if s.alive.Test(v) == up {
+		return
+	}
+	if !up {
 		// Dying: withdraw the contribution while v still counts as alive
 		// (contribute's threshold updates skip dead nodes), then drop v from
 		// the covered universe.
@@ -268,6 +211,73 @@ func (s *Session) applyAlive(v int) {
 	if s.member.Test(v) {
 		s.contribute(v, 1)
 	}
+}
+
+// DropKeeps reports whether the set stays k-dominating without member v —
+// exactly what Flip(v) followed by IsKDominating would return — without
+// mutating the session. O(deg(v)), stopping at the first node the removal
+// would leave under-covered. v must be a member.
+func (s *Session) DropKeeps(v int) bool {
+	s.checkMember("DropKeeps", v, true)
+	return s.undomN == 0 && s.dropKeeps(v, -1)
+}
+
+// SwapKeeps reports whether the set stays k-dominating once member out
+// leaves and non-member in joins — exactly what Flip(out), Flip(in) and
+// IsKDominating would return. On a k-dominating set it reads N+[out] once,
+// crediting nodes in N+[in] by binary search over in's sorted adjacency,
+// and mutates nothing. On a set that is not, only in can close the holes,
+// so it applies both flips, reads the answer and flips them back.
+func (s *Session) SwapKeeps(out, in int) bool {
+	s.checkMember("SwapKeeps", out, true)
+	s.checkMember("SwapKeeps", in, false)
+	if s.undomN != 0 {
+		s.Flip(out)
+		s.Flip(in)
+		ok := s.undomN == 0
+		s.Flip(in)
+		s.Flip(out)
+		return ok
+	}
+	if !s.alive.Test(in) {
+		in = -1 // a dead newcomer dominates no one
+	}
+	return s.dropKeeps(out, in)
+}
+
+// checkMember panics unless v's membership is want: the probes' contract.
+func (s *Session) checkMember(op string, v int, want bool) {
+	s.c.checkNode(v)
+	if s.member.Test(v) != want {
+		panic(fmt.Sprintf("domset: %s(%d) on a node whose membership is %v", op, v, !want))
+	}
+}
+
+// dropKeeps is the probes' read-only pass over a k-dominating set: removing
+// alive member v takes one dominator from every node of N+[v], so each alive
+// one must hold more than k, unless it lies in N+[in] of the alive incoming
+// node in (in < 0: none), which hands it one back.
+func (s *Session) dropKeeps(v, in int) bool {
+	aw := s.alive.Words()
+	if aw[v>>6]&(1<<uint(v&63)) == 0 {
+		return true // a dead member dominates no one
+	}
+	kk := int32(s.k)
+	if !s.spare(v, in, kk, aw) {
+		return false
+	}
+	for _, u := range s.c.g.Neighbors(v) {
+		if !s.spare(int(u), in, kk, aw) {
+			return false
+		}
+	}
+	return true
+}
+
+// spare reports whether u stays covered after losing one dominator.
+func (s *Session) spare(u, in int, k int32, aw []uint64) bool {
+	return s.counts[u] > k || aw[u>>6]&(1<<uint(u&63)) == 0 ||
+		(in >= 0 && (u == in || s.c.g.HasEdge(in, u)))
 }
 
 // contribute applies d (±1) to the dominator count of every node in v's

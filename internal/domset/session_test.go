@@ -2,6 +2,8 @@ package domset
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -62,17 +64,59 @@ func checkAgainstFold(t *testing.T, s *Session, ck *Checker, k int, label string
 	}
 }
 
+// checkProbes cross-checks DropKeeps and SwapKeeps against a fresh fold of
+// the set each probe describes: every member dropped, and every member
+// swapped for a non-member drawn from pick. The probes must leave the
+// membership and coverage untouched.
+func checkProbes(t *testing.T, s *Session, ck *Checker, k int, pick *rng.Source, label string) {
+	t.Helper()
+	n := ck.Graph().N()
+	set, alive := sessionState(s, n)
+	undom := s.UndominatedCount()
+	var outside []int
+	for v := 0; v < n; v++ {
+		if !s.Contains(v) {
+			outside = append(outside, v)
+		}
+	}
+	trial := make([]int, 0, len(set)+1)
+	for i, v := range set {
+		trial = append(append(trial[:0], set[:i]...), set[i+1:]...)
+		if got, want := s.DropKeeps(v), ck.IsKDominating(trial, k, alive); got != want {
+			t.Fatalf("%s: DropKeeps(%d) = %v, fold of the set without it says %v", label, v, got, want)
+		}
+		if len(outside) == 0 {
+			continue
+		}
+		u := outside[pick.Intn(len(outside))]
+		trial = append(trial, u)
+		if got, want := s.SwapKeeps(v, u), ck.IsKDominating(trial, k, alive); got != want {
+			t.Fatalf("%s: SwapKeeps(%d, %d) = %v, fold of the swapped set says %v", label, v, u, got, want)
+		}
+	}
+	if after := s.AppendMembers(nil); !slices.Equal(after, set) || s.UndominatedCount() != undom {
+		t.Fatalf("%s: probes moved the session: members %v -> %v, undominated %d -> %d",
+			label, set, after, undom, s.UndominatedCount())
+	}
+}
+
 // TestSessionMatchesFold is the equivalence property of the incremental
 // kernel: on random graphs, under random Begin states and random
-// Flip/SetAlive sequences, every session query must equal a fresh full-fold
-// query on the same (set, alive) state — byte for byte, including the
-// sorted undominated list.
+// Flip/SetAlive sequences, every session query and probe must equal a fresh
+// full-fold query on the same (set, alive) state — byte for byte, including
+// the sorted undominated list. Odd trials run the session on the rowless
+// sparse checker.
 func TestSessionMatchesFold(t *testing.T) {
 	src := rng.New(11)
+	pick := rng.New(12)
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + src.Intn(70)
 		g := gen.GNP(n, 0.15, src)
 		ck := NewChecker(g)
+		sessCk := ck
+		if trial%2 == 1 {
+			sessCk = newSparseChecker(g)
+		}
 		for _, k := range []int{1, 2, 3} {
 			var set []int
 			for v := 0; v < n; v++ {
@@ -90,7 +134,8 @@ func TestSessionMatchesFold(t *testing.T) {
 					alive[v] = src.Intn(5) != 0
 				}
 			}
-			sess := ck.Begin(set, k, alive)
+			sess := sessCk.Begin(set, k, alive)
+			checkProbes(t, sess, ck, k, pick, "after Begin")
 			checkAgainstFold(t, sess, ck, k, "after Begin")
 			for step := 0; step < 30; step++ {
 				v := src.Intn(n)
@@ -99,80 +144,15 @@ func TestSessionMatchesFold(t *testing.T) {
 				} else {
 					sess.Flip(v)
 				}
+				checkProbes(t, sess, ck, k, pick, "after delta")
 				checkAgainstFold(t, sess, ck, k, "after delta")
 			}
 		}
 	}
 }
 
-// TestSessionRollback pins the undo stack: state captured at a Mark must be
-// reproduced exactly after a Rollback to it, including across nested marks,
-// mixed Flip/SetAlive mutations, and repeated speculate/undo cycles.
-func TestSessionRollback(t *testing.T) {
-	src := rng.New(23)
-	for trial := 0; trial < 20; trial++ {
-		n := 2 + src.Intn(60)
-		g := gen.GNP(n, 0.2, src)
-		ck := NewChecker(g)
-		k := 1 + src.Intn(2)
-		var set []int
-		for v := 0; v < n; v++ {
-			if src.Intn(2) == 0 {
-				set = append(set, v)
-			}
-		}
-		sess := ck.Begin(set, k, nil)
-
-		// Drift to a random base state, then snapshot it.
-		for i := 0; i < 10; i++ {
-			sess.Flip(src.Intn(n))
-		}
-		baseSet, baseAlive := sessionState(sess, n)
-		baseCovered := sess.CoveredCount()
-		mark := sess.Mark()
-
-		for cycle := 0; cycle < 5; cycle++ {
-			inner := sess.Mark()
-			for i := 0; i < 8; i++ {
-				v := src.Intn(n)
-				if src.Intn(3) == 0 {
-					sess.SetAlive(v, src.Intn(2) == 0)
-				} else {
-					sess.Flip(v)
-				}
-			}
-			checkAgainstFold(t, sess, ck, k, "speculative state")
-			if cycle%2 == 0 {
-				sess.Rollback(inner)
-			} else {
-				sess.Rollback(mark)
-			}
-		}
-		sess.Rollback(mark)
-
-		gotSet, gotAlive := sessionState(sess, n)
-		if len(gotSet) != len(baseSet) {
-			t.Fatalf("rollback lost members: %v, want %v", gotSet, baseSet)
-		}
-		for i := range gotSet {
-			if gotSet[i] != baseSet[i] {
-				t.Fatalf("rollback members %v, want %v", gotSet, baseSet)
-			}
-		}
-		for v := range gotAlive {
-			if gotAlive[v] != baseAlive[v] {
-				t.Fatalf("rollback alive[%d] = %v, want %v", v, gotAlive[v], baseAlive[v])
-			}
-		}
-		if got := sess.CoveredCount(); got != baseCovered {
-			t.Fatalf("rollback CoveredCount = %d, want %d", got, baseCovered)
-		}
-		checkAgainstFold(t, sess, ck, k, "after rollback")
-	}
-}
-
 // TestSessionFlipIsItsOwnInverse: flipping the same node twice is a no-op
-// on every observable, with or without an interleaved speculative window.
+// on every observable.
 func TestSessionFlipIsItsOwnInverse(t *testing.T) {
 	g := gen.GNP(40, 0.2, rng.New(5))
 	ck := NewChecker(g)
@@ -216,7 +196,7 @@ func TestSessionDeadMemberContributesNothing(t *testing.T) {
 }
 
 // TestSessionValidation pins the contract panics: bad k, short alive mask,
-// out-of-range nodes, stale rollback epochs.
+// out-of-range nodes, probes of the wrong membership.
 func TestSessionValidation(t *testing.T) {
 	ck := NewChecker(gen.Path(4))
 	mustPanic := func(name string, fn func()) {
@@ -234,14 +214,12 @@ func TestSessionValidation(t *testing.T) {
 	mustPanic("free-function short alive", func() { IsKDominating(gen.Path(4), nil, 1, make([]bool, 2)) })
 	sess := ck.Begin(nil, 1, nil)
 	mustPanic("Flip out of range", func() { sess.Flip(4) })
-	mustPanic("stale epoch", func() { sess.Rollback(7) })
-	m := sess.Mark()
 	sess.Flip(0)
-	sess.Commit()
-	mustPanic("mark stale after Commit", func() { sess.Rollback(m + 1) })
-	if !sess.Contains(0) {
-		t.Fatal("Commit must keep state, only clear the log")
-	}
+	mustPanic("DropKeeps of a non-member", func() { sess.DropKeeps(1) })
+	mustPanic("DropKeeps out of range", func() { sess.DropKeeps(-1) })
+	mustPanic("SwapKeeps out of a non-member", func() { sess.SwapKeeps(1, 2) })
+	mustPanic("SwapKeeps in a member", func() { sess.SwapKeeps(0, 0) })
+	mustPanic("SwapKeeps in out of range", func() { sess.SwapKeeps(0, 4) })
 }
 
 // TestSessionSparseChecker: Begin works on the rowless sparse checker too —
@@ -263,7 +241,8 @@ func TestSessionSparseChecker(t *testing.T) {
 
 // TestSessionZeroAllocs is the alloc-regression guard of the incremental
 // kernel: after the first Begin has grown the buffers, steady-state
-// Begin/Flip/SetAlive/Mark/Rollback/queries must allocate nothing.
+// Begin/Flip/SetAlive/probes/queries must allocate nothing — and a long-lived
+// session must not grow with the number of flips applied to it.
 func TestSessionZeroAllocs(t *testing.T) {
 	g := gen.GNP(300, 0.05, rng.New(9))
 	ck := NewChecker(g)
@@ -276,12 +255,16 @@ func TestSessionZeroAllocs(t *testing.T) {
 	members := make([]int, 0, g.N())
 	sess := ck.Begin(set, 2, alive) // warm up: grows the session buffers
 	v := set[len(set)/2]
-	// Warm the undo log to its steady-state capacity.
-	m := sess.Mark()
-	for i := 0; i < 64; i++ {
-		sess.Flip(i % g.N())
+	u := 0
+	for sess.Contains(u) {
+		u++
 	}
-	sess.Rollback(m)
+	// A second session on which set is k-dominating, so its probes take the
+	// read-only pass; on sess (k = 2, some nodes dead) SwapKeeps flips.
+	dominating := NewChecker(g).Begin(set, 1, nil)
+	if !dominating.IsKDominating() {
+		t.Fatal("greedy set does not dominate its graph")
+	}
 
 	checks := map[string]func(){
 		"Begin": func() { sess = ck.Begin(set, 2, alive) },
@@ -290,17 +273,16 @@ func TestSessionZeroAllocs(t *testing.T) {
 			_ = sess.IsKDominating()
 			_ = sess.CoveredCount()
 			sess.Flip(v)
-			sess.Commit() // the non-speculative steady state keeps the log flat
 		},
 		"SetAlive": func() {
 			sess.SetAlive(v, false)
 			sess.SetAlive(v, true)
 		},
-		"speculate+rollback": func() {
-			mk := sess.Mark()
-			sess.Flip(v)
-			sess.SetAlive((v+1)%g.N(), false)
-			sess.Rollback(mk)
+		"probes": func() {
+			_ = sess.DropKeeps(v)
+			_ = sess.SwapKeeps(v, u)
+			_ = dominating.DropKeeps(v)
+			_ = dominating.SwapKeeps(v, u)
 		},
 		"AppendUndominated": func() { undom = sess.AppendUndominated(undom[:0]) },
 		"AppendMembers":     func() { members = sess.AppendMembers(members[:0]) },
@@ -309,6 +291,18 @@ func TestSessionZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
 			t.Errorf("%s allocates %.1f per call, want 0", name, allocs)
 		}
+	}
+
+	// 1<<20 flips on one session: nothing may accumulate per mutation. The
+	// 1 KiB slack absorbs runtime bookkeeping outside the loop.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1<<20; i++ {
+		sess.Flip(i % g.N())
+	}
+	runtime.ReadMemStats(&after)
+	if grown := after.TotalAlloc - before.TotalAlloc; grown >= 1<<10 {
+		t.Errorf("1<<20 flips on one session allocated %d bytes, want 0", grown)
 	}
 }
 
@@ -345,8 +339,8 @@ func TestCheckerAliveLengthValidation(t *testing.T) {
 var coveredSink int
 
 // BenchmarkSessionFlip times the incremental kernel's single-node delta: one
-// O(deg) Flip plus one O(1) coverage query per op, committed so the undo log
-// stays flat. The flipped node alternates in and out of a greedy
+// O(deg) Flip plus one O(1) coverage query per op. The flipped node
+// alternates in and out of a greedy
 // k-dominating set, the heal/reconfig/prune access pattern. Read it against
 // BenchmarkCheckerCoveredCount, the full re-fold the same query costs
 // without a session.
@@ -366,15 +360,11 @@ func BenchmarkSessionFlip(b *testing.B) {
 			v := set[len(set)/2]
 			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
 				sess := ck.Begin(set, k, alive)
-				sess.Flip(v) // warm the undo log so the loop measures the steady state
-				sess.Flip(v)
-				sess.Commit()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					sess.Flip(v)
 					coveredSink = sess.CoveredCount()
-					sess.Commit()
 				}
 			})
 		}

@@ -424,7 +424,6 @@ func verifyIndex(ck *domset.Checker, phases []core.Phase, budgets []int, k int, 
 					sess.Flip(v)
 				}
 			}
-			sess.Commit() // forward-only walk: no rollback, keep the log flat
 		}
 		if !sess.IsKDominating() {
 			return i

@@ -302,7 +302,6 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 			}
 		}
 		prevServing = append(prevServing[:0], serving...)
-		sess.Commit() // nothing speculates here: don't let the log grow per slot
 
 		na := sess.AliveCount()
 		covered := sess.CoveredCount()

@@ -44,9 +44,10 @@ func Minimalize(g *graph.Graph, s *core.Schedule, k int) *core.Schedule {
 // nodes (which cover many others) survive. The returned slice is freshly
 // allocated and sorted.
 //
-// Each removal is a speculative Flip on the checker's incremental session —
-// O(deg(candidate)) to try and O(deg) to undo — instead of the full
-// re-fold per candidate the trial-copy approach paid.
+// Each candidate is tested with a read-only DropKeeps probe on the
+// checker's incremental session — O(deg(candidate)), stopping at the first
+// node the removal would under-cover — and flipped out only when it passes,
+// instead of the full re-fold per candidate the trial-copy approach paid.
 func minimalizeSet(ck *domset.Checker, set []int, k int) []int {
 	g := ck.Graph()
 	sess := ck.Begin(set, k, nil)
@@ -62,12 +63,8 @@ func minimalizeSet(ck *domset.Checker, set []int, k int) []int {
 		if !sess.Contains(candidate) {
 			continue // duplicate member already handled
 		}
-		m := sess.Mark()
-		sess.Flip(candidate)
-		if !sess.IsKDominating() {
-			sess.Rollback(m)
-		} else {
-			sess.Commit() // removal kept: the log must not accumulate it
+		if sess.DropKeeps(candidate) {
+			sess.Flip(candidate)
 		}
 	}
 	return sess.AppendMembers(nil)

@@ -41,6 +41,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/reconfig"
+	"repro/internal/solver"
 )
 
 // FaultInjector is the chaos hook of the serving layer: when configured, it
@@ -251,14 +252,14 @@ func (s *Server) execute(j *job) {
 	s.met.running.Add(1)
 	defer s.met.running.Add(-1)
 
-	// The sticky cancel contract of experiments.Config.Cancel: once the
-	// deadline passes it reports true forever after.
-	cancel := func() bool { return !time.Now().Before(j.deadline) }
+	// The one-off checks before the run read the clock: the timer behind
+	// the job's poll may not have fired yet when the worker gets here.
+	expired := func() bool { return !time.Now().Before(j.deadline) }
 
 	var res *Result
 	var err error
 	switch {
-	case cancel():
+	case expired():
 		// Expired while queued: don't start at all.
 		err = experiments.ErrCanceled
 	default:
@@ -268,13 +269,18 @@ func (s *Server) execute(j *job) {
 				err = ferr
 			}
 		}
-		if err == nil && cancel() {
+		if err == nil && expired() {
 			// A slow-worker fault may have eaten the whole budget.
 			err = experiments.ErrCanceled
 		}
 		if err == nil {
+			// The sticky cancel contract of experiments.Config.Cancel, polled
+			// before every retry and refinement move: timer-backed, so a poll
+			// reads no clock.
+			cancel, stop := solver.DeadlinePoll(j.deadline)
 			start := time.Now()
 			res, err = j.run(cancel)
+			stop()
 			if res != nil {
 				res.SolveMS = msSince(start)
 			}

@@ -1,9 +1,10 @@
 // Anytime local-search refiners: registry solvers that start from another
 // solver's schedule and improve it under a deterministic candidate-move
-// budget. This is ROADMAP item 2, unblocked by the PR 7 incremental
-// domination kernel: every candidate move is a speculative
-// Flip/IsKDominating probe on a domset.Session — O(deg) to try, O(deg) to
-// undo via Mark/Rollback — instead of the full re-fold a trial copy pays.
+// budget, on the incremental domination kernel: every candidate move is a
+// read-only DropKeeps/SwapKeeps probe on a domset.Session — one pass over
+// the moved nodes' neighborhoods, stopping at the first node the move would
+// under-cover — and only accepted moves are applied, by the self-inverse
+// Flip, instead of the full re-fold a trial copy pays.
 //
 // The move set, per phase of the schedule:
 //
@@ -210,6 +211,7 @@ type refineState struct {
 	it       int // candidate moves charged so far
 	budget   int
 	cancel   func() bool
+	members  []int // member buffer each phase's sweeps reuse
 }
 
 func (st *refineState) exhausted() bool {
@@ -319,32 +321,29 @@ func (st *refineState) refinePhase(g *graph.Graph, ck *domset.Checker, k, p int,
 	// Removal sweep: members in random order, so successive passes explore
 	// different minimal subsets (the fixed degree order of sched.Minimalize
 	// always lands on the same one).
-	order := sess.AppendMembers(nil)
+	order := sess.AppendMembers(st.members[:0])
 	src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	for _, v := range order {
 		if st.exhausted() {
 			break
 		}
 		st.it++
-		m := sess.Mark()
-		sess.Flip(v)
-		if sess.IsKDominating() {
-			sess.Commit()
+		if sess.DropKeeps(v) {
+			sess.Flip(v)
 			pol.noteLeave(v, st.it)
 			st.residual[v] += dur
 			if observe != nil {
 				observe(sess)
 			}
-		} else {
-			sess.Rollback(m)
 		}
 	}
 
 	// Swap sweep: move the slot's load off battery-scarce dominators onto
 	// rich non-members that can afford it. Feasibility is checked by the
-	// session (flip out, flip in, probe, rollback on failure); desirability
-	// by the policy on the scarcity delta.
-	cur := sess.AppendMembers(nil)
+	// session's read-only SwapKeeps probe; desirability by the policy on the
+	// scarcity delta.
+	cur := sess.AppendMembers(order[:0])
+	st.members = cur
 	attempts := 2 * len(cur)
 	if attempts < 8 {
 		attempts = 8
@@ -367,14 +366,11 @@ func (st *refineState) refinePhase(g *graph.Graph, ck *domset.Checker, k, p int,
 		if !pol.acceptSwap(d, st.it, src) {
 			continue
 		}
-		m := sess.Mark()
-		sess.Flip(v)
-		sess.Flip(u)
-		if !sess.IsKDominating() {
-			sess.Rollback(m)
+		if !sess.SwapKeeps(v, u) {
 			continue
 		}
-		sess.Commit()
+		sess.Flip(v)
+		sess.Flip(u)
 		pol.noteLeave(v, st.it)
 		st.residual[v] += dur
 		st.residual[u] -= dur

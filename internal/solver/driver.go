@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -60,29 +61,44 @@ type Options struct {
 	RaceWidth int
 }
 
-// cancelFunc folds Cancel and Deadline into one sticky poll. Nil when
-// neither is set, so the hot loop skips the time syscall entirely.
-func (o Options) cancelFunc() func() bool {
+// expired is the WHP loop's poll, once per retry. It reads the clock: on an
+// oversubscribed host, arming DeadlinePoll's timer just before the first
+// retry can stall the attempt long enough for a short Deadline to lapse
+// before any schedule is drawn.
+func (o Options) expired() bool {
+	return (o.Cancel != nil && o.Cancel()) || (!o.Deadline.IsZero() && !time.Now().Before(o.Deadline))
+}
+
+// cancelFunc folds Cancel and Deadline into the refinement's sticky
+// per-move poll, plus the stop func that releases the deadline's timer. The
+// poll is nil when neither is set, so the move loop skips it entirely.
+func (o Options) cancelFunc() (poll func() bool, stop func()) {
 	cancel := o.Cancel
 	if o.Deadline.IsZero() {
-		return cancel
+		return cancel, func() {}
 	}
-	deadline := o.Deadline
+	expired, stop := DeadlinePoll(o.Deadline)
 	fired := false
 	return func() bool {
-		if fired {
-			return true
-		}
-		if cancel != nil && cancel() {
-			fired = true
-			return true
-		}
-		if !time.Now().Before(deadline) {
-			fired = true
-			return true
-		}
-		return false
-	}
+		fired = fired || (cancel != nil && cancel()) || expired()
+		return fired
+	}, stop
+}
+
+// DeadlinePoll returns a sticky poll that reports true once deadline has
+// passed, and the stop func that releases its timer. The refiners poll
+// before every move, so the poll reads no clock (time.Now can cost about a
+// hundred nanoseconds on a VM): a runtime timer sets a flag at the deadline
+// and polling is one atomic load. It may report a passed deadline late, by
+// as long as the timer's goroutine waits to run, but never early; a
+// deadline already past fires on the first poll. After stop the poll never
+// fires unless it already had. The poll is safe for concurrent use.
+func DeadlinePoll(deadline time.Time) (poll func() bool, stop func()) {
+	fired := new(atomic.Bool)
+	d := time.Until(deadline)
+	fired.Store(d <= 0)
+	t := time.AfterFunc(d, func() { fired.Store(true) })
+	return fired.Load, func() { t.Stop() }
 }
 
 // Solve is the single driver entry point: it resolves spec to its
@@ -148,7 +164,6 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 	if src == nil {
 		src = rng.New(1)
 	}
-	cancel := opt.cancelFunc()
 	ck := checkerFor(inst.Graph)
 
 	rf, refining := sv.(Refiner)
@@ -172,7 +187,7 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 
 	var best *core.Schedule
 	for try := 0; try < tries; try++ {
-		if cancel != nil && cancel() {
+		if opt.expired() {
 			return nil, ErrCanceled
 		}
 		s := loopSolver.Generate(inst, loopSpec, src).TruncateInvalidWith(ck, loopK)
@@ -191,6 +206,8 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 		if budget <= 0 {
 			budget = DefaultRefineBudget
 		}
+		cancel, stop := opt.cancelFunc()
+		defer stop()
 		best = rf.Refine(inst, best, spec, &Refinement{
 			Budget:  budget,
 			Cancel:  cancel,

@@ -10,14 +10,14 @@ import (
 // pruneSolver is the first refinement pass registered behind the solver
 // contract: it generates the greedy baseline schedule and then runs the
 // sched.Squeeze pipeline over it — every phase is pruned to a minimal
-// k-dominating subset by speculatively dropping redundant dominators on the
-// domination kernel's incremental session (Flip, test, Rollback), and the
-// freed budget is re-extended into additional phases. The lifetime is
+// k-dominating subset by dropping redundant dominators on the domination
+// kernel's incremental session (a read-only DropKeeps probe, then Flip), and
+// the freed budget is re-extended into additional phases. The lifetime is
 // therefore >= greedy's by construction, which the registry test pins.
 //
 // It is deliberately minimal — a proof of the metaheuristic shape ROADMAP
-// item 2 wants (local-search refiners running speculative moves against the
-// session API) rather than a full local search.
+// item 2 wants (local-search refiners probing moves against the session
+// API) rather than a full local search.
 type pruneSolver struct{}
 
 func init() { Register(pruneSolver{}) }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/domset"
@@ -228,6 +229,56 @@ func TestRaceCanceled(t *testing.T) {
 		solver.Options{Tries: 50, Cancel: cancel, Src: rng.New(1), RaceWidth: 4})
 	if !errors.Is(err, solver.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+}
+
+// TestDeadlinePoll pins the clock-free poll behind Options.Deadline and the
+// serve job's cancel: a passed deadline fires on the first poll, a future one
+// never fires early and does fire once its timer runs, a fired poll stays
+// fired, and stop releases the timer, so a stopped poll never fires.
+func TestDeadlinePoll(t *testing.T) {
+	// firesWithin polls until poll fires or limit passes.
+	firesWithin := func(poll func() bool, limit time.Duration) bool {
+		end := time.Now().Add(limit)
+		for !poll() {
+			if time.Now().After(end) {
+				return false
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return true
+	}
+
+	poll, stop := solver.DeadlinePoll(time.Now().Add(-time.Second))
+	if !poll() {
+		t.Error("a past deadline did not fire on the first poll")
+	}
+	stop()
+
+	deadline := time.Now().Add(20 * time.Millisecond)
+	poll, stop = solver.DeadlinePoll(deadline)
+	defer stop()
+	if poll() && time.Now().Before(deadline) {
+		t.Error("a 20 ms deadline fired at once")
+	}
+	if !firesWithin(poll, time.Second) {
+		t.Fatal("a 20 ms deadline did not fire within 1 s")
+	}
+	for i := 0; i < 3; i++ {
+		if !poll() {
+			t.Fatal("a fired poll reported false again")
+		}
+	}
+
+	stopped, stopEarly := solver.DeadlinePoll(time.Now().Add(20 * time.Millisecond))
+	stopEarly()
+	later, stopLater := solver.DeadlinePoll(time.Now().Add(40 * time.Millisecond))
+	defer stopLater()
+	if !firesWithin(later, time.Second) {
+		t.Fatal("a 40 ms deadline did not fire within 1 s")
+	}
+	if stopped() {
+		t.Error("a poll stopped before its deadline fired")
 	}
 }
 
