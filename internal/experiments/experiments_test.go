@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
@@ -102,6 +103,17 @@ func TestFigure1InstanceProperties(t *testing.T) {
 	opt, _, _ := exact.Integral(g, b, 1)
 	if opt != 6 {
 		t.Fatalf("integral optimum = %d, want 6", opt)
+	}
+}
+
+// TestFigure1InstanceGolden pins the Figure 1 graph by size and fingerprint,
+// so a change to how it is built cannot silently move E1.
+func TestFigure1InstanceGolden(t *testing.T) {
+	g, _ := Figure1Instance()
+	fp := g.Fingerprint()
+	const want = "4e52c0d935ececd21a31d7e6f6bcee8782933c78aeb4eaffe2f9489fc36afbf8"
+	if got := hex.EncodeToString(fp[:]); g.N() != 7 || g.M() != 9 || got != want {
+		t.Fatalf("n=%d m=%d fingerprint %s, want n=7 m=9 %s", g.N(), g.M(), got, want)
 	}
 }
 
