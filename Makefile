@@ -20,6 +20,7 @@ race:
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzEdgeListUnmarshal$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
+	go test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/core/
 
 # Every Go benchmark across all packages (EXPERIMENTS.md, "Benchmarks"). The

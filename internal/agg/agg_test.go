@@ -35,8 +35,7 @@ func TestBFSTreeOnPath(t *testing.T) {
 }
 
 func TestBFSTreeRejectsDisconnected(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
+	g := graph.NewFromEdges(4, [][2]int{{0, 1}})
 	if _, err := NewBFSTree(g, 0); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}

@@ -52,9 +52,7 @@ func TestGrowthSingleNode(t *testing.T) {
 }
 
 func TestGrowthDisconnectedReturnsNil(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
+	g := graph.NewFromEdges(4, [][2]int{{0, 1}, {2, 3}})
 	if set := Growth(g, nil); set != nil {
 		t.Fatalf("disconnected graph yielded CDS %v", set)
 	}

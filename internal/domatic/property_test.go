@@ -74,9 +74,7 @@ func TestGuaranteedClassesEdgeCases(t *testing.T) {
 }
 
 func TestExactDomaticNumberIsolatedNodeForcesOne(t *testing.T) {
-	g := graph.New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2) // node 3 isolated
+	g := graph.NewFromEdges(4, [][2]int{{0, 1}, {1, 2}}) // node 3 isolated
 	if d := ExactDomaticNumber(g); d != 1 {
 		t.Fatalf("domatic number with isolated node = %d, want 1", d)
 	}

@@ -3,12 +3,9 @@ package domset
 import (
 	"fmt"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
-	"repro/internal/par"
 )
 
 // Checker is the allocation-free domination kernel. It holds word-packed
@@ -44,17 +41,6 @@ type Checker struct {
 	levels []*bitset.Set // levels[i]: nodes with >= i+1 dominators; grown on demand
 	alive  *bitset.Set   // scratch: packed alive mask
 	full   *bitset.Set   // constant: all n bits set
-
-	cands []int // scratch: deduplicated alive candidates of the in-flight fold
-
-	// Parallel-fold state, set by SetPool. chunks holds one descriptor plus
-	// one prebuilt pool task per disjoint word range; foldK carries the
-	// in-flight fold's k to the workers so dispatch stays allocation-free.
-	pool   *par.Pool
-	chunks []*foldChunk
-	tasks  []func()
-	foldK  int
-	foldWG sync.WaitGroup
 
 	session *Session // the reusable incremental session; lazily built by Begin
 }
@@ -136,90 +122,11 @@ func (c *Checker) aliveMask(alive []bool) *bitset.Set {
 	return c.alive
 }
 
-// parFoldMinWork is the fold size — deduplicated candidates × words per row
-// — below which splitting across the pool costs more in handoff than the
-// OR/carry passes it saves. Small folds fit in one core's cache and lose to
-// the WaitGroup round trip.
-const parFoldMinWork = 1 << 13
-
-// foldChunk is one word range [lo, hi) of a parallel fold. state is the
-// exactly-once claim: 0 = claimable, 1 = claimed. The dispatcher resets it
-// at dispatch time and both the pool task and the dispatcher's steal-back
-// loop race to CAS it, so every chunk body runs exactly once no matter
-// whether a pool worker ever picks the task up — a fold can never deadlock
-// on a busy shared pool, and a stale task left in the queue from an earlier
-// fold loses the CAS and degenerates to a no-op.
-type foldChunk struct {
-	lo, hi int
-	state  atomic.Uint32
-}
-
-// SetPool attaches a worker pool to the dense batch fold. Folds large enough
-// to amortize the handoff (parFoldMinWork) split the row words into one
-// contiguous chunk per pool worker; each chunk owns a disjoint word range of
-// every level bitset and of the shared carry scratch, so workers never touch
-// the same word and the result is bit-for-bit identical to the sequential
-// fold. Small folds, k < 1 queries, and the sparse paths stay sequential.
-// A nil pool restores the sequential fold.
-//
-// The pool is borrowed, not owned — Close stays with the caller — and chunks
-// no worker picks up are stolen back and run on the calling goroutine, so a
-// fold never blocks behind foreign work on a shared pool. As with every
-// other Checker path, the pool parallelizes the inside of one call; one
-// Checker still serves one goroutine at a time.
-func (c *Checker) SetPool(p *par.Pool) {
-	c.pool = p
-	c.chunks = c.chunks[:0]
-	c.tasks = c.tasks[:0]
-	if p == nil || c.rows == nil {
-		return
-	}
-	nchunks := p.Workers()
-	if nchunks > c.stride {
-		nchunks = c.stride
-	}
-	for i := 0; i < nchunks; i++ {
-		ch := &foldChunk{lo: c.stride * i / nchunks, hi: c.stride * (i + 1) / nchunks}
-		ch.state.Store(1) // claimable only once a dispatch resets it
-		c.chunks = append(c.chunks, ch)
-		c.tasks = append(c.tasks, func() { c.runChunk(ch) })
-	}
-}
-
-// runChunk claims ch and folds its word range; a lost claim means the other
-// contender (dispatcher steal-back vs pool worker) owns it, and the claim's
-// sequentially consistent CAS orders the fold data prepared before the
-// dispatcher's reset ahead of this read even for a stale queued task.
-func (c *Checker) runChunk(ch *foldChunk) {
-	if !ch.state.CompareAndSwap(0, 1) {
-		return
-	}
-	c.foldRange(ch.lo, ch.hi, c.foldK)
-	c.foldWG.Done()
-}
-
-// dispatchFold runs the prepared fold (levels reset, c.cands and c.foldK
-// set) as one chunk per pool worker. Exactly-once claiming plus the
-// steal-back loop make it deadlock-free: if every worker is busy, the
-// calling goroutine claims and folds every chunk itself.
-func (c *Checker) dispatchFold() {
-	c.foldWG.Add(len(c.chunks))
-	for i, ch := range c.chunks {
-		ch.state.Store(0)
-		c.pool.TrySubmit(c.tasks[i]) // rejection is fine: steal-back runs it
-	}
-	for _, ch := range c.chunks {
-		c.runChunk(ch)
-	}
-	c.foldWG.Wait()
-}
-
 // fold computes levels[0..k-1] for the given candidate set: levels[i] ends
 // up holding exactly the nodes with at least i+1 alive dominators in their
 // closed neighborhood. Duplicate members collapse (a set is a set) and dead
 // members are skipped, matching the free functions' contract. Dense mode
-// only. With a pool attached (SetPool), large folds run one word-range chunk
-// per worker; the result is identical either way.
+// only.
 func (c *Checker) fold(set []int, k int, alive []bool) {
 	for len(c.levels) < k {
 		c.levels = append(c.levels, bitset.New(c.n))
@@ -228,53 +135,28 @@ func (c *Checker) fold(set []int, k int, alive []bool) {
 		lv.Reset()
 	}
 	c.in.Reset()
-	c.cands = c.cands[:0]
+	stride := c.stride
+	carry := c.carry
 	for _, v := range set {
 		c.checkNode(v)
-		if alive != nil && !alive[v] {
-			continue
-		}
-		if c.in.Test(v) {
+		if (alive != nil && !alive[v]) || c.in.Test(v) {
 			continue
 		}
 		c.in.Set(v)
-		c.cands = append(c.cands, v)
-	}
-	if len(c.chunks) > 1 && len(c.cands)*c.stride >= parFoldMinWork {
-		c.foldK = k
-		c.dispatchFold()
-		return
-	}
-	c.foldRange(0, c.stride, k)
-}
-
-// foldRange folds every deduplicated candidate (c.cands) into level words
-// [lo, hi). Chunks of a parallel fold own disjoint ranges: the carry chain
-// is word-local (t = level AND carry; level OR= carry; carry = t), so two
-// chunks never read or write the same word of any level or of the shared
-// carry scratch, and the per-candidate early exit (no carries pending in
-// this range) only skips work that could not have changed the range.
-func (c *Checker) foldRange(lo, hi, k int) {
-	stride := c.stride
-	if k == 1 {
-		// Fast path: one OR pass per candidate row.
-		lw := c.levels[0].Words()
-		for _, v := range c.cands {
-			row := c.rows[v*stride : (v+1)*stride]
-			for w := lo; w < hi; w++ {
+		row := c.rows[v*stride : (v+1)*stride]
+		if k == 1 {
+			// Fast path: one OR pass per candidate row.
+			lw := c.levels[0].Words()
+			for w := 0; w < stride; w++ {
 				lw[w] |= row[w]
 			}
+			continue
 		}
-		return
-	}
-	carry := c.carry
-	for _, v := range c.cands {
-		row := c.rows[v*stride : (v+1)*stride]
-		copy(carry[lo:hi], row[lo:hi])
+		copy(carry, row)
 		for i := 0; i < k; i++ {
 			lw := c.levels[i].Words()
 			var pending uint64
-			for w := lo; w < hi; w++ {
+			for w := 0; w < stride; w++ {
 				t := lw[w] & carry[w]
 				lw[w] |= carry[w]
 				carry[w] = t

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/par"
 	"repro/internal/rng"
 )
 
@@ -197,88 +196,6 @@ func TestCheckerZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestCheckerParallelFoldMatchesSequential pins the parallel batch fold to
-// the sequential one bit for bit: a pooled checker and a plain checker must
-// agree on every query, every k, with duplicates, dead nodes, and candidate
-// sets on both sides of the parFoldMinWork threshold.
-func TestCheckerParallelFoldMatchesSequential(t *testing.T) {
-	pool := par.NewPool(4, 16)
-	defer pool.Close()
-	src := rng.New(11)
-	for _, n := range []int{64, 1500, 2048} {
-		g := gen.GNP(n, 6.0/float64(n), src)
-		seq := NewChecker(g)
-		parCk := NewChecker(g)
-		parCk.SetPool(pool)
-		undomSeq := make([]int, 0, n)
-		undomPar := make([]int, 0, n)
-		for rep := 0; rep < 6; rep++ {
-			var set []int
-			for v := 0; v < n; v++ {
-				if src.Intn(2) == 0 {
-					set = append(set, v)
-				}
-			}
-			if len(set) > 0 {
-				set = append(set, set[len(set)/2]) // duplicate must collapse
-			}
-			var alive []bool
-			if rep%2 == 1 {
-				alive = make([]bool, n)
-				for v := range alive {
-					alive[v] = src.Intn(6) != 0
-				}
-			}
-			for k := 1; k <= 3; k++ {
-				if got, want := parCk.IsKDominating(set, k, alive), seq.IsKDominating(set, k, alive); got != want {
-					t.Fatalf("n=%d k=%d: parallel IsKDominating = %v, sequential %v", n, k, got, want)
-				}
-				if got, want := parCk.CoveredCount(set, k, alive), seq.CoveredCount(set, k, alive); got != want {
-					t.Fatalf("n=%d k=%d: parallel CoveredCount = %d, sequential %d", n, k, got, want)
-				}
-				if got, want := parCk.DominatorDeficit(set, k, alive), seq.DominatorDeficit(set, k, alive); got != want {
-					t.Fatalf("n=%d k=%d: parallel DominatorDeficit = %d, sequential %d", n, k, got, want)
-				}
-				undomSeq = seq.AppendUndominated(undomSeq[:0], set, k, alive)
-				undomPar = parCk.AppendUndominated(undomPar[:0], set, k, alive)
-				if len(undomSeq) != len(undomPar) {
-					t.Fatalf("n=%d k=%d: parallel undominated %d nodes, sequential %d", n, k, len(undomPar), len(undomSeq))
-				}
-				for i := range undomSeq {
-					if undomSeq[i] != undomPar[i] {
-						t.Fatalf("n=%d k=%d: parallel undominated[%d] = %d, sequential %d", n, k, i, undomPar[i], undomSeq[i])
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCheckerParallelFoldZeroAllocs extends the allocation guard to the
-// pooled fold: dispatch reuses prebuilt chunk tasks, so a steady-state
-// parallel query must allocate nothing on any goroutine.
-func TestCheckerParallelFoldZeroAllocs(t *testing.T) {
-	pool := par.NewPool(4, 16)
-	defer pool.Close()
-	n := 2048
-	g := gen.GNP(n, 6.0/float64(n), rng.New(13))
-	ck := NewChecker(g)
-	ck.SetPool(pool)
-	var set []int
-	for v := 0; v < n; v += 2 {
-		set = append(set, v)
-	}
-	if len(set)*((n+63)/64) < parFoldMinWork {
-		t.Fatalf("test set too small to engage the parallel fold")
-	}
-	for _, k := range []int{1, 3} {
-		ck.IsKDominating(set, k, nil) // warm up: grows ck.levels to k
-		if allocs := testing.AllocsPerRun(100, func() { ck.IsKDominating(set, k, nil) }); allocs != 0 {
-			t.Errorf("k=%d: parallel IsKDominating allocates %.1f per call, want 0", k, allocs)
-		}
-	}
-}
-
 func benchCheckerGraph(n int) (*graph.Graph, []int) {
 	p := 10 * math.Log(float64(n)) / float64(n)
 	if p > 1 {
@@ -315,31 +232,6 @@ func BenchmarkCheckerIsKDominating(b *testing.B) {
 				ck.IsKDominating(set, 1, nil)
 			}
 		})
-	}
-}
-
-// BenchmarkCheckerFoldParallel compares the sequential batch fold against
-// the pooled word-chunk fold on the large kernel case; the parallel variant
-// must stay allocation-free (the prebuilt-task contract).
-func BenchmarkCheckerFoldParallel(b *testing.B) {
-	for _, n := range []int{4096, 16384} {
-		g, set := benchCheckerGraph(n)
-		for _, workers := range []int{0, 2, 4, 8} {
-			ck := NewChecker(g)
-			name := fmt.Sprintf("n=%d/seq", n)
-			if workers > 0 {
-				pool := par.NewPool(workers, 2*workers)
-				defer pool.Close()
-				ck.SetPool(pool)
-				name = fmt.Sprintf("n=%d/workers=%d", n, workers)
-			}
-			b.Run(name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					ck.CoveredCount(set, 3, nil)
-				}
-			})
-		}
 	}
 }
 

@@ -139,10 +139,7 @@ func bruteMinimalSets(g *graph.Graph, k int) [][]int {
 // phase structure. Node 6 plays the role of the node that cannot be covered
 // after time 6: its closed neighborhood {4, 5, 6} carries exactly 6 units.
 func figure1() (*graph.Graph, []int) {
-	g := graph.New(7)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {3, 4}, {4, 5}, {4, 6}, {5, 6}} {
-		g.AddEdge(e[0], e[1])
-	}
+	g := graph.NewFromEdges(7, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {3, 4}, {4, 5}, {4, 6}, {5, 6}})
 	b := []int{3, 2, 1, 1, 2, 3, 1}
 	return g, b
 }

@@ -17,10 +17,7 @@ import (
 // structure the figure depicts — and, as the caption notes, the optimum is
 // not unique.
 func Figure1Instance() (*graph.Graph, []int) {
-	g := graph.New(7)
-	for _, e := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {3, 4}, {4, 5}, {4, 6}, {5, 6}} {
-		g.AddEdge(e[0], e[1])
-	}
+	g := graph.NewFromEdges(7, [][2]int{{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {3, 4}, {4, 5}, {4, 6}, {5, 6}})
 	return g, []int{3, 2, 1, 1, 2, 3, 1}
 }
 

@@ -39,20 +39,20 @@ func FujitaTrap(k int) (*graph.Graph, [][]int) {
 		panic("gen: FujitaTrap needs k >= 2")
 	}
 	n := k*k + k + 1
-	g := graph.New(n)
 	a := func(i int) int { return 1 + i }
 	b := func(i, j int) int { return 1 + k + i*k + j }
+	var edges [][2]int
 	for i := 0; i < k; i++ {
-		g.AddEdge(0, a(i)) // z - a_i
+		edges = append(edges, [2]int{0, a(i)}) // z - a_i
 		for j := 0; j < k; j++ {
-			g.AddEdge(a(i), b(i, j)) // a_i - its row
+			edges = append(edges, [2]int{a(i), b(i, j)}) // a_i - its row
 		}
 	}
 	// Column cliques.
 	for j := 0; j < k; j++ {
 		for i := 0; i < k; i++ {
 			for i2 := i + 1; i2 < k; i2++ {
-				g.AddEdge(b(i, j), b(i2, j))
+				edges = append(edges, [2]int{b(i, j), b(i2, j)})
 			}
 		}
 	}
@@ -64,7 +64,7 @@ func FujitaTrap(k int) (*graph.Graph, [][]int) {
 		}
 		partition[s] = set
 	}
-	return g, partition
+	return graph.NewFromEdges(n, edges), partition
 }
 
 // PlantedDomatic returns a graph with a certified domatic partition of size
@@ -78,10 +78,22 @@ func PlantedDomatic(n, d, extraEdges int, src *rng.Source) (*graph.Graph, [][]in
 	if d < 1 || n%d != 0 {
 		panic(fmt.Sprintf("gen: PlantedDomatic needs d >= 1 dividing n (got n=%d d=%d)", n, d))
 	}
-	g := graph.New(n)
 	classes := make([][]int, d)
 	for v := 0; v < n; v++ {
 		classes[v%d] = append(classes[v%d], v)
+	}
+	// Proposals may repeat a pair or (among the extra edges) be self-loops;
+	// those are skipped. No draw depends on whether a proposal was kept.
+	var edges [][2]int
+	seen := make(map[[2]int]bool)
+	propose := func(u, v int) {
+		if u > v {
+			u, v = v, u
+		}
+		if e := [2]int{u, v}; u != v && !seen[e] {
+			seen[e] = true
+			edges = append(edges, e)
+		}
 	}
 	for u := 0; u < n; u++ {
 		for c := 0; c < d; c++ {
@@ -90,11 +102,11 @@ func PlantedDomatic(n, d, extraEdges int, src *rng.Source) (*graph.Graph, [][]in
 			}
 			members := classes[c]
 			w := members[src.Intn(len(members))]
-			g.AddEdgeIfAbsent(u, w)
+			propose(u, w)
 		}
 	}
 	for e := 0; e < extraEdges; e++ {
-		g.AddEdgeIfAbsent(src.Intn(n), src.Intn(n))
+		propose(src.Intn(n), src.Intn(n))
 	}
-	return g, classes
+	return graph.NewFromEdges(n, edges), classes
 }

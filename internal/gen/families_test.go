@@ -6,39 +6,6 @@ import (
 	"repro/internal/rng"
 )
 
-func TestBarabasiAlbert(t *testing.T) {
-	src := rng.New(1)
-	g := BarabasiAlbert(200, 3, src)
-	mustValidate(t, g)
-	if g.N() != 200 {
-		t.Fatalf("n = %d", g.N())
-	}
-	// Edges: C(4,2) seed + 3 per additional node.
-	want := 6 + 3*(200-4)
-	if g.M() != want {
-		t.Fatalf("m = %d, want %d", g.M(), want)
-	}
-	if g.MinDegree() < 3 {
-		t.Fatalf("δ = %d, want >= 3", g.MinDegree())
-	}
-	// Scale-free: the maximum degree should far exceed the minimum.
-	if g.MaxDegree() < 3*g.MinDegree() {
-		t.Errorf("Δ = %d suspiciously close to δ = %d for a BA graph", g.MaxDegree(), g.MinDegree())
-	}
-	if !g.Connected() {
-		t.Fatal("BA graph must be connected")
-	}
-}
-
-func TestBarabasiAlbertPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("n <= m did not panic")
-		}
-	}()
-	BarabasiAlbert(3, 3, rng.New(1))
-}
-
 func TestHypercube(t *testing.T) {
 	for d := 0; d <= 6; d++ {
 		g := Hypercube(d)

@@ -1,7 +1,7 @@
 // Package gen constructs the graph families used by the experiments:
-// classical random graphs (G(n,p), random regular), the unit disk graphs the
-// paper's wireless model motivates, structured graphs (grids, rings, stars)
-// for unit tests, and two purpose-built families:
+// Erdős–Rényi G(n,p) graphs, the unit disk graphs the paper's wireless model
+// motivates, structured graphs (grids, rings, stars) for unit tests, and two
+// purpose-built families:
 //
 //   - FujitaTrap: a family on which the greedy domatic-partition algorithm
 //     (repeatedly extract a minimum dominating set) obtains only 2 disjoint
@@ -10,6 +10,10 @@
 //   - PlantedDomatic: graphs shipped with a certified domatic partition of a
 //     chosen size, used to validate partition algorithms against a known
 //     lower bound.
+//
+// Every generator collects its edge list and builds through
+// graph.NewFromEdges, so a generator bug that emits a self-loop or a repeated
+// pair panics instead of being deduplicated away.
 package gen
 
 import (
@@ -79,11 +83,11 @@ func HeterogeneousUDG(n int, side, rMin, rMax float64, src *rng.Source) (*graph.
 	for i := range radii {
 		radii[i] = rMin + src.Float64()*(rMax-rMin)
 	}
-	g := graph.New(n)
 	if n == 0 {
-		return g, pts, radii
+		return graph.New(0), pts, radii
 	}
 	idx := geom.NewGridIndex(pts, rMax)
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for _, v := range idx.Within(u) {
 			if int32(u) < v {
@@ -92,12 +96,12 @@ func HeterogeneousUDG(n int, side, rMin, rMax float64, src *rng.Source) (*graph.
 					r = radii[v]
 				}
 				if pts[u].Dist(pts[v]) <= r {
-					g.AddEdge(u, int(v))
+					edges = append(edges, [2]int{u, int(v)})
 				}
 			}
 		}
 	}
-	return g, pts, radii
+	return graph.NewFromEdges(n, edges), pts, radii
 }
 
 // ClusteredUDG deploys n nodes around k Gaussian clusters and returns their
@@ -109,11 +113,11 @@ func ClusteredUDG(n, k int, side, sigma, radius float64, src *rng.Source) (*grap
 
 // Path returns the path graph 0-1-…-(n-1).
 func Path(n int) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // Ring returns the cycle graph C_n. It panics for n in {1, 2}, which have no
@@ -122,48 +126,48 @@ func Ring(n int) *graph.Graph {
 	if n == 1 || n == 2 {
 		panic("gen: no simple cycle on 1 or 2 nodes")
 	}
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 0; i < n; i++ {
-		g.AddEdge(i, (i+1)%n)
+		edges = append(edges, [2]int{i, (i + 1) % n})
 	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // Star returns the star K_{1,n-1} with center 0.
 func Star(n int) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]int
 	for i := 1; i < n; i++ {
-		g.AddEdge(0, i)
+		edges = append(edges, [2]int{0, i})
 	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // Complete returns the complete graph K_n.
 func Complete(n int) *graph.Graph {
-	g := graph.New(n)
+	var edges [][2]int
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			g.AddEdge(u, v)
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // Grid returns the rows×cols grid graph with 4-neighborhoods.
 func Grid(rows, cols int) *graph.Graph {
-	g := graph.New(rows * cols)
+	var edges [][2]int
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.AddEdge(id(r, c), id(r, c+1))
+				edges = append(edges, [2]int{id(r, c), id(r, c+1)})
 			}
 			if r+1 < rows {
-				g.AddEdge(id(r, c), id(r+1, c))
+				edges = append(edges, [2]int{id(r, c), id(r+1, c)})
 			}
 		}
 	}
-	return g
+	return graph.NewFromEdges(rows*cols, edges)
 }
 
 // Torus returns the rows×cols torus (grid with wraparound). Both dimensions
@@ -172,27 +176,25 @@ func Torus(rows, cols int) *graph.Graph {
 	if rows < 3 || cols < 3 {
 		panic("gen: torus needs rows, cols >= 3")
 	}
-	g := graph.New(rows * cols)
+	var edges [][2]int
 	id := func(r, c int) int { return r*cols + c }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.AddEdge(id(r, c), id(r, (c+1)%cols))
-			g.AddEdge(id(r, c), id((r+1)%rows, c))
+			edges = append(edges, [2]int{id(r, c), id(r, (c+1)%cols)})
+			edges = append(edges, [2]int{id(r, c), id((r+1)%rows, c)})
 		}
 	}
-	return g
+	return graph.NewFromEdges(rows*cols, edges)
 }
 
 // RandomTree returns a uniform random labeled tree on n nodes built from a
 // random Prüfer sequence.
 func RandomTree(n int, src *rng.Source) *graph.Graph {
-	g := graph.New(n)
 	if n <= 1 {
-		return g
+		return graph.New(n)
 	}
 	if n == 2 {
-		g.AddEdge(0, 1)
-		return g
+		return graph.NewFromEdges(2, [][2]int{{0, 1}})
 	}
 	pruefer := make([]int, n-2)
 	for i := range pruefer {
@@ -206,11 +208,12 @@ func RandomTree(n int, src *rng.Source) *graph.Graph {
 		degree[v]++
 	}
 	// Repeatedly attach the smallest leaf to the next sequence element.
+	edges := make([][2]int, 0, n-1)
 	used := make([]bool, n)
 	for _, v := range pruefer {
 		for leaf := 0; leaf < n; leaf++ {
 			if degree[leaf] == 1 && !used[leaf] {
-				g.AddEdge(leaf, v)
+				edges = append(edges, [2]int{leaf, v})
 				used[leaf] = true
 				degree[v]--
 				break
@@ -224,86 +227,12 @@ func RandomTree(n int, src *rng.Source) *graph.Graph {
 			if u == -1 {
 				u = v
 			} else {
-				g.AddEdge(u, v)
+				edges = append(edges, [2]int{u, v})
 				break
 			}
 		}
 	}
-	return g
-}
-
-// RandomRegular returns a random d-regular graph on n nodes via the
-// configuration (pairing) model with rejection of non-simple outcomes.
-// n·d must be even and d < n. For the modest d used in experiments the
-// expected number of retries is O(1).
-func RandomRegular(n, d int, src *rng.Source) *graph.Graph {
-	if d < 0 || d >= n {
-		panic(fmt.Sprintf("gen: degree %d infeasible for n=%d", d, n))
-	}
-	if n*d%2 != 0 {
-		panic(fmt.Sprintf("gen: n*d = %d*%d is odd", n, d))
-	}
-	for attempt := 0; ; attempt++ {
-		if attempt > 10000 {
-			panic("gen: RandomRegular failed to produce a simple graph")
-		}
-		stubs := make([]int, 0, n*d)
-		for v := 0; v < n; v++ {
-			for i := 0; i < d; i++ {
-				stubs = append(stubs, v)
-			}
-		}
-		src.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-		g := graph.New(n)
-		ok := true
-		for i := 0; i < len(stubs); i += 2 {
-			u, v := stubs[i], stubs[i+1]
-			if u == v || g.HasEdge(u, v) {
-				ok = false
-				break
-			}
-			g.AddEdge(u, v)
-		}
-		if ok {
-			return g
-		}
-	}
-}
-
-// BarabasiAlbert returns a preferential-attachment graph: starting from a
-// clique on m+1 nodes, each new node attaches to m distinct existing nodes
-// chosen with probability proportional to their degree. The result has the
-// heavy-tailed degree distribution typical of scale-free networks — minimum
-// degree m but hubs of much higher degree, a stress case for the local
-// two-hop color ranges.
-func BarabasiAlbert(n, m int, src *rng.Source) *graph.Graph {
-	if m < 1 || n < m+1 {
-		panic(fmt.Sprintf("gen: BarabasiAlbert needs 1 <= m < n (got n=%d m=%d)", n, m))
-	}
-	g := graph.New(n)
-	// Repeated-endpoints list: node v appears once per incident edge, so
-	// sampling uniformly from it is degree-proportional sampling.
-	var endpoints []int
-	for u := 0; u <= m; u++ {
-		for v := u + 1; v <= m; v++ {
-			g.AddEdge(u, v)
-			endpoints = append(endpoints, u, v)
-		}
-	}
-	for v := m + 1; v < n; v++ {
-		chosen := map[int]bool{}
-		for len(chosen) < m {
-			u := endpoints[src.Intn(len(endpoints))]
-			if u != v && !chosen[u] {
-				chosen[u] = true
-			}
-		}
-		for u := range chosen {
-			g.AddEdge(v, u)
-			endpoints = append(endpoints, v, u)
-		}
-	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // Hypercube returns the d-dimensional hypercube graph on 2^d nodes: i and j
@@ -314,16 +243,16 @@ func Hypercube(d int) *graph.Graph {
 		panic(fmt.Sprintf("gen: hypercube dimension %d out of [0, 20]", d))
 	}
 	n := 1 << d
-	g := graph.New(n)
+	var edges [][2]int
 	for v := 0; v < n; v++ {
 		for bit := 0; bit < d; bit++ {
 			u := v ^ (1 << bit)
 			if v < u {
-				g.AddEdge(v, u)
+				edges = append(edges, [2]int{v, u})
 			}
 		}
 	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // CompleteBipartite returns K_{a,b}: parts {0..a-1} and {a..a+b-1} with all
@@ -334,20 +263,19 @@ func CompleteBipartite(a, b int) *graph.Graph {
 	if a < 0 || b < 0 {
 		panic("gen: negative part size")
 	}
-	g := graph.New(a + b)
+	var edges [][2]int
 	for u := 0; u < a; u++ {
 		for v := a; v < a+b; v++ {
-			g.AddEdge(u, v)
+			edges = append(edges, [2]int{u, v})
 		}
 	}
-	return g
+	return graph.NewFromEdges(a+b, edges)
 }
 
 // Circulant returns the circulant graph on n nodes where node i is adjacent
 // to i±1, …, i±(d/2) (mod n): a deterministic d-regular graph for even d
-// that scales to any size (unlike the pairing model, whose rejection rate
-// explodes with d). Requires even d with 0 <= d <= n-1; the offsets are
-// then automatically distinct (d/2 ≤ (n-2)/2 < n/2).
+// that scales to any size. Requires even d with 0 <= d <= n-1; the offsets
+// are then distinct (d/2 ≤ (n-1)/2 < n/2), so no pair is listed twice.
 func Circulant(n, d int) *graph.Graph {
 	if d < 0 || d%2 != 0 {
 		panic(fmt.Sprintf("gen: circulant degree %d must be even and non-negative", d))
@@ -355,13 +283,13 @@ func Circulant(n, d int) *graph.Graph {
 	if d >= n {
 		panic(fmt.Sprintf("gen: circulant degree %d infeasible for n=%d", d, n))
 	}
-	g := graph.New(n)
+	var edges [][2]int
 	for off := 1; off <= d/2; off++ {
 		for i := 0; i < n; i++ {
-			g.AddEdgeIfAbsent(i, (i+off)%n)
+			edges = append(edges, [2]int{i, (i + off) % n})
 		}
 	}
-	return g
+	return graph.NewFromEdges(n, edges)
 }
 
 // Caterpillar returns a caterpillar: a spine path of the given length with
@@ -372,16 +300,16 @@ func Caterpillar(spine, legs int) *graph.Graph {
 	if spine < 1 || legs < 0 {
 		panic("gen: caterpillar needs spine >= 1 and legs >= 0")
 	}
-	g := graph.New(spine + spine*legs)
+	var edges [][2]int
 	for i := 0; i+1 < spine; i++ {
-		g.AddEdge(i, i+1)
+		edges = append(edges, [2]int{i, i + 1})
 	}
 	next := spine
 	for i := 0; i < spine; i++ {
 		for l := 0; l < legs; l++ {
-			g.AddEdge(i, next)
+			edges = append(edges, [2]int{i, next})
 			next++
 		}
 	}
-	return g
+	return graph.NewFromEdges(spine+spine*legs, edges)
 }

@@ -16,8 +16,8 @@ type BudgetUpdate struct {
 // nodes disappear, fresh nodes join, and duty budgets are revised. It is the
 // wire format of the live-reconfiguration API (PATCH /v1/schedule in
 // internal/serve) and the input of the transition planner (internal/reconfig),
-// so unlike NewFromEdges and AddEdge it validates rather than panics — a
-// Delta crosses the trust boundary.
+// so unlike NewFromEdges it validates rather than panics — a Delta crosses
+// the trust boundary.
 //
 // Apply performs the steps in a fixed order, and the ID spaces of the fields
 // follow from it:

@@ -6,9 +6,7 @@ import (
 )
 
 func TestWriteDOT(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
+	g := NewFromEdges(4, [][2]int{{0, 1}, {1, 2}})
 	var sb strings.Builder
 	if err := WriteDOT(&sb, g, "demo", []int{1}); err != nil {
 		t.Fatal(err)

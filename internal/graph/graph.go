@@ -18,14 +18,17 @@ import (
 	"sort"
 )
 
-// Graph is an undirected simple graph over nodes 0..N()-1. The zero value is
-// an empty graph; use New or a builder from package gen.
+// Graph is an undirected simple graph over nodes 0..N()-1. It is immutable
+// once built: every edge enters through FromEdges (directly or via
+// NewFromEdges, Delta.Apply, ReadEdgeList and the generators of package gen)
+// or through InducedSubgraph, so one Graph is safe to share across
+// goroutines, cached instances and shards. The zero value is an empty graph.
 type Graph struct {
 	adj [][]int32 // sorted neighbor lists
 	m   int       // number of edges
 }
 
-// New returns an empty graph with n isolated nodes. It panics if n < 0.
+// New returns the edgeless graph on n isolated nodes. It panics if n < 0.
 func New(n int) *Graph {
 	if n < 0 {
 		panic("graph: negative node count")
@@ -37,12 +40,12 @@ func New(n int) *Graph {
 // and validates it on the way: endpoints must lie in [0, n), and self-loops
 // and duplicate edges (in either orientation) are errors naming the offending
 // edge's index. It buckets all edges per node into one shared neighbor array
-// and sorts each adjacency list once, instead of the O(Δ) insert per edge
-// that AddEdge pays; duplicates show up as equal neighbors in a sorted list.
-// Every list is cut from the shared array with its capacity capped, so a
-// later AddEdge on one node reallocates that list instead of overwriting the
-// next node's neighbors. It is the one constructor behind NewFromEdges,
-// Delta.Apply, ReadEdgeList and the service's request decoding.
+// and sorts each adjacency list once; duplicates show up as equal neighbors
+// in a sorted list. Every list is cut from the shared array with its capacity
+// capped, so a caller's append to a Neighbors slice reallocates instead of
+// overwriting the next node's list. It is the one constructor behind
+// NewFromEdges, Delta.Apply, ReadEdgeList, the generators and the service's
+// request decoding.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
 	if n < 0 || n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: node count %d out of range [0, %d]", n, math.MaxInt32)
@@ -113,8 +116,8 @@ func duplicateEdge(edges [][2]int, u, v int) *edgeError {
 }
 
 // NewFromEdges is FromEdges for inputs that are valid by construction
-// (generators, tests): it panics where FromEdges returns an error, matching
-// AddEdge's contract.
+// (generators, tests): it panics where FromEdges returns an error, so a
+// generator bug that emits a self-loop or a repeated pair fails loudly.
 func NewFromEdges(n int, edges [][2]int) *Graph {
 	g, err := FromEdges(n, edges)
 	if err != nil {
@@ -129,53 +132,10 @@ func (g *Graph) N() int { return len(g.adj) }
 // M returns the number of edges.
 func (g *Graph) M() int { return g.m }
 
-// AddEdge inserts the undirected edge {u, v}. Self-loops and duplicate edges
-// are rejected with a panic: the network model is a simple graph and silent
-// deduplication would hide generator bugs.
-func (g *Graph) AddEdge(u, v int) {
-	if u == v {
-		panic(fmt.Sprintf("graph: self-loop at node %d", u))
-	}
-	g.checkNode(u)
-	g.checkNode(v)
-	if g.HasEdge(u, v) {
-		panic(fmt.Sprintf("graph: duplicate edge {%d, %d}", u, v))
-	}
-	g.adj[u] = insertSorted(g.adj[u], int32(v))
-	g.adj[v] = insertSorted(g.adj[v], int32(u))
-	g.m++
-}
-
-// AddEdgeIfAbsent inserts {u, v} unless it already exists or u == v.
-// It reports whether the edge was added. Generators that may propose the
-// same pair twice (e.g. G(n,m) sampling) use this instead of AddEdge.
-func (g *Graph) AddEdgeIfAbsent(u, v int) bool {
-	if u == v {
-		return false
-	}
-	g.checkNode(u)
-	g.checkNode(v)
-	if g.HasEdge(u, v) {
-		return false
-	}
-	g.adj[u] = insertSorted(g.adj[u], int32(v))
-	g.adj[v] = insertSorted(g.adj[v], int32(u))
-	g.m++
-	return true
-}
-
 func (g *Graph) checkNode(v int) {
 	if v < 0 || v >= len(g.adj) {
 		panic(fmt.Sprintf("graph: node %d out of range [0, %d)", v, len(g.adj)))
 	}
-}
-
-func insertSorted(s []int32, v int32) []int32 {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
 }
 
 // HasEdge reports whether {u, v} is an edge.
@@ -260,15 +220,6 @@ func (g *Graph) ClosedNeighborhood(v int) []int32 {
 	return out
 }
 
-// Clone returns a deep copy of g.
-func (g *Graph) Clone() *Graph {
-	c := &Graph{adj: make([][]int32, len(g.adj)), m: g.m}
-	for v, nbrs := range g.adj {
-		c.adj[v] = append([]int32(nil), nbrs...)
-	}
-	return c
-}
-
 // Edges calls fn once per undirected edge with u < v.
 func (g *Graph) Edges(fn func(u, v int)) {
 	for u, nbrs := range g.adj {
@@ -281,44 +232,51 @@ func (g *Graph) Edges(fn func(u, v int)) {
 }
 
 // InducedSubgraph returns the subgraph induced by the given nodes together
-// with the mapping from new IDs to original IDs. Duplicate nodes panic.
+// with the mapping from new IDs to original IDs: node i of the result is
+// nodes[i]. Duplicate nodes panic. It relabels g's lists straight into one
+// shared neighbor array with FromEdges' fill: new IDs are visited in
+// decreasing order and each is written at the end of its neighbors' lists,
+// so every list comes out sorted without a sort.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	idx := make(map[int]int, len(nodes))
-	orig := make([]int, len(nodes))
+	k := len(nodes)
+	// idx[v] is v's new ID plus one, or 0 when v is not kept.
+	idx := make([]int32, len(g.adj))
+	orig := make([]int, k)
 	for i, v := range nodes {
 		g.checkNode(v)
-		if _, dup := idx[v]; dup {
+		if idx[v] != 0 {
 			panic(fmt.Sprintf("graph: duplicate node %d in induced subgraph", v))
 		}
-		idx[v] = i
+		idx[v] = int32(i + 1)
 		orig[i] = v
 	}
-	sub := New(len(nodes))
+	// end[i] counts i's kept neighbors, then becomes the end of its list,
+	// then (after the fill decrements it) the start; end[k] is the total.
+	end := make([]int, k+1)
 	for i, v := range nodes {
 		for _, u := range g.adj[v] {
-			if j, ok := idx[int(u)]; ok && i < j {
-				sub.AddEdge(i, j)
+			if idx[u] != 0 {
+				end[i]++
 			}
 		}
 	}
-	return sub, orig
-}
-
-// RemoveNodes returns a copy of g with the given nodes (and incident edges)
-// deleted, plus the new-ID → old-ID mapping. Used by failure injection.
-func (g *Graph) RemoveNodes(dead []int) (*Graph, []int) {
-	isDead := make([]bool, len(g.adj))
-	for _, v := range dead {
-		g.checkNode(v)
-		isDead[v] = true
+	for i := 1; i <= k; i++ {
+		end[i] += end[i-1]
 	}
-	keep := make([]int, 0, len(g.adj))
-	for v := range g.adj {
-		if !isDead[v] {
-			keep = append(keep, v)
+	nbrs := make([]int32, end[k])
+	for j := k - 1; j >= 0; j-- {
+		for _, u := range g.adj[nodes[j]] {
+			if i := idx[u] - 1; i >= 0 {
+				end[i]--
+				nbrs[end[i]] = int32(j)
+			}
 		}
 	}
-	return g.InducedSubgraph(keep)
+	sub := &Graph{adj: make([][]int32, k), m: len(nbrs) / 2}
+	for i := range sub.adj {
+		sub.adj[i] = nbrs[end[i]:end[i+1]:end[i+1]]
+	}
+	return sub, orig
 }
 
 // BFS runs a breadth-first search from src and returns the distance slice
@@ -409,16 +367,6 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("edge count %d does not match adjacency size %d", g.m, count)
 	}
 	return nil
-}
-
-// DegreeHistogram returns hist where hist[d] is the number of nodes of
-// degree d, for d up to Δ.
-func (g *Graph) DegreeHistogram() []int {
-	hist := make([]int, g.MaxDegree()+1)
-	for _, nbrs := range g.adj {
-		hist[len(nbrs)]++
-	}
-	return hist
 }
 
 // AverageDegree returns 2M/N, or 0 for the empty graph.

@@ -39,12 +39,8 @@ func (blackoutRadio) Drop(from, to, round int) bool { return true }
 func TestPatchRecruitsHighestResidualNeighbor(t *testing.T) {
 	// Square s-a, s-b, a-u, b-u: s serves and covers s, a, b; u is the only
 	// hole. Both a (residual 5) and b (residual 2) bid; u must enlist a.
-	g := graph.New(4)
 	const s, a, b, u = 0, 1, 2, 3
-	g.AddEdge(s, a)
-	g.AddEdge(s, b)
-	g.AddEdge(a, u)
-	g.AddEdge(b, u)
+	g := graph.NewFromEdges(4, [][2]int{{s, a}, {s, b}, {a, u}, {b, u}})
 	net := energy.NewNetwork(g, []int{1, 5, 2, 0})
 	recruited, stats, err := runPatch(g, net, []int{s}, []int{u}, 1, 1, nil, obs.Hooks{})
 	if err != nil {

@@ -13,11 +13,10 @@ import (
 // so admission failure is an explicit TrySubmit=false the caller can turn
 // into backpressure instead of unbounded memory growth.
 type Pool struct {
-	mu      sync.Mutex
-	tasks   chan func()
-	closed  bool
-	workers int
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	tasks  chan func()
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewPool starts a pool of the given number of workers (<= 0 means
@@ -30,7 +29,7 @@ func NewPool(workers, depth int) *Pool {
 	if depth < 0 {
 		depth = 0
 	}
-	p := &Pool{tasks: make(chan func(), depth), workers: workers}
+	p := &Pool{tasks: make(chan func(), depth)}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -64,11 +63,6 @@ func (p *Pool) TrySubmit(fn func()) bool {
 // QueueLen returns the number of accepted tasks not yet picked up by a
 // worker (a point-in-time reading; it may be stale by the time it returns).
 func (p *Pool) QueueLen() int { return len(p.tasks) }
-
-// Workers returns the fixed worker count the pool was started with. Callers
-// sizing a data split to the pool (one chunk per worker) read it here rather
-// than re-deriving GOMAXPROCS.
-func (p *Pool) Workers() int { return p.workers }
 
 // Close stops accepting new tasks and blocks until every already accepted
 // task has finished — the drain half of graceful shutdown. Close is

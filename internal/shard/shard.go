@@ -120,6 +120,7 @@ func assemble(g *graph.Graph, assign []int, ids []int, method string, seed uint6
 	}
 	p := &Partition{Assign: make([]int, n), Method: method, Seed: seed}
 	inShard := make([]bool, n)
+	inHalo := make([]bool, n)
 	for l, nodes := range nodesOf {
 		if len(nodes) == 0 {
 			continue
@@ -130,11 +131,10 @@ func assemble(g *graph.Graph, assign []int, ids []int, method string, seed uint6
 			inShard[v] = true
 			p.Assign[v] = pos
 		}
-		seen := make(map[int]bool)
 		for _, v := range nodes {
 			for _, u := range g.Neighbors(v) {
-				if !inShard[int(u)] && !seen[int(u)] {
-					seen[int(u)] = true
+				if !inShard[u] && !inHalo[u] {
+					inHalo[u] = true
 					sh.Halo = append(sh.Halo, int(u))
 				}
 			}
@@ -147,6 +147,9 @@ func assemble(g *graph.Graph, assign []int, ids []int, method string, seed uint6
 		p.Shards = append(p.Shards, sh)
 		for _, v := range nodes {
 			inShard[v] = false // reset scratch for the next label
+		}
+		for _, h := range sh.Halo {
+			inHalo[h] = false
 		}
 	}
 	return p
