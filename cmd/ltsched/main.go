@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/budgetflag"
 	"repro/internal/core"
-	"repro/internal/domset"
 	"repro/internal/graph"
 	"repro/internal/instance"
 	"repro/internal/obs"
@@ -127,7 +126,7 @@ func run() error {
 	// The driver already ran the ValidateWith feasibility gate over every
 	// schedule — randomized and baseline alike — so a violation here means
 	// the batteries drifted between solve and print; keep the belt anyway.
-	if err := s.ValidateWith(domset.NewChecker(g), batteries, tolerance); err != nil {
+	if err := s.Validate(g, batteries, tolerance); err != nil {
 		return fmt.Errorf("produced schedule failed validation: %v", err)
 	}
 

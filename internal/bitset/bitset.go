@@ -1,12 +1,10 @@
 // Package bitset implements dense word-packed bit sets over [0, n). It is
-// the storage layer of the allocation-free domination kernel (package
-// domset): closed neighborhoods, candidate memberships, and coverage levels
-// are all Sets, so a coverage decision is a handful of word-wide AND/OR/
-// popcount passes instead of a per-node adjacency walk.
+// the storage layer of the domination kernel (package domset): candidate
+// membership, the alive mask and the undominated set are Sets, so a
+// membership flip is one word operation and the sorted undominated list is
+// one pass over the words.
 //
-// All binary operations require both operands to have the same length and
-// maintain the invariant that bits at positions >= Len() are zero, so Count
-// and word-level comparisons never need tail masking.
+// Bits at positions >= n are kept zero, so AppendBits never reports one.
 package bitset
 
 import (
@@ -16,29 +14,23 @@ import (
 
 const wordBits = 64
 
-// Set is a fixed-length bit set over positions [0, Len()). The zero value is
+// Set is a fixed-length bit set over positions [0, n). The zero value is
 // an empty zero-length set; use New for anything useful.
 type Set struct {
 	words []uint64
 	n     int
 }
 
-// WordsFor returns the number of 64-bit words a set of length n occupies.
-func WordsFor(n int) int { return (n + wordBits - 1) / wordBits }
-
 // New returns a set of length n with all bits clear. It panics if n < 0.
 func New(n int) *Set {
 	if n < 0 {
 		panic("bitset: negative length")
 	}
-	return &Set{words: make([]uint64, WordsFor(n)), n: n}
+	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Len returns the length of the set (number of addressable positions).
-func (s *Set) Len() int { return s.n }
-
-// Words exposes the backing words for kernel loops. Bits >= Len() must be
-// kept zero by callers that write through this slice.
+// Words exposes the backing words for kernel loops. Bits at positions >= n
+// must be kept zero by callers that write through this slice.
 func (s *Set) Words() []uint64 { return s.words }
 
 func (s *Set) check(i int) {
@@ -81,7 +73,7 @@ func (s *Set) Reset() {
 	}
 }
 
-// Fill sets every bit in [0, Len()), keeping tail bits zero.
+// Fill sets every bit in [0, n), keeping tail bits zero.
 func (s *Set) Fill() {
 	for i := range s.words {
 		s.words[i] = ^uint64(0)
@@ -93,116 +85,6 @@ func (s *Set) Fill() {
 func (s *Set) maskTail() {
 	if rem := s.n & 63; rem != 0 && len(s.words) > 0 {
 		s.words[len(s.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// Count returns the number of set bits (population count).
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *Set) sameLen(o *Set) {
-	if s.n != o.n {
-		panic(fmt.Sprintf("bitset: length mismatch %d != %d", s.n, o.n))
-	}
-}
-
-// CopyFrom overwrites s with the contents of o.
-func (s *Set) CopyFrom(o *Set) {
-	s.sameLen(o)
-	copy(s.words, o.words)
-}
-
-// UnionWith sets s to s ∪ o — the union-into-scratch primitive.
-func (s *Set) UnionWith(o *Set) {
-	s.sameLen(o)
-	for i, w := range o.words {
-		s.words[i] |= w
-	}
-}
-
-// IntersectWith sets s to s ∩ o.
-func (s *Set) IntersectWith(o *Set) {
-	s.sameLen(o)
-	for i, w := range o.words {
-		s.words[i] &= w
-	}
-}
-
-// AndNot sets s to s \ o.
-func (s *Set) AndNot(o *Set) {
-	s.sameLen(o)
-	for i, w := range o.words {
-		s.words[i] &^= w
-	}
-}
-
-// AndCount returns |s ∩ o| without modifying either set.
-func (s *Set) AndCount(o *Set) int {
-	s.sameLen(o)
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] & w)
-	}
-	return c
-}
-
-// AndNotCount returns |s \ o| without modifying either set.
-func (s *Set) AndNotCount(o *Set) int {
-	s.sameLen(o)
-	c := 0
-	for i, w := range o.words {
-		c += bits.OnesCount64(s.words[i] &^ w)
-	}
-	return c
-}
-
-// SubsetOf reports whether s ⊆ o, short-circuiting on the first word with a
-// bit of s outside o.
-func (s *Set) SubsetOf(o *Set) bool {
-	s.sameLen(o)
-	for i, w := range o.words {
-		if s.words[i]&^w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Equal reports whether s and o have the same length and bits.
-func (s *Set) Equal(o *Set) bool {
-	if s.n != o.n {
-		return false
-	}
-	for i, w := range o.words {
-		if s.words[i] != w {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEach calls fn for every set bit in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	for wi, w := range s.words {
-		for w != 0 {
-			fn(wi<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-		}
 	}
 }
 

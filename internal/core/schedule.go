@@ -102,14 +102,14 @@ func (s *Schedule) ActiveAt(t int) []int {
 // non-negative, node usage never exceeds the battery, and all node IDs are
 // in range. k = 1 is the plain problem.
 func (s *Schedule) Validate(g *graph.Graph, batteries []int, k int) error {
-	return s.ValidateWith(domset.NewChecker(g), batteries, k)
+	return s.ValidateWith(domset.NewSession(g), batteries, k)
 }
 
-// ValidateWith is Validate against a caller-held Checker, amortizing the
-// packed-neighborhood build across many validations of schedules on the same
-// graph (the WHP retry loops and experiment sweeps).
-func (s *Schedule) ValidateWith(ck *domset.Checker, batteries []int, k int) error {
-	g := ck.Graph()
+// ValidateWith is Validate against a caller-held session over the graph,
+// reusing its state across many validations of schedules on the same graph
+// (the solver driver, the stitcher). It resets the session.
+func (s *Schedule) ValidateWith(sess *domset.Session, batteries []int, k int) error {
+	g := sess.Graph()
 	if len(batteries) != g.N() {
 		return fmt.Errorf("core: %d batteries for %d nodes", len(batteries), g.N())
 	}
@@ -130,7 +130,7 @@ func (s *Schedule) ValidateWith(ck *domset.Checker, batteries []int, k int) erro
 			}
 			usage[v] += p.Duration
 		}
-		if !ck.IsKDominating(p.Set, k, nil) {
+		if !sess.Reset(p.Set, k, nil).IsKDominating() {
 			return fmt.Errorf("core: phase %d (duration %d) is not %d-dominating", i, p.Duration, k)
 		}
 	}
@@ -145,16 +145,17 @@ func (s *Schedule) ValidateWith(ck *domset.Checker, batteries []int, k int) erro
 // TruncateInvalid returns the longest prefix of s whose positive-duration
 // phases are all k-dominating sets of g. This is the deployment-relevant
 // repair for the probabilistic color-class guarantee: the schedule runs
-// until the first broken phase and stops.
+// until the first broken phase and stops. k must be >= 1.
 func (s *Schedule) TruncateInvalid(g *graph.Graph, k int) *Schedule {
-	return s.TruncateInvalidWith(domset.NewChecker(g), k)
+	return s.TruncateInvalidWith(domset.NewSession(g), k)
 }
 
-// TruncateInvalidWith is TruncateInvalid against a caller-held Checker.
-func (s *Schedule) TruncateInvalidWith(ck *domset.Checker, k int) *Schedule {
+// TruncateInvalidWith is TruncateInvalid against a caller-held session over
+// the graph. It resets the session.
+func (s *Schedule) TruncateInvalidWith(sess *domset.Session, k int) *Schedule {
 	out := &Schedule{}
 	for _, p := range s.Phases {
-		if p.Duration > 0 && !ck.IsKDominating(p.Set, k, nil) {
+		if p.Duration > 0 && !sess.Reset(p.Set, k, nil).IsKDominating() {
 			break
 		}
 		out.Phases = append(out.Phases, p)
@@ -164,16 +165,18 @@ func (s *Schedule) TruncateInvalidWith(ck *domset.Checker, k int) *Schedule {
 
 // DropInvalid returns a copy of s with every non-k-dominating phase removed
 // (rather than truncating at the first). This is the ablation counterpart of
-// TruncateInvalid: it assumes a coordinator can skip broken classes.
+// TruncateInvalid: it assumes a coordinator can skip broken classes. k must
+// be >= 1.
 func (s *Schedule) DropInvalid(g *graph.Graph, k int) *Schedule {
-	return s.DropInvalidWith(domset.NewChecker(g), k)
+	return s.DropInvalidWith(domset.NewSession(g), k)
 }
 
-// DropInvalidWith is DropInvalid against a caller-held Checker.
-func (s *Schedule) DropInvalidWith(ck *domset.Checker, k int) *Schedule {
+// DropInvalidWith is DropInvalid against a caller-held session over the
+// graph. It resets the session.
+func (s *Schedule) DropInvalidWith(sess *domset.Session, k int) *Schedule {
 	out := &Schedule{}
 	for _, p := range s.Phases {
-		if p.Duration > 0 && !ck.IsKDominating(p.Set, k, nil) {
+		if p.Duration > 0 && !sess.Reset(p.Set, k, nil).IsKDominating() {
 			continue
 		}
 		out.Phases = append(out.Phases, p)

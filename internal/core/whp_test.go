@@ -12,10 +12,10 @@ import (
 // target. solver's seed-pinned equivalence test asserts the driver matches
 // this exact composition draw for draw.
 func whpForTest(g *graph.Graph, target, truncK, tries int, generate func() *Schedule) *Schedule {
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	var best *Schedule
 	for try := 0; try < tries; try++ {
-		s := generate().TruncateInvalidWith(ck, truncK)
+		s := generate().TruncateInvalidWith(sess, truncK)
 		if best == nil || s.Lifetime() > best.Lifetime() {
 			best = s
 		}

@@ -1,10 +1,13 @@
-// Package domset implements dominating-set primitives: verifiers for plain
-// and fault-tolerant (k-)domination, the classical greedy set-cover
-// approximation for minimum dominating sets, a greedy k-dominating set
-// builder, an exact branch-and-bound minimum dominating set for small
-// graphs, and Luby's randomized maximal independent set (every MIS is a
-// dominating set; in unit disk graphs it is a constant-factor approximation,
-// as the paper's related-work section recounts).
+// Package domset implements dominating-set primitives: the domination
+// kernel Session, whose exact per-node dominator counters answer every
+// plain and fault-tolerant (k-)domination query from O(n) words of state,
+// with the one-shot verifiers IsDominating and IsKDominating on top; the
+// classical greedy set-cover approximation for minimum dominating sets, a
+// greedy k-dominating set builder, an exact branch-and-bound minimum
+// dominating set for small graphs, and Luby's randomized maximal
+// independent set (every MIS is a dominating set; in unit disk graphs it is
+// a constant-factor approximation, as the paper's related-work section
+// recounts).
 package domset
 
 import (
@@ -24,20 +27,14 @@ func IsDominating(g *graph.Graph, set []int, alive []bool) bool {
 
 // IsKDominating reports whether every alive node has at least k dominators
 // in its closed neighborhood within set (counting itself if it is in the
-// set), considering only alive dominators.
+// set), considering only alive dominators. A demand of k < 1 dominators is
+// always met; set and alive are range-checked all the same.
 //
-// This is the one-shot convenience form; hot loops should hold a Checker
-// and call its methods to amortize the scratch buffers across calls.
+// This is the one-shot form; a caller checking many sets on one graph
+// holds a Session and calls Reset, reusing its state across calls.
 func IsKDominating(g *graph.Graph, set []int, k int, alive []bool) bool {
-	return newSparseChecker(g).IsKDominating(set, k, alive)
-}
-
-// UndominatedNodes returns the sorted alive nodes with fewer than k
-// dominators in set. Useful for diagnostics and failure-injection reports.
-// Hot loops should hold a Checker and use AppendUndominated with a reused
-// buffer instead.
-func UndominatedNodes(g *graph.Graph, set []int, k int, alive []bool) []int {
-	return newSparseChecker(g).AppendUndominated(nil, set, k, alive)
+	s := NewSession(g).Reset(set, max(k, 1), alive)
+	return k < 1 || s.IsKDominating()
 }
 
 // Greedy returns a dominating set via the classical set-cover greedy: it

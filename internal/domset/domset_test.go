@@ -70,20 +70,6 @@ func TestIsKDominating(t *testing.T) {
 	}
 }
 
-func TestUndominatedNodes(t *testing.T) {
-	g := gen.Path(5)
-	und := UndominatedNodes(g, []int{0}, 1, nil)
-	want := []int{2, 3, 4}
-	if len(und) != len(want) {
-		t.Fatalf("undominated = %v, want %v", und, want)
-	}
-	for i := range want {
-		if und[i] != want[i] {
-			t.Fatalf("undominated = %v, want %v", und, want)
-		}
-	}
-}
-
 func TestGreedyProducesDominatingSet(t *testing.T) {
 	src := rng.New(1)
 	graphs := []*graph.Graph{

@@ -4,42 +4,40 @@ import (
 	"fmt"
 
 	"repro/internal/bitset"
+	"repro/internal/graph"
 )
 
-// Session is the incremental half of the domination kernel. A Checker
-// answers each query by re-folding every candidate row — O(n·Δ/64) words
-// per call, paid in full even when the caller changed a single node since
-// the last query. A Session pays that fold once, in Begin, and from then on
-// maintains the kernel state — exact per-node dominator counters, the alive
-// mask, and the undominated set — under single-node deltas in O(deg(v))
-// words per Flip/SetAlive, with O(1) coverage queries.
+// Session is the domination kernel. It holds exact per-node dominator
+// counters for one candidate set on one graph, so every coverage question
+// — is the set k-dominating, how many alive nodes are covered, which are
+// not — is an O(1) read or one pass over the undominated set.
 //
-// This is the shape of every hot single-delta caller: heal's recruit loop
-// (enlist one node, recheck), reconfig's slot-by-slot verification
-// (consecutive phases differ in a few members), and local-search refiners
-// (try dropping or swapping one dominator, keep the move only if the set
-// stays covered). For the last, DropKeeps and SwapKeeps answer "would this
-// move keep the set k-dominating?" with one read-only pass over the moved
-// nodes' neighborhoods, so a rejected move costs no mutation at all; an
-// accepted one is then applied with Flip, which is its own inverse.
+// Reset loads a set in O(n + Σ deg) and returns the session, so a one-shot
+// query is Reset plus a read. From then on Flip and SetAlive maintain the
+// state under single-node deltas in O(deg(v)). That is the shape of every
+// hot single-delta caller: heal's recruit loop (enlist one node, recheck),
+// reconfig's slot-by-slot verification (consecutive phases differ in a few
+// members), and the local-search refiners (try dropping or swapping one
+// dominator, keep the move only if the set stays covered). For the last,
+// DropKeeps and SwapKeeps answer "would this move keep the set
+// k-dominating?" with one read-only pass over the moved nodes'
+// neighborhoods, so a rejected move costs no mutation at all; an accepted
+// one is then applied with Flip, which is its own inverse.
 //
-// Invariants maintained after every operation, matching the fold path's
-// contract bit for bit:
+// Invariants maintained after every operation:
 //
 //	counts[v] = |N+[v] ∩ members ∩ alive|     (exact, not saturated)
 //	undom     = { v : alive[v] && counts[v] < k }
-//	IsKDominating() == Checker.IsKDominating(members, k, alive)
 //
 // Dead members contribute nothing (a dead dominator dominates no one);
-// dead nodes need no coverage. Duplicate members in Begin's set collapse.
+// dead nodes need no coverage. Duplicate members in Reset's set collapse.
 //
-// A Checker owns one Session: Begin resets and returns it, so steady-state
-// reuse allocates nothing (the property tests pin this). Beginning a new
-// session invalidates the previous one. Fold-path Checker queries may be
-// interleaved with an active session — they use disjoint scratch — but like
-// the Checker itself a Session is not safe for concurrent use.
+// The state is O(n) words whatever the graph's density, and a Reset reuses
+// it, so steady-state reuse allocates nothing (the property tests pin
+// this). A Session is not safe for concurrent use; hold one per goroutine.
 type Session struct {
-	c *Checker
+	g *graph.Graph
+	n int
 	k int
 
 	counts []int32     // exact dominator count per node
@@ -50,38 +48,57 @@ type Session struct {
 	aliveN int
 }
 
-// Begin starts (or restarts) an incremental session over the candidate set
-// with tolerance k and the given alive mask (nil = all alive). It pays one
-// O(Σ deg) batch fold; every subsequent Flip/SetAlive is O(deg(v)) and every
-// coverage query O(1). k must be >= 1 — the k = 0 "vacuously dominated"
-// convention of the one-shot queries has no meaningful incremental state.
-// alive, when non-nil, must hold exactly one flag per node.
-func (c *Checker) Begin(set []int, k int, alive []bool) *Session {
+// NewSession returns a session over g. Call Reset before any other method.
+func NewSession(g *graph.Graph) *Session {
+	n := g.N()
+	return &Session{
+		g:      g,
+		n:      n,
+		counts: make([]int32, n),
+		member: bitset.New(n),
+		alive:  bitset.New(n),
+		undom:  bitset.New(n),
+	}
+}
+
+// Graph returns the graph the session was built for.
+func (s *Session) Graph() *graph.Graph { return s.g }
+
+func (s *Session) checkNode(v int) {
+	if v < 0 || v >= s.n {
+		panic(fmt.Sprintf("domset: node %d out of range", v))
+	}
+}
+
+// checkAlive enforces the alive-mask contract: nil means all nodes alive,
+// and a non-nil mask carries exactly one flag per node, so a short or long
+// slice fails fast with an actionable message instead of a bare
+// index-out-of-range.
+func (s *Session) checkAlive(alive []bool) {
+	if alive != nil && len(alive) != s.n {
+		panic(fmt.Sprintf("domset: %d alive flags for %d nodes", len(alive), s.n))
+	}
+}
+
+// Reset loads the candidate set with tolerance k and the given alive mask
+// (nil = all alive) and returns s. It pays one O(n + Σ deg) fold of counter
+// bumps; every later Flip/SetAlive is O(deg(v)) and every coverage query
+// O(1). k must be >= 1: a demand of zero dominators has no meaningful
+// incremental state. alive, when non-nil, must hold exactly one flag per
+// node. Members out of range panic.
+func (s *Session) Reset(set []int, k int, alive []bool) *Session {
 	if k < 1 {
 		panic(fmt.Sprintf("domset: session tolerance k = %d must be >= 1", k))
 	}
-	c.checkAlive(alive)
-	s := c.session
-	if s == nil {
-		s = &Session{
-			c:      c,
-			counts: make([]int32, c.n),
-			member: bitset.New(c.n),
-			alive:  bitset.New(c.n),
-			undom:  bitset.New(c.n),
-		}
-		c.session = s
-	}
+	s.checkAlive(alive)
 	s.k = k
-	for i := range s.counts {
-		s.counts[i] = 0
-	}
+	clear(s.counts)
 	s.member.Reset()
 	s.undom.Reset()
 
 	if alive == nil {
-		s.alive.CopyFrom(c.full)
-		s.aliveN = c.n
+		s.alive.Fill()
+		s.aliveN = s.n
 	} else {
 		s.alive.Reset()
 		s.aliveN = 0
@@ -94,17 +111,17 @@ func (c *Checker) Begin(set []int, k int, alive []bool) *Session {
 		}
 	}
 
-	// Batch fold: one pass of counter bumps per alive member's closed
-	// neighborhood, then one linear sweep to derive the undominated set.
+	// One pass of counter bumps per alive member's closed neighborhood,
+	// then one linear sweep to derive the undominated set.
 	for _, v := range set {
-		c.checkNode(v)
+		s.checkNode(v)
 		if s.member.Test(v) {
 			continue // duplicate member collapses
 		}
 		s.member.Set(v)
 		if s.alive.Test(v) {
 			s.counts[v]++
-			for _, u := range c.g.Neighbors(v) {
+			for _, u := range s.g.Neighbors(v) {
 				s.counts[u]++
 			}
 		}
@@ -113,7 +130,7 @@ func (c *Checker) Begin(set []int, k int, alive []bool) *Session {
 	aw := s.alive.Words()
 	uw := s.undom.Words()
 	kk := int32(k)
-	for v := 0; v < c.n; v++ {
+	for v := 0; v < s.n; v++ {
 		if aw[v>>6]&(1<<uint(v&63)) != 0 && s.counts[v] < kk {
 			uw[v>>6] |= 1 << uint(v&63)
 			s.undomN++
@@ -121,9 +138,6 @@ func (c *Checker) Begin(set []int, k int, alive []bool) *Session {
 	}
 	return s
 }
-
-// K returns the session's domination tolerance.
-func (s *Session) K() int { return s.k }
 
 // Contains reports whether v is currently a member of the candidate set.
 func (s *Session) Contains(v int) bool { return s.member.Test(v) }
@@ -134,7 +148,7 @@ func (s *Session) IsAlive(v int) bool { return s.alive.Test(v) }
 // Dominators returns v's exact current dominator count
 // |N+[v] ∩ members ∩ alive|.
 func (s *Session) Dominators(v int) int {
-	s.c.checkNode(v)
+	s.checkNode(v)
 	return int(s.counts[v])
 }
 
@@ -149,9 +163,6 @@ func (s *Session) IsKDominating() bool { return s.undomN == 0 }
 // dominators in the current set. O(1).
 func (s *Session) CoveredCount() int { return s.aliveN - s.undomN }
 
-// UndominatedCount returns how many alive nodes are under-covered. O(1).
-func (s *Session) UndominatedCount() int { return s.undomN }
-
 // AppendUndominated appends the sorted alive under-covered nodes to dst and
 // returns the extended slice; with a pre-grown dst it allocates nothing.
 func (s *Session) AppendUndominated(dst []int) []int { return s.undom.AppendBits(dst) }
@@ -164,7 +175,7 @@ func (s *Session) AppendMembers(dst []int) []int { return s.member.AppendBits(ds
 // state in O(deg(v)) words. Flip is its own inverse: flipping v twice
 // restores every counter and mask exactly.
 func (s *Session) Flip(v int) {
-	s.c.checkNode(v)
+	s.checkNode(v)
 	nowMember := s.member.Toggle(v)
 	if !s.alive.Test(v) {
 		return // dead members contribute nothing; counters untouched
@@ -181,7 +192,7 @@ func (s *Session) Flip(v int) {
 // no coverage); a node reviving does the reverse. No-op when the flag
 // already matches.
 func (s *Session) SetAlive(v int, up bool) {
-	s.c.checkNode(v)
+	s.checkNode(v)
 	if s.alive.Test(v) == up {
 		return
 	}
@@ -247,7 +258,7 @@ func (s *Session) SwapKeeps(out, in int) bool {
 
 // checkMember panics unless v's membership is want: the probes' contract.
 func (s *Session) checkMember(op string, v int, want bool) {
-	s.c.checkNode(v)
+	s.checkNode(v)
 	if s.member.Test(v) != want {
 		panic(fmt.Sprintf("domset: %s(%d) on a node whose membership is %v", op, v, !want))
 	}
@@ -266,7 +277,7 @@ func (s *Session) dropKeeps(v, in int) bool {
 	if !s.spare(v, in, kk, aw) {
 		return false
 	}
-	for _, u := range s.c.g.Neighbors(v) {
+	for _, u := range s.g.Neighbors(v) {
 		if !s.spare(int(u), in, kk, aw) {
 			return false
 		}
@@ -277,21 +288,20 @@ func (s *Session) dropKeeps(v, in int) bool {
 // spare reports whether u stays covered after losing one dominator.
 func (s *Session) spare(u, in int, k int32, aw []uint64) bool {
 	return s.counts[u] > k || aw[u>>6]&(1<<uint(u&63)) == 0 ||
-		(in >= 0 && (u == in || s.c.g.HasEdge(in, u)))
+		(in >= 0 && (u == in || s.g.HasEdge(in, u)))
 }
 
 // contribute applies d (±1) to the dominator count of every node in v's
 // closed neighborhood, maintaining the undominated set across the k
 // threshold for alive nodes. O(deg(v)) words. The alive/undom words are
-// hoisted out of the per-neighbor work so the inner bump is branch-light —
-// this loop IS the cost of a Flip, and the bench pins its speedup over the
-// fold path.
+// hoisted out of the per-neighbor work so the inner bump is branch-light:
+// this loop is the cost of a Flip.
 func (s *Session) contribute(v int, d int32) {
 	kk := int32(s.k)
 	aw := s.alive.Words()
 	uw := s.undom.Words()
 	s.bump(v, d, kk, aw, uw)
-	for _, u := range s.c.g.Neighbors(v) {
+	for _, u := range s.g.Neighbors(v) {
 		s.bump(int(u), d, kk, aw, uw)
 	}
 }

@@ -15,11 +15,11 @@ import (
 // internal/solver driver, unreachable from exact's tests without a cycle)
 // over the core primitives.
 func generalWHPFixture(g *graph.Graph, b []int, opt core.Options, tries int) *core.Schedule {
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	target := core.GeneralGuaranteedSlots(g, b, opt)
 	var best *core.Schedule
 	for try := 0; try < tries; try++ {
-		s := core.General(g, b, opt).TruncateInvalidWith(ck, 1)
+		s := core.General(g, b, opt).TruncateInvalidWith(sess, 1)
 		if best == nil || s.Lifetime() > best.Lifetime() {
 			best = s
 		}

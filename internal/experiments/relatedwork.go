@@ -51,7 +51,7 @@ func runE16(cfg Config) *Table {
 			samples := mapTrials(cfg, "E16", cfg.trials(), func(i int) sample {
 				src := srcs[i]
 				g := fam.build(n, src)
-				ck := domset.NewChecker(g)
+				sess := domset.NewSession(g)
 
 				central := domset.Greedy(g)
 
@@ -61,7 +61,7 @@ func runE16(cfg Config) *Table {
 					return sample{}
 				}
 				ds := distsim.GreedyDSSet(greedyNodes)
-				if !ck.IsKDominating(ds, 1, nil) {
+				if !sess.Reset(ds, 1, nil).IsKDominating() {
 					return sample{}
 				}
 
@@ -71,7 +71,7 @@ func runE16(cfg Config) *Table {
 					return sample{}
 				}
 				mis := distsim.MISSet(misNodes)
-				if !domset.IsIndependent(g, mis) || !ck.IsKDominating(mis, 1, nil) {
+				if !domset.IsIndependent(g, mis) || !sess.Reset(mis, 1, nil).IsKDominating() {
 					return sample{}
 				}
 
@@ -85,7 +85,7 @@ func runE16(cfg Config) *Table {
 					return sample{}
 				}
 				lpSet := distsim.LPDSSet(lpNodes)
-				if !ck.IsKDominating(lpSet, 1, nil) {
+				if !sess.Reset(lpSet, 1, nil).IsKDominating() {
 					return sample{}
 				}
 				return sample{

@@ -139,7 +139,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 
 	radio := patchRadio(opt)
 	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	uncovBuf := make([]int, 0, g.N())
 
 	cur := s
@@ -189,9 +189,9 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 		}
 
 		serving := serviceable(net, phaseSet, recruits)
-		// One batch fold per slot; every recruit below is an O(deg) Flip
-		// instead of a full serviceable+re-fold pass per patch attempt.
-		sess := ck.Begin(serving, opt.K, net.Alive)
+		// One Reset per slot; every recruit below is an O(deg) Flip
+		// instead of a full serviceable+recount pass per patch attempt.
+		sess.Reset(serving, opt.K, net.Alive)
 		uncovBuf = sess.AppendUndominated(uncovBuf[:0])
 		uncovered := uncovBuf
 
@@ -244,8 +244,8 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 					recruits = map[int]bool{}
 					phaseSet, lastPhase = activeAt(cur, pos)
 					serving = serviceable(net, phaseSet, recruits)
-					// A replan swaps the whole set — pay a fresh fold (rare).
-					sess = ck.Begin(serving, opt.K, net.Alive)
+					// A replan swaps the whole set — pay a fresh Reset (rare).
+					sess.Reset(serving, opt.K, net.Alive)
 					uncovBuf = sess.AppendUndominated(uncovBuf[:0])
 					uncovered = uncovBuf
 				}

@@ -12,7 +12,7 @@
 // pure swap, and when the requested solver cannot run on the degraded
 // instance (non-uniform residuals, dead nodes) it falls back to the same
 // greedy recruitment `heal` escalates to (sched.Replan). Every emitted plan
-// is verified slot by slot with domset.Checker before it is returned; a plan
+// is verified slot by slot with a domset.Session before it is returned; a plan
 // that would lose domination is truncated and flagged as a violation rather
 // than handed out silently.
 //
@@ -145,7 +145,7 @@ func (p *Plan) mode() string {
 //     exists, union the contributors into its first w slots. Charging before
 //     solving is what makes the union feasible: overlap usage plus incoming
 //     usage cannot exceed the residual budget.
-//  4. Verify the assembled plan slot by slot with domset.Checker (every
+//  4. Verify the assembled plan slot by slot with a domset.Session (every
 //     positive phase k-dominates the alive nodes, usage within budgets);
 //     truncate and flag a violation if verification ever fails.
 //  5. If even w = 0 admits no incoming schedule, the plan is empty — a
@@ -220,7 +220,6 @@ func Compute(inst *instance.Instance, req Request) (*Plan, error) {
 	sort.Ints(outgoing)
 
 	plan := &Plan{Graph: g2, Budgets: budgets2, Alive: alive2, Mapping: mapping}
-	ck := domset.NewChecker(g2)
 
 	// With a precomputed incoming schedule, a contributor's headroom is what
 	// its budget leaves beyond the incoming schedule's own charge.
@@ -281,7 +280,7 @@ func Compute(inst *instance.Instance, req Request) (*Plan, error) {
 		// nobody alive remains, the empty plan is vacuously fine; otherwise
 		// domination is lost and we say so.
 		plan.Violation = aliveCount(g2, alive2) > 0
-	} else if bad := verifyIndex(ck, plan.Phases, budgets2, k, alive2); bad >= 0 {
+	} else if bad := verifyIndex(g2, plan.Phases, budgets2, k, alive2); bad >= 0 {
 		// Safety net: construction should make this unreachable, but a plan
 		// that loses domination must never leave this package unflagged.
 		plan.Phases = plan.Phases[:bad]
@@ -381,13 +380,13 @@ func unionSet(set, contributors []int) ([]int, int) {
 // budgets. It returns the index of the first offending phase, or -1.
 //
 // Consecutive phases of an overlap ladder differ only in the contributor
-// tail, so instead of a full fold per phase the check keeps one incremental
-// session and flips the symmetric difference between phases — O(changed
-// nodes · deg) per step after the first fold.
-func verifyIndex(ck *domset.Checker, phases []core.Phase, budgets []int, k int, alive []bool) int {
+// tail, so instead of a full recount per phase the check keeps one
+// incremental session and flips the symmetric difference between phases —
+// O(changed nodes · deg) per step.
+func verifyIndex(g *graph.Graph, phases []core.Phase, budgets []int, k int, alive []bool) int {
 	usage := make([]int, len(budgets))
 	inNext := make([]bool, len(budgets))
-	var sess *domset.Session
+	sess := domset.NewSession(g).Reset(nil, k, alive)
 	var members []int
 	for i, p := range phases {
 		if p.Duration < 0 {
@@ -406,23 +405,19 @@ func verifyIndex(ck *domset.Checker, phases []core.Phase, budgets []int, k int, 
 				return i
 			}
 		}
-		if sess == nil {
-			sess = ck.Begin(p.Set, k, alive)
-		} else {
-			for _, v := range p.Set {
-				inNext[v] = true
+		for _, v := range p.Set {
+			inNext[v] = true
+		}
+		members = sess.AppendMembers(members[:0])
+		for _, v := range members {
+			if !inNext[v] {
+				sess.Flip(v)
 			}
-			members = sess.AppendMembers(members[:0])
-			for _, v := range members {
-				if !inNext[v] {
-					sess.Flip(v)
-				}
-			}
-			for _, v := range p.Set {
-				inNext[v] = false
-				if !sess.Contains(v) {
-					sess.Flip(v)
-				}
+		}
+		for _, v := range p.Set {
+			inNext[v] = false
+			if !sess.Contains(v) {
+				sess.Flip(v)
 			}
 		}
 		if !sess.IsKDominating() {

@@ -1,6 +1,7 @@
 package reconfig
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,13 +23,13 @@ import (
 // prefix must still hold the invariant.
 func assertInvariant(t *testing.T, p *Plan, k int) {
 	t.Helper()
-	ck := domset.NewChecker(p.Graph)
+	sess := domset.NewSession(p.Graph)
 	usage := make([]int, p.Graph.N())
 	for i, ph := range p.Phases {
 		if ph.Duration <= 0 {
 			t.Fatalf("phase %d has duration %d", i, ph.Duration)
 		}
-		if !ck.IsKDominating(ph.Set, k, p.Alive) {
+		if !sess.Reset(ph.Set, k, p.Alive).IsKDominating() {
 			t.Fatalf("phase %d set %v is not %d-dominating (alive %v)", i, ph.Set, k, p.Alive)
 		}
 		for _, v := range ph.Set {
@@ -347,5 +348,44 @@ func TestInvariantAcrossRandomTransitions(t *testing.T) {
 		if !p.Violation && !p.Degraded && p.Overlap < req.Overlap {
 			t.Fatalf("trial %d: shrunk overlap %d < %d not flagged degraded", trial, p.Overlap, req.Overlap)
 		}
+	}
+}
+
+// TestComputeMemoryLinear pins the planner's memory to O(n + m): one
+// PATCH-shaped Compute on a sparse 16 384-node ring must allocate a few MB,
+// not the n²/64 words (34 MB) a packed coverage row per node costs. Not
+// parallel, so the TotalAlloc delta counts this test's allocations alone.
+func TestComputeMemoryLinear(t *testing.T) {
+	const n, at = 16384, 1
+	g := gen.Ring(n)
+	budgets := make([]int, n)
+	for v := range budgets {
+		budgets[v] = 6
+	}
+	old, err := solver.Solve(instance.New(g, budgets), solver.Spec{Name: solver.NameGreedy}, solver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := old.UsagePrefix(n, at)
+	for v := range budgets {
+		budgets[v] -= used[v]
+	}
+	inst := instance.New(g, budgets)
+	req := Request{Old: old, At: at, Delta: graph.Delta{RemoveNodes: []int{5}}, Overlap: 2}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := Compute(inst, req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Violation || p.Lifetime() == 0 {
+		t.Fatalf("want a feasible plan, got violation=%v lifetime=%d", p.Violation, p.Lifetime())
+	}
+	grown := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Compute on Ring(%d) allocated %.1f MiB", n, float64(grown)/(1<<20))
+	if grown >= 8<<20 {
+		t.Fatalf("Compute on Ring(%d) allocated %.1f MiB, want < 8 MiB", n, float64(grown)/(1<<20))
 	}
 }

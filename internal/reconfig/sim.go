@@ -110,12 +110,11 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 	curG := g
 	residual := append([]int(nil), budgets...)
 	var alive []bool // nil until the first death
-	ck := domset.NewChecker(curG)
 	// The coverage session lives across slots: consecutive slots usually run
 	// the same phase set, so membership is synced by flipping the symmetric
 	// difference against the previous slot (O(changed · deg)) instead of
-	// re-folding every row. Deaths stream in through SetAlive.
-	sess := ck.Begin(nil, k, nil)
+	// recounting every node. Deaths stream in through SetAlive.
+	sess := domset.NewSession(curG).Reset(nil, k, nil)
 	serving := make([]int, 0, curG.N())     // reused slot buffer
 	prevServing := make([]int, 0, curG.N()) // members currently in sess
 	inNew := make([]bool, curG.N())         // scratch for the set diff
@@ -243,10 +242,9 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 			alive = p.Alive
 			cur = p.Schedule()
 			pos = 0
-			ck = domset.NewChecker(curG)
-			// New graph, new node space: restart the session (one fold per
+			// New graph, new node space: restart the session (one Reset per
 			// reconfig, not per slot) and reset the diff scratch.
-			sess = ck.Begin(nil, k, alive)
+			sess = domset.NewSession(curG).Reset(nil, k, alive)
 			prevServing = prevServing[:0]
 			inNew = make([]bool, curG.N())
 		}

@@ -31,9 +31,9 @@ func Minimalize(g *graph.Graph, s *core.Schedule, k int) *core.Schedule {
 		panic(fmt.Sprintf("sched: tolerance k = %d must be >= 1", k))
 	}
 	out := &core.Schedule{}
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	for _, p := range s.Phases {
-		pruned := minimalizeSet(ck, p.Set, k)
+		pruned := minimalizeSet(sess, p.Set, k)
 		out.Phases = append(out.Phases, core.Phase{Set: pruned, Duration: p.Duration})
 	}
 	return out
@@ -45,13 +45,12 @@ func Minimalize(g *graph.Graph, s *core.Schedule, k int) *core.Schedule {
 // allocated and sorted.
 //
 // Each candidate is tested with a read-only DropKeeps probe on the
-// checker's incremental session — O(deg(candidate)), stopping at the first
-// node the removal would under-cover — and flipped out only when it passes,
-// instead of the full re-fold per candidate the trial-copy approach paid.
-func minimalizeSet(ck *domset.Checker, set []int, k int) []int {
-	g := ck.Graph()
-	sess := ck.Begin(set, k, nil)
-	if !sess.IsKDominating() {
+// session — O(deg(candidate)), stopping at the first node the removal would
+// under-cover — and flipped out only when it passes, instead of a full
+// recount per candidate.
+func minimalizeSet(sess *domset.Session, set []int, k int) []int {
+	g := sess.Graph()
+	if !sess.Reset(set, k, nil).IsKDominating() {
 		// Not dominating to begin with (possible for raw randomized
 		// schedules): leave untouched — Validate/Truncate is the caller's
 		// tool for that.

@@ -25,10 +25,10 @@ func uniformB(n, b int) []int {
 // solver dependency) cannot import from its tests; these fixtures replay it
 // locally over the core primitives.
 func whpFixture(g *graph.Graph, target, truncK, tries int, generate func() *core.Schedule) *core.Schedule {
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	var best *core.Schedule
 	for try := 0; try < tries; try++ {
-		s := generate().TruncateInvalidWith(ck, truncK)
+		s := generate().TruncateInvalidWith(sess, truncK)
 		if best == nil || s.Lifetime() > best.Lifetime() {
 			best = s
 		}

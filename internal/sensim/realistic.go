@@ -106,7 +106,7 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 		}
 	}
 
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	inServing := bitset.New(g.N())
 	sent := bitset.New(g.N())
 	serving := make([]int, 0, g.N())
@@ -143,7 +143,7 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 			}
 			// Coverage check before charging (the slot's service happens
 			// while the energy is still there).
-			covered := ck.CoveredCount(serving, 1, alive)
+			covered := sess.Reset(serving, 1, alive).CoveredCount()
 			cov := 1.0
 			if aliveCount > 0 {
 				cov = float64(covered) / float64(aliveCount)

@@ -93,7 +93,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 	res := Result{ScheduleLifetime: s.Lifetime(), FirstViolation: -1}
 	plan := append(energy.FailurePlan(nil), opt.Failures...)
 	plan.Sort()
-	ck := domset.NewChecker(net.G)
+	sess := domset.NewSession(net.G)
 	next := 0
 	t := 0
 	// Hoisted so the hot loop skips Event construction entirely when tracing
@@ -144,7 +144,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 				opt.Emit(obs.SlotEnd(t, 0, 0, 0))
 				return finish()
 			}
-			covered := ck.CoveredCount(serving, opt.K, net.Alive)
+			covered := sess.Reset(serving, opt.K, net.Alive).CoveredCount()
 			cov := 1.0 // only the 0-node network
 			if alive > 0 {
 				cov = float64(covered) / float64(alive)

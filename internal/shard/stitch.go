@@ -88,27 +88,21 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 	}
 	cursors := make([]scursor, len(p.Shards))
 
-	ck := domset.NewChecker(g)
-	var sess *domset.Session
+	sess := domset.NewSession(g).Reset(nil, k, nil)
 	cur := make([]bool, n)  // membership of the session's current set
 	want := make([]bool, n) // scratch: desired membership for the segment
 	uncovBuf := make([]int, 0, n)
 	res := &Stitched{Schedule: &core.Schedule{}}
 	residual := func(v int) int { return budgets[v] - committed[v] - reserved[v] }
 
-	// syncSession drives the session (and cur) to exactly the nodes in
-	// want, via one Begin on first use and O(deg) flips afterwards.
+	// syncSession drives the session (and cur) to exactly members, one
+	// O(deg) flip per node that changed.
 	syncSession := func(members []int) {
 		for i := range want {
 			want[i] = false
 		}
 		for _, v := range members {
 			want[v] = true
-		}
-		if sess == nil {
-			sess = ck.Begin(members, k, nil)
-			copy(cur, want)
-			return
 		}
 		for v := 0; v < n; v++ {
 			if cur[v] != want[v] {
@@ -165,7 +159,7 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 				hooks.Emit(obs.Shard("truncate", -1, t, len(uncovBuf), 0))
 				res.Degraded = true
 				res.Schedule = res.Schedule.Compact()
-				if err := res.Schedule.ValidateWith(ck, budgets, k); err != nil {
+				if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
 					return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
 				}
 				return res, nil
@@ -190,7 +184,7 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 				// The replan emptied the last remaining plan (no residual
 				// energy): the schedule ends cleanly here.
 				res.Schedule = res.Schedule.Compact()
-				if err := res.Schedule.ValidateWith(ck, budgets, k); err != nil {
+				if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
 					return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
 				}
 				return res, nil
@@ -227,7 +221,7 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 	}
 
 	res.Schedule = res.Schedule.Compact()
-	if err := res.Schedule.ValidateWith(ck, budgets, k); err != nil {
+	if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
 		return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
 	}
 	return res, nil

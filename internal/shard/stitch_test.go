@@ -3,6 +3,7 @@ package shard_test
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -69,8 +70,8 @@ func stitchOnce(t *testing.T, g *graph.Graph, pts []geom.Point, budgets []int, m
 
 // TestStitchedSchedulesDominats is satellite property #1: every phase of a
 // stitched schedule k-dominates the FULL graph, checked two independent
-// ways — a fresh Checker fold per phase and an incremental Session driven
-// across phases — and the two paths must agree byte for byte on the
+// ways — a fresh Reset per phase and an incremental Session driven by
+// flips across phases — and the two paths must agree byte for byte on the
 // undominated list (empty both ways). Energy usage must respect budgets.
 func TestStitchedSchedulesDominate(t *testing.T) {
 	src := rng.New(11)
@@ -92,33 +93,26 @@ func TestStitchedSchedulesDominate(t *testing.T) {
 					if st.Schedule.Lifetime() == 0 {
 						t.Fatalf("%s/%d-shard k=%d: stitched lifetime 0", method, shards, k)
 					}
-					ck := domset.NewChecker(g)
-					var sess *domset.Session
+					oneShot := domset.NewSession(g)
+					sess := domset.NewSession(g).Reset(nil, k, nil)
 					cur := make([]bool, n)
 					for pi, ph := range st.Schedule.Phases {
-						// Fresh-fold path.
-						fresh := ck.AppendUndominated(nil, ph.Set, k, nil)
+						// Fresh path: one Reset per phase.
+						fresh := oneShot.Reset(ph.Set, k, nil).AppendUndominated(nil)
 						// Session path: flip the symmetric difference.
-						if sess == nil {
-							sess = ck.Begin(ph.Set, k, nil)
-							for _, v := range ph.Set {
-								cur[v] = true
-							}
-						} else {
-							want := make([]bool, n)
-							for _, v := range ph.Set {
-								want[v] = true
-							}
-							for v := 0; v < n; v++ {
-								if cur[v] != want[v] {
-									sess.Flip(v)
-									cur[v] = want[v]
-								}
+						want := make([]bool, n)
+						for _, v := range ph.Set {
+							want[v] = true
+						}
+						for v := 0; v < n; v++ {
+							if cur[v] != want[v] {
+								sess.Flip(v)
+								cur[v] = want[v]
 							}
 						}
 						inc := sess.AppendUndominated(nil)
 						if !reflect.DeepEqual(fresh, inc) {
-							t.Fatalf("%s/%d-shard k=%d phase %d: fresh fold says undominated=%v, session says %v",
+							t.Fatalf("%s/%d-shard k=%d phase %d: fresh Reset says undominated=%v, session says %v",
 								method, shards, k, pi, fresh, inc)
 						}
 						if len(fresh) != 0 {
@@ -349,5 +343,43 @@ func BenchmarkPipeline(b *testing.B) {
 				pipeline(b, p, cache)
 			}
 		})
+	}
+}
+
+// TestStitchMemoryLinear pins the stitcher's memory to O(n + m): stitching
+// a 4-shard BFS partition of a sparse 16 384-node ring must allocate a few
+// MB, not the n²/64 words (34 MB) a packed coverage row per node costs. Not
+// parallel, so the TotalAlloc delta counts this test's allocations alone.
+func TestStitchMemoryLinear(t *testing.T) {
+	const n = 16384
+	g := gen.Ring(n)
+	budgets := make([]int, n)
+	for v := range budgets {
+		budgets[v] = 6
+	}
+	in := instance.New(g, budgets)
+	p, err := shard.BFS(g, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved, err := shard.SolveShards(in, p, shard.Options{Spec: solver.Spec{Name: solver.NameGreedy}, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	st, err := shard.Stitch(in, p, solved, obs.Hooks{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Schedule.Lifetime() == 0 {
+		t.Fatal("stitched lifetime 0")
+	}
+	grown := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Stitch on Ring(%d) allocated %.1f MiB", n, float64(grown)/(1<<20))
+	if grown >= 8<<20 {
+		t.Fatalf("Stitch on Ring(%d) allocated %.1f MiB, want < 8 MiB", n, float64(grown)/(1<<20))
 	}
 }

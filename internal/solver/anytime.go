@@ -4,7 +4,7 @@
 // read-only DropKeeps/SwapKeeps probe on a domset.Session — one pass over
 // the moved nodes' neighborhoods, stopping at the first node the move would
 // under-cover — and only accepted moves are applied, by the self-inverse
-// Flip, instead of the full re-fold a trial copy pays.
+// Flip, instead of the full O(n + m) Reset a trial copy pays.
 //
 // The move set, per phase of the schedule:
 //
@@ -72,9 +72,6 @@ type Refinement struct {
 	Src *rng.Source
 	// Hooks receives one obs.Refine event per improvement pass.
 	Hooks obs.Hooks
-	// Checker, when non-nil, is the shared domination kernel over the
-	// instance's graph (the driver reuses its own). Nil allocates one.
-	Checker *domset.Checker
 }
 
 // movePolicy is the acceptance policy that distinguishes tabu from anneal.
@@ -188,9 +185,8 @@ func (s anytimeSolver) Generate(inst *instance.Instance, spec Spec, src *rng.Sou
 	if err != nil {
 		return &core.Schedule{} // Validate rejects this before the driver gets here
 	}
-	ck := domset.NewChecker(inst.Graph)
-	start := base.Generate(inst, bspec, src).TruncateInvalidWith(ck, base.TruncK(inst, bspec))
-	return s.Refine(inst, start, spec, &Refinement{Src: src, Checker: ck})
+	start := base.Generate(inst, bspec, src).TruncateInvalid(inst.Graph, base.TruncK(inst, bspec))
+	return s.Refine(inst, start, spec, &Refinement{Src: src})
 }
 
 func (s anytimeSolver) Refine(inst *instance.Instance, start *core.Schedule, spec Spec, rc *Refinement) *core.Schedule {
@@ -251,10 +247,7 @@ func refineSchedule(inst *instance.Instance, start *core.Schedule,
 	if src == nil {
 		src = rng.New(1)
 	}
-	ck := rc.Checker
-	if ck == nil {
-		ck = domset.NewChecker(g)
-	}
+	sess := domset.NewSession(g)
 	budget := rc.Budget
 	if budget <= 0 {
 		budget = DefaultRefineBudget
@@ -291,7 +284,7 @@ func refineSchedule(inst *instance.Instance, start *core.Schedule,
 			if st.exhausted() {
 				break
 			}
-			st.refinePhase(g, ck, k, p, pol, src, observe)
+			st.refinePhase(g, sess, k, p, pol, src, observe)
 		}
 		st.extend(g, k)
 		st.stretch()
@@ -304,16 +297,15 @@ func refineSchedule(inst *instance.Instance, start *core.Schedule,
 	return best
 }
 
-// refinePhase runs one removal sweep and one swap sweep over phase p on a
-// fresh incremental session. Every probe — accepted or rejected — charges
-// one unit of budget.
-func (st *refineState) refinePhase(g *graph.Graph, ck *domset.Checker, k, p int,
+// refinePhase runs one removal sweep and one swap sweep over phase p on
+// sess, reset to the phase's set. Every probe — accepted or rejected —
+// charges one unit of budget.
+func (st *refineState) refinePhase(g *graph.Graph, sess *domset.Session, k, p int,
 	pol movePolicy, src *rng.Source, observe func(*domset.Session)) {
 	if st.durs[p] <= 0 || len(st.sets[p]) == 0 {
 		return
 	}
-	sess := ck.Begin(st.sets[p], k, nil)
-	if !sess.IsKDominating() {
+	if !sess.Reset(st.sets[p], k, nil).IsKDominating() {
 		return // defensive: the driver only refines validated schedules
 	}
 	dur := st.durs[p]

@@ -117,7 +117,7 @@ func TestRefineImprovesFixture(t *testing.T) {
 // TestRefineMovesPreserveDomination is the white-box property test of the
 // move engine: after every accepted move the live session must still be
 // k-dominating, and its incremental state must agree with a from-scratch
-// fold over the same member set — i.e. the probes and the flips applied
+// count over the same member set — i.e. the probes and the flips applied
 // after them leave no residue. The observe hook fires inside refinePhase
 // after each accepted move.
 func TestRefineMovesPreserveDomination(t *testing.T) {
@@ -128,8 +128,7 @@ func TestRefineMovesPreserveDomination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck := domset.NewChecker(g)
-		fold := domset.NewChecker(g) // independent kernel for the cross-check
+		fresh := domset.NewSession(g) // independent of the refiner's session
 		moves := 0
 		observe := func(sess *domset.Session) {
 			moves++
@@ -137,17 +136,17 @@ func TestRefineMovesPreserveDomination(t *testing.T) {
 				t.Fatalf("k=%d: accepted move %d left a non-dominating set", k, moves)
 			}
 			members := sess.AppendMembers(nil)
-			if !fold.IsKDominating(members, k, nil) {
-				t.Fatalf("k=%d: session says k-dominating but a fresh fold over %v disagrees",
+			if !fresh.Reset(members, k, nil).IsKDominating() {
+				t.Fatalf("k=%d: session says k-dominating but a fresh count over %v disagrees",
 					k, members)
 			}
 		}
-		rc := &Refinement{Budget: 3000, Src: rng.New(3), Checker: ck}
+		rc := &Refinement{Budget: 3000, Src: rng.New(3)}
 		out := refineSchedule(in, base, rc, NameTabu, newTabuPolicy(g.N(), 3000), observe)
 		if moves == 0 {
 			t.Fatalf("k=%d: the property test observed no accepted moves; fixture too easy", k)
 		}
-		if err := out.ValidateWith(domset.NewChecker(g), budgets, k); err != nil {
+		if err := out.Validate(g, budgets, k); err != nil {
 			t.Fatalf("k=%d: refined schedule invalid: %v", k, err)
 		}
 	}
@@ -188,7 +187,7 @@ func TestRefineCancelReturnsBestSoFar(t *testing.T) {
 			t.Errorf("%s: mid-flight cancel returned lifetime %d < start %d",
 				name, out.Lifetime(), base.Lifetime())
 		}
-		if err := out.ValidateWith(domset.NewChecker(g), budgets, 1); err != nil {
+		if err := out.Validate(g, budgets, 1); err != nil {
 			t.Errorf("%s: mid-flight cancel schedule invalid: %v", name, err)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domset"
-	"repro/internal/graph"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/par"
@@ -144,19 +143,6 @@ func Solve(inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, err
 	return race(sv, inst, spec, opt)
 }
 
-// checkerFor picks the fold kernel for the driver's validation gates.
-// A dense row fold costs ~n/64 words per member against ~deg(v) adjacency
-// bumps for the rowless walk, so packed rows only pay for themselves when
-// the average degree clears the row stride (2m/n > n/64, i.e. 128m > n²);
-// below that the O(n²/64) row build plus its memclr is pure overhead on
-// the handful of per-phase checks a solve performs.
-func checkerFor(g *graph.Graph) *domset.Checker {
-	if 128*g.M() < g.N()*g.N() {
-		return domset.NewSparseChecker(g)
-	}
-	return domset.NewChecker(g)
-}
-
 // solveOne runs one sequential attempt: the WHP loop, plus the refinement
 // stage when sv is a Refiner. spec is normalized and validated.
 func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, error) {
@@ -164,7 +150,7 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 	if src == nil {
 		src = rng.New(1)
 	}
-	ck := checkerFor(inst.Graph)
+	sess := domset.NewSession(inst.Graph)
 
 	rf, refining := sv.(Refiner)
 	loopSolver, loopSpec := sv, spec
@@ -190,7 +176,7 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 		if opt.expired() {
 			return nil, ErrCanceled
 		}
-		s := loopSolver.Generate(inst, loopSpec, src).TruncateInvalidWith(ck, loopK)
+		s := loopSolver.Generate(inst, loopSpec, src).TruncateInvalidWith(sess, loopK)
 		if best == nil || s.Lifetime() > best.Lifetime() {
 			best = s
 		}
@@ -209,14 +195,13 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 		cancel, stop := opt.cancelFunc()
 		defer stop()
 		best = rf.Refine(inst, best, spec, &Refinement{
-			Budget:  budget,
-			Cancel:  cancel,
-			Src:     src,
-			Hooks:   opt.Hooks,
-			Checker: ck,
+			Budget: budget,
+			Cancel: cancel,
+			Src:    src,
+			Hooks:  opt.Hooks,
 		})
 	}
-	if err := best.ValidateWith(ck, inst.Budgets, truncK); err != nil {
+	if err := best.ValidateWith(sess, inst.Budgets, truncK); err != nil {
 		return nil, fmt.Errorf("solver: %s produced infeasible schedule: %w", spec.Name, err)
 	}
 	return best, nil

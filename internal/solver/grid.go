@@ -85,12 +85,10 @@ func gridSchedule(inst *instance.Instance, m *instance.Meta) *core.Schedule {
 
 	s := &core.Schedule{}
 
-	// One persistent incremental session per translate (a Checker owns a
-	// single session, hence five checkers): the initial O(n+m) fold is
-	// paid once per translate, and each cycle only flips the handful of
-	// cells that died or got rebalanced — O(changes · deg), not O(n+m).
-	// Sparse checkers: sessions run on adjacency walks, and the dense
-	// row build would cost more than the whole rotation.
+	// One persistent incremental session per translate: the initial
+	// O(n+m) fold is paid once per translate, and each cycle only flips the
+	// handful of cells that died or got rebalanced — O(changes · deg), not
+	// O(n+m).
 	type translate struct {
 		sess    *domset.Session
 		repairs []int // current off-class members, rebalanced every cycle
@@ -105,7 +103,7 @@ func gridSchedule(inst *instance.Instance, m *instance.Meta) *core.Schedule {
 				set = append(set, v)
 			}
 		}
-		ts[t].sess = domset.NewSparseChecker(g).Begin(set, 1, nil)
+		ts[t].sess = domset.NewSession(g).Reset(set, 1, nil)
 	}
 
 	var members, holes []int

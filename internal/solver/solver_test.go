@@ -42,10 +42,10 @@ func inst(g *graph.Graph, budgets []int) *instance.Instance {
 // deleted core.*WHP shims hard-coded per algorithm, composed from the
 // still-exported core primitives.
 func legacyWHP(g *graph.Graph, target, truncK, tries int, generate func() *core.Schedule) *core.Schedule {
-	ck := domset.NewChecker(g)
+	sess := domset.NewSession(g)
 	var best *core.Schedule
 	for try := 0; try < tries; try++ {
-		s := generate().TruncateInvalidWith(ck, truncK)
+		s := generate().TruncateInvalidWith(sess, truncK)
 		if best == nil || s.Lifetime() > best.Lifetime() {
 			best = s
 		}
