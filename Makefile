@@ -22,6 +22,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzReadEdgeList$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzDeltaApply$$' -fuzztime 10s ./internal/graph/
 	go test -run '^$$' -fuzz '^FuzzReadJSON$$' -fuzztime 10s ./internal/core/
+	go test -run '^$$' -fuzz '^FuzzScheduleRequest$$' -fuzztime 10s ./internal/serve/
 
 # Every Go benchmark across all packages (EXPERIMENTS.md, "Benchmarks"). The
 # service benchmark is benchmark/run.sh.

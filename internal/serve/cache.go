@@ -5,11 +5,12 @@ import "container/list"
 // lruCache is the result cache: a plain LRU over canonical request keys,
 // plus a secondary index from graph fingerprint to the entries computed for
 // that graph — what lets the PATCH endpoint invalidate exactly the entries a
-// live graph delta staled, and nothing else. Results are immutable once
-// stored (handlers add per-response envelope fields outside the Result), so
-// entries are shared, never copied. The cache has its own methods but no own
-// lock — Server.admit and completion consult it under Server.mu so cache,
-// index, and pending-job state stay coherent.
+// live graph delta staled, and nothing else — and body-digest aliases that
+// let a repeated schedule body find its entry without being decoded.
+// Results are immutable once stored (handlers add per-response envelope
+// fields outside the Result), so entries are shared, never copied. The cache
+// has its own methods but no own lock — Server.admit and completion consult
+// it under Server.mu so cache, index, and pending-job state stay coherent.
 type lruCache struct {
 	capacity int
 	ll       *list.List // front = most recently used
@@ -17,11 +18,18 @@ type lruCache struct {
 	// byFP indexes cached entry keys by Result.Fingerprint. Results without
 	// a fingerprint (experiments) are not indexed.
 	byFP map[string]map[string]bool
+	// aliases maps the SHA-256 of a POST /v1/schedule body to the entry its
+	// request resolved to. An entry holds at most one digest and takes it
+	// along when it leaves the cache, so there are never more aliases than
+	// entries and an alias never outlives its entry.
+	aliases map[[32]byte]*list.Element
 }
 
 type lruEntry struct {
-	key string
-	res *Result
+	key     string
+	res     *Result
+	digest  [32]byte // the entry's alias in lruCache.aliases, if aliased
+	aliased bool
 }
 
 func newLRUCache(capacity int) *lruCache {
@@ -33,6 +41,7 @@ func newLRUCache(capacity int) *lruCache {
 		ll:       list.New(),
 		items:    make(map[string]*list.Element, capacity),
 		byFP:     make(map[string]map[string]bool),
+		aliases:  make(map[[32]byte]*list.Element),
 	}
 }
 
@@ -64,6 +73,7 @@ func (c *lruCache) add(key string, res *Result) {
 		entry := oldest.Value.(*lruEntry)
 		delete(c.items, entry.key)
 		c.unindex(entry)
+		c.unalias(entry)
 	}
 	c.items[key] = c.ll.PushFront(&lruEntry{key: key, res: res})
 	c.index(key, res)
@@ -124,9 +134,43 @@ func (c *lruCache) invalidate(fp string) int {
 		if el, ok := c.items[key]; ok {
 			c.ll.Remove(el)
 			delete(c.items, key)
+			c.unalias(el.Value.(*lruEntry))
 			n++
 		}
 	}
 	delete(c.byFP, fp)
 	return n
+}
+
+// getAlias returns the cached result whose request body had the given
+// SHA-256 and marks it most recently used, as get does for its key.
+func (c *lruCache) getAlias(digest [32]byte) (*Result, bool) {
+	el, ok := c.aliases[digest]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*lruEntry).res, true
+}
+
+// alias makes digest the alias of the entry cached under key, replacing
+// the entry's previous alias; it does nothing if key is not cached. A body
+// always resolves to the same key, so digest can be aliased to no other
+// entry.
+func (c *lruCache) alias(digest [32]byte, key string) {
+	el, ok := c.items[key]
+	if !ok {
+		return
+	}
+	entry := el.Value.(*lruEntry)
+	c.unalias(entry)
+	entry.digest, entry.aliased = digest, true
+	c.aliases[digest] = el
+}
+
+func (c *lruCache) unalias(entry *lruEntry) {
+	if entry.aliased {
+		delete(c.aliases, entry.digest)
+		entry.aliased = false
+	}
 }

@@ -1,14 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/experiments"
@@ -80,37 +84,90 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// bodyPool recycles the buffers request bodies are read into. A buffer goes
+// back to the pool when its handler returns, so nothing decoded from a body
+// may alias it: encoding/json copies strings, and graph.EdgeList parses
+// integers.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// readBody reads r's body, capped at maxBodyBytes, into a buffer from
+// bodyPool; the caller puts it back. The buffer is not presized from
+// Content-Length, which a client can set to the cap and then send nothing.
+// On failure readBody has answered 413 (over the cap) or 400 and returns
+// nil.
+func readBody(w http.ResponseWriter, r *http.Request) *bytes.Buffer {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		bodyPool.Put(buf)
+		writeError(w, errorStatus(err), "reading request: %v", err)
+		return nil
+	}
+	return buf
+}
+
+// decodeStrict decodes the JSON object in body into v, rejecting unknown
+// fields and anything but whitespace after the object.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "decoding request: %v", err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding request: %w", err)
+	}
+	if dec.Decode(&struct{}{}) != io.EOF {
+		return errors.New("decoding request: data after the JSON object")
+	}
+	return nil
+}
+
+// decodeRequest reads and strictly decodes the body of a PATCH or
+// experiment request into v. On failure it has answered the error and
+// returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	body := readBody(w, r)
+	if body == nil {
+		return false
+	}
+	defer bodyPool.Put(body)
+	if err := decodeStrict(body.Bytes(), v); err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return false
 	}
 	return true
 }
 
+// errorStatus maps a request error onto HTTP: a body over maxBodyBytes or a
+// graph over the node cap is 413, anything else 400.
+func errorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	var tooLarge errTooLarge
+	if errors.As(err, &tooBig) || errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
+// handleSchedule serves POST /v1/schedule. A body whose SHA-256 is the
+// alias of a cached entry is answered from that entry without being
+// decoded; any other body takes the full path — decode, resolve, key,
+// admission — and becomes the entry's alias if that path answers 200 from
+// the cache or a completed job.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
-	var req Request
-	if !s.decode(w, r, &req) {
+	body := readBody(w, r)
+	if body == nil {
 		return
 	}
-	inst, err := req.resolve(s.cfg.MaxNodes)
+	defer bodyPool.Put(body)
+	digest := sha256.Sum256(body.Bytes())
+	if res := s.aliasHit(digest); res != nil {
+		writeJSON(w, http.StatusOK, response{Result: res, Cached: true})
+		return
+	}
+	req, inst, key, err := parseSchedule(body.Bytes(), s.cfg.MaxNodes)
 	if err != nil {
-		status := http.StatusBadRequest
-		var tooLarge errTooLarge
-		if errors.As(err, &tooLarge) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeError(w, status, "%v", err)
+		writeError(w, errorStatus(err), "%v", err)
 		return
 	}
-	key := req.key(inst)
 	run := func(cancel func() bool) (*Result, error) {
 		width := s.cfg.RaceWidth
 		if width > 1 {
@@ -121,25 +178,48 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		hooks := obs.Hooks{Trace: attemptTracer{s.met.solverAttempts}}
 		defs := SolveDefaults{Budget: s.cfg.DefaultBudget, TimeBudget: s.cfg.DefaultTimeBudget}
 		if req.Shards > 1 {
-			sched, part, err := s.solveSharded(inst, &req, defs, hooks, cancel)
+			sched, part, err := s.solveSharded(inst, req, defs, hooks, cancel)
 			if err != nil {
 				return nil, err
 			}
-			return scheduleResult(key, &req, inst, sched, part, defs)
+			return scheduleResult(key, req, inst, sched, part, defs)
 		}
-		sched, err := Solve(inst, &req, width, defs, hooks, cancel)
+		sched, err := Solve(inst, req, width, defs, hooks, cancel)
 		if err != nil {
 			return nil, err
 		}
-		return scheduleResult(key, &req, inst, sched, nil, defs)
+		return scheduleResult(key, req, inst, sched, nil, defs)
 	}
-	s.dispatch(w, r, key, "schedule",
-		timeoutFromMS(req.TimeoutMS, s.cfg.DefaultTimeout), req.Async, run)
+	if s.dispatch(w, r, key, "schedule",
+		timeoutFromMS(req.TimeoutMS, s.cfg.DefaultTimeout), req.Async, run) {
+		s.mu.Lock()
+		s.cache.alias(digest, key)
+		s.mu.Unlock()
+	}
+}
+
+// aliasHit returns the cached result whose request body had the given
+// SHA-256, counting it as a request, a cache hit and an alias hit, or nil.
+// While the server drains it returns nil, so the full path answers 503.
+func (s *Server) aliasHit(digest [32]byte) *Result {
+	if s.draining.Load() {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, ok := s.cache.getAlias(digest)
+	if !ok {
+		return nil
+	}
+	s.met.requests.Inc()
+	s.met.cacheHits.Inc()
+	s.met.aliasHits.Inc()
+	return res
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
-	if !s.decode(w, r, &req) {
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	id, err := req.resolve()
@@ -164,11 +244,13 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		timeoutFromMS(req.TimeoutMS, s.cfg.DefaultTimeout), req.Async, run)
 }
 
-// dispatch is the shared tail of both POST endpoints: admission, then either
-// the async 202 or a bounded wait for the (possibly coalesced) job.
+// dispatch is the shared tail of the body endpoints: admission, then either
+// the async 202 or a bounded wait for the (possibly coalesced) job. It
+// reports whether it answered 200 with a result: a cache hit, or a
+// completed job, whose result is cached by then.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 	key, kind string, timeout time.Duration, async bool,
-	run func(cancel func() bool) (*Result, error)) {
+	run func(cancel func() bool) (*Result, error)) bool {
 
 	res, j, coalesced, status := s.admit(key, kind, timeout, run)
 	switch status {
@@ -176,14 +258,14 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 		w.Header().Set("Retry-After",
 			strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
 		writeError(w, status, "server at capacity; retry later")
-		return
+		return false
 	case http.StatusServiceUnavailable:
 		writeError(w, status, "server is draining; not accepting new work")
-		return
+		return false
 	}
 	if res != nil {
 		writeJSON(w, http.StatusOK, response{Result: res, Cached: true})
-		return
+		return true
 	}
 	if async {
 		writeJSON(w, http.StatusAccepted, map[string]string{
@@ -192,7 +274,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 			"status": "accepted",
 			"poll":   "/v1/jobs/" + key,
 		})
-		return
+		return false
 	}
 
 	// Synchronous wait, bounded by the caller's own patience: the job keeps
@@ -204,15 +286,17 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 	case <-j.done:
 		if j.err != nil {
 			s.writeJobError(w, j.err)
-			return
+			return false
 		}
 		writeJSON(w, http.StatusOK, response{Result: j.result, Coalesced: coalesced})
+		return true
 	case <-ctx.Done():
 		writeJSON(w, http.StatusGatewayTimeout, map[string]string{
 			"error": "deadline exceeded waiting for result",
 			"key":   key,
 			"poll":  "/v1/jobs/" + key,
 		})
+		return false
 	}
 }
 

@@ -17,6 +17,8 @@ var LatencyBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 50
 //	               (once the server is drained),
 //
 // which is what the end-to-end tests assert behavior against.
+// serve.alias_hits counts the cache hits answered by a body-digest alias,
+// before the body was decoded; they are part of serve.cache_hits.
 //
 // The serve.solver_* group observes the solver driver under each schedule
 // job: serve.solver_attempts counts WHP retries across all jobs and race
@@ -27,6 +29,7 @@ type metrics struct {
 	requests          *obs.Counter
 	admitted          *obs.Counter
 	cacheHits         *obs.Counter
+	aliasHits         *obs.Counter
 	cacheMisses       *obs.Counter
 	coalesced         *obs.Counter
 	rejectedQueueFull *obs.Counter
@@ -78,6 +81,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		requests:          reg.Counter("serve.requests"),
 		admitted:          reg.Counter("serve.admitted"),
 		cacheHits:         reg.Counter("serve.cache_hits"),
+		aliasHits:         reg.Counter("serve.alias_hits"),
 		cacheMisses:       reg.Counter("serve.cache_misses"),
 		coalesced:         reg.Counter("serve.coalesced"),
 		rejectedQueueFull: reg.Counter("serve.rejected_queue_full"),

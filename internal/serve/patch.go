@@ -110,7 +110,7 @@ func (r *PatchRequest) key(fp string, overlap int) string {
 func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	fp := r.PathValue("fp")
 	var req PatchRequest
-	if !s.decode(w, r, &req) {
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.At < 0 {

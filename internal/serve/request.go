@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -140,11 +141,32 @@ func (r *Request) spec() solver.Spec {
 	return s
 }
 
+// timeoutFromMS converts a request's millisecond field to a duration:
+// fallback when unset, and the largest time.Duration for values too large
+// to convert, which would otherwise wrap around.
 func timeoutFromMS(ms int, fallback time.Duration) time.Duration {
 	if ms <= 0 {
 		return fallback
 	}
-	return time.Duration(ms) * time.Millisecond
+	if d := time.Duration(ms); d <= math.MaxInt64/time.Millisecond {
+		return d * time.Millisecond
+	}
+	return math.MaxInt64
+}
+
+// parseSchedule runs every step POST /v1/schedule takes before admission:
+// the strict decode, resolve, and the canonical key. errorStatus maps its
+// errors onto HTTP.
+func parseSchedule(body []byte, maxNodes int) (*Request, *instance.Instance, string, error) {
+	var req Request
+	if err := decodeStrict(body, &req); err != nil {
+		return nil, nil, "", err
+	}
+	inst, err := req.resolve(maxNodes)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	return &req, inst, req.key(inst), nil
 }
 
 // resolve validates the request and returns the typed instance it

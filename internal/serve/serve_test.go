@@ -702,13 +702,7 @@ func TestMetricsAccounting(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	requests := counter(s, "serve.requests")
-	accounted := counter(s, "serve.cache_hits") + counter(s, "serve.coalesced") +
-		counter(s, "serve.admitted") + counter(s, "serve.rejected_queue_full") +
-		counter(s, "serve.rejected_inflight") + counter(s, "serve.rejected_draining")
-	if requests != accounted {
-		t.Fatalf("serve.requests = %d but outcomes sum to %d", requests, accounted)
-	}
+	checkAccounting(t, s)
 	if got := counter(s, "serve.admitted"); got != counter(s, "serve.completed") {
 		t.Fatalf("admitted %d != completed %d after drain", got, counter(s, "serve.completed"))
 	}
