@@ -22,40 +22,11 @@ type EdgeList [][2]int
 // only input that encoding/json would also decode into a [][2]int with the
 // same value, and rejects malformed bytes with an error rather than a panic.
 func (l *EdgeList) UnmarshalJSON(data []byte) error {
-	i := skipSpace(data, 0)
-	if bytes.HasPrefix(data[i:], []byte("null")) {
-		if skipSpace(data, i+len("null")) != len(data) {
-			return errTrailing
-		}
-		*l = nil
-		return nil
+	edges, end, err := ParseEdgeList(data)
+	if err != nil {
+		return err
 	}
-	if byteAt(data, i) != '[' {
-		return fmt.Errorf("graph: edge list: want a JSON array of [u, v] pairs")
-	}
-	edges := make([][2]int, 0, edgeCap(data))
-	i = skipSpace(data, i+1)
-	if byteAt(data, i) == ']' {
-		i++
-	} else {
-		for k := 0; ; k++ {
-			var e [2]int
-			var err error
-			if e, i, err = parsePair(data, i); err != nil {
-				return fmt.Errorf("graph: edge list: element %d: %w", k, err)
-			}
-			edges = append(edges, e)
-			i = skipSpace(data, i)
-			if c := byteAt(data, i); c == ']' {
-				i++
-				break
-			} else if c != ',' {
-				return fmt.Errorf("graph: edge list: after element %d: want ',' or ']'", k)
-			}
-			i = skipSpace(data, i+1)
-		}
-	}
-	if skipSpace(data, i) != len(data) {
+	if skipSpace(data, end) != len(data) {
 		return errTrailing
 	}
 	*l = edges
@@ -64,11 +35,49 @@ func (l *EdgeList) UnmarshalJSON(data []byte) error {
 
 var errTrailing = errors.New("graph: edge list: unexpected data after the list")
 
+// ParseEdgeList parses the edge list that starts at data[0], after any JSON
+// whitespace, and returns it with the index just past it; whatever follows is
+// left to the caller, so a list can be parsed where it sits inside a larger
+// document. It accepts what UnmarshalJSON accepts: null, which is a nil list,
+// or an array of two-integer arrays. The slice is presized from the brackets
+// in all of data (edgeCap), so a caller that parses several lists out of one
+// buffer should end data at the list for all but one of them.
+func ParseEdgeList(data []byte) (EdgeList, int, error) {
+	i := skipSpace(data, 0)
+	if bytes.HasPrefix(data[i:], []byte("null")) {
+		return nil, i + len("null"), nil
+	}
+	if byteAt(data, i) != '[' {
+		return nil, i, fmt.Errorf("graph: edge list: want a JSON array of [u, v] pairs")
+	}
+	edges := make([][2]int, 0, edgeCap(data[i:]))
+	i = skipSpace(data, i+1)
+	if byteAt(data, i) == ']' {
+		return edges, i + 1, nil
+	}
+	for k := 0; ; k++ {
+		var e [2]int
+		var err error
+		if e, i, err = parsePair(data, i); err != nil {
+			return nil, i, fmt.Errorf("graph: edge list: element %d: %w", k, err)
+		}
+		edges = append(edges, e)
+		i = skipSpace(data, i)
+		if c := byteAt(data, i); c == ']' {
+			return edges, i + 1, nil
+		} else if c != ',' {
+			return nil, i, fmt.Errorf("graph: edge list: after element %d: want ',' or ']'", k)
+		}
+		i = skipSpace(data, i+1)
+	}
+}
+
 // edgeCap sizes the slice for the list in data, which starts with '['. Every
-// element opens one more bracket, so the count is exact for valid input and
-// the slice never grows while parsing. The shortest element, "[0,1],", takes
-// 6 bytes, which caps the count by the byte length: brackets inside a JSON
-// string cannot make the slice outgrow the body.
+// element opens one more bracket, so the count is exact for valid input that
+// ends with the list, and the slice never grows while parsing. The shortest
+// element, "[0,1],", takes 6 bytes, which caps the count by the byte length:
+// brackets inside a JSON string or after the list cannot make the slice
+// outgrow data.
 func edgeCap(data []byte) int {
 	return min(bytes.Count(data, []byte{'['})-1, len(data)/6+1)
 }

@@ -183,6 +183,11 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 	// not job failures. A sharded base rebases its partition on this result;
 	// reconfig.Compute re-applies the delta for the plan.
 	g2, budgets2, mapping, err := req.Delta.Apply(ctx.inst.Graph, residual)
+	if err == nil {
+		// new_budgets and set_budgets can push the total past what a
+		// lifetime can hold.
+		err = checkBudgetTotal(budgets2)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -253,6 +253,10 @@ func TestPatchValidation(t *testing.T) {
 		{"grows past cap", PatchRequest{Delta: growDelta(8, 3)}, http.StatusRequestEntityTooLarge},
 		{"huge add_nodes", PatchRequest{Delta: graph.Delta{AddNodes: 1 << 24}}, http.StatusRequestEntityTooLarge},
 		{"add_nodes at MaxInt", PatchRequest{Delta: graph.Delta{AddNodes: math.MaxInt}}, http.StatusRequestEntityTooLarge},
+		{"set_budgets total past MaxInt", PatchRequest{Delta: graph.Delta{
+			SetBudgets: []graph.BudgetUpdate{{Node: 0, Budget: math.MaxInt}}}}, http.StatusBadRequest},
+		{"new_budgets total past MaxInt", PatchRequest{Delta: graph.Delta{
+			RemoveNodes: []int{0}, AddNodes: 1, NewBudgets: []int{math.MaxInt}}}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		// A rejection must be cheap: the node cap is enforced before the

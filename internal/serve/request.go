@@ -30,8 +30,9 @@ const (
 // GraphSpec is the wire form of a network graph: a node count and an
 // undirected edge list. Unlike the internal constructors it validates
 // rather than panics — it is the trust boundary of the service. The edge
-// list decodes through graph.EdgeList, which rejects any element that is
-// not exactly two integers.
+// list is parsed by graph.ParseEdgeList, which rejects any element that is
+// not exactly two integers: in place in a schedule body (decodeSchedule),
+// through graph.EdgeList elsewhere.
 type GraphSpec struct {
 	N     int            `json:"n"`
 	Edges graph.EdgeList `json:"edges"`
@@ -155,11 +156,11 @@ func timeoutFromMS(ms int, fallback time.Duration) time.Duration {
 }
 
 // parseSchedule runs every step POST /v1/schedule takes before admission:
-// the strict decode, resolve, and the canonical key. errorStatus maps its
-// errors onto HTTP.
+// the strict decode (decodeSchedule), resolve, and the canonical key.
+// errorStatus maps its errors onto HTTP.
 func parseSchedule(body []byte, maxNodes int) (*Request, *instance.Instance, string, error) {
 	var req Request
-	if err := decodeStrict(body, &req); err != nil {
+	if err := decodeSchedule(body, &req); err != nil {
 		return nil, nil, "", err
 	}
 	inst, err := req.resolve(maxNodes)
@@ -245,6 +246,9 @@ func (r *Request) resolve(maxNodes int) (*instance.Instance, error) {
 			budgets[v] = r.Battery
 		}
 	}
+	if err := checkBudgetTotal(budgets); err != nil {
+		return nil, err
+	}
 	inst := instance.New(g, budgets).WithK(r.k())
 	// The effective solver's Validate supplies the shape checks; a refiner's
 	// Validate also resolves and validates its base algorithm (running the
@@ -253,6 +257,21 @@ func (r *Request) resolve(maxNodes int) (*instance.Instance, error) {
 		return nil, err
 	}
 	return inst, nil
+}
+
+// checkBudgetTotal rejects a non-negative budget vector whose total exceeds
+// math.MaxInt. Every lifetime, every Lemma 4.1/5.1/6.1 bound and every energy
+// total is at most the total budget, so none of them can overflow once it
+// fits. The sum is checked before each addition, so it cannot wrap either.
+func checkBudgetTotal(budgets []int) error {
+	total := 0
+	for _, b := range budgets {
+		if b > math.MaxInt-total {
+			return fmt.Errorf("budgets total more than %d", math.MaxInt)
+		}
+		total += b
+	}
+	return nil
 }
 
 // isRefiner reports whether name is a registered refinement solver.

@@ -3,11 +3,17 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/gen"
+	"repro/internal/rng"
 	"repro/internal/solver"
 )
 
@@ -89,9 +95,11 @@ func TestHugeTimeoutSaturates(t *testing.T) {
 }
 
 // FuzzScheduleRequest runs what POST /v1/schedule does to a body before
-// admission — decode, resolve, key — on arbitrary input. Nothing may panic,
-// every error must map to 400 or 413, and an accepted body must describe a
-// valid instance whose request, encoded again, resolves to the same key.
+// admission — decode, resolve, key — on arbitrary input. The decode must
+// agree with decodeStrict on the unmodified body: both fail, or both succeed
+// with equal requests. Nothing may panic, every error must map to 400 or
+// 413, and an accepted body must describe a valid instance whose request,
+// encoded again, resolves to the same key.
 func FuzzScheduleRequest(f *testing.F) {
 	const maxNodes = 64
 	for _, c := range aliasCases {
@@ -117,10 +125,45 @@ func FuzzScheduleRequest(f *testing.F) {
 		`{"graph":{"n":3,"edges":[[0,1]]},"algorithm":"uniform","batteries":[1,2]}`,
 		`{"graph":{"n":3,"edges":[[0,1]]},"algorithm":"auto","refine":"tabu","unknown":1}`,
 		`{not json`,
+		// Keys encoding/json matches to graph and edges regardless of case,
+		// by Unicode folding (U+017F folds to s) and after unescaping. All
+		// but the first follow a plain list they must override.
+		`{"Graph":{"N":3,"EDGES":[[0,1],[1,2]]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]],"EDGES":[[1,2]]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]],"edgeſ":[[1,2]]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"GRAPH":{"edges":[[1,2]]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"gr\u0061ph":{"edges":[[1,2]]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]],"edg\u0065s":[[1,2]]},"algorithm":"uniform","battery":2}`,
+		// Repeated members: graph objects merge and the last edges wins.
+		`{"graph":{"n":3,"edges":[[0,1]]},"graph":{"n":3},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]],"edges":[[1,2]]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]],"edges":null},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"graph":null,"algorithm":"uniform","battery":2}`,
+		// edges outside a graph object, and a graph that is not an object.
+		`{"graph":{"n":3},"edges":[[0,1]],"algorithm":"uniform","battery":2}`,
+		`{"graph":[1,2],"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"x":{"edges":[[0,1]]}},"algorithm":"uniform","battery":2}`,
+		// A string that spells an edges member.
+		`{"graph":{"n":3,"edges":[]},"algorithm":"\"edges\":[[0,1]]","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"algorithm":"uniform\\","battery":2}`,
+		" { \"graph\" :\t{ \"n\" : 3 ,\r\n\"edges\" : [ [ 0 , 1 ] , [ 1 , 2 ] ] } , \"algorithm\" : \"uniform\" , \"battery\" : 2 } \n",
+		`{"graph":{"n":3,"edges":[[0,1],]},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]]x},"algorithm":"uniform","battery":2}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"algorithm":"general","batteries":[1,null,2]}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"algorithm":"uniform","battery":2}}`,
+		`{"graph":{"n":3,"edges":[[0,1]]},"algorithm":"uniform","battery":2} {"graph":{}}`,
+		`{"graph":{"n":3,"edges":[[0,1]]}`,
+		`null`, `{}`, ``,
 	} {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
+		var got, want Request
+		gotErr := decodeSchedule(body, &got)
+		wantErr := decodeStrict(body, &want)
+		if (gotErr == nil) != (wantErr == nil) || gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeSchedule: %+v, %v\ndecodeStrict: %+v, %v", got, gotErr, want, wantErr)
+		}
 		req, inst, key, err := parseSchedule(body, maxNodes)
 		if err != nil {
 			if code := errorStatus(err); code != http.StatusBadRequest && code != http.StatusRequestEntityTooLarge {
@@ -146,4 +189,68 @@ func FuzzScheduleRequest(f *testing.F) {
 			t.Fatalf("re-encoded request keys %s, want %s", key2, key)
 		}
 	})
+}
+
+// TestRepeatedEdgesAllocationBounded pins that repeated edges members cannot
+// each presize for the rest of the body: every list after the first is cut
+// at its own end before it is parsed. Here 2000 one-edge lists precede a
+// 20 000-edge list; presizing each for the rest would allocate over 600 MB.
+func TestRepeatedEdgesAllocationBounded(t *testing.T) {
+	var b strings.Builder
+	b.WriteString(`{"graph":{"n":20001,`)
+	for range 2000 {
+		b.WriteString(`"edges":[[0,1]],`)
+	}
+	b.WriteString(`"edges":[`)
+	for v := 0; v < 20000; v++ {
+		if v > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "[%d,%d]", v, v+1)
+	}
+	b.WriteString(`]},"algorithm":"greedy","battery":1}`)
+	body := []byte(b.String())
+
+	var req Request
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decodeSchedule(body, &req)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(req.Graph.Edges) != 20000 {
+		t.Fatalf("decoded %d edges, want the last list's 20000", len(req.Graph.Edges))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 16<<20 {
+		t.Errorf("decoding a %d-byte body allocated %d bytes, want under 16 MB", len(body), alloc)
+	}
+}
+
+// sinkKey keeps the measured calls from being optimized away.
+var sinkKey string
+
+// BenchmarkParseSchedule times what POST /v1/schedule does to a body before
+// admission — decode, resolve, key — on the shard-large body shape: a UDG
+// with n = 2048 and r = 0.115 (about 0.86 MB of JSON), greedy, battery 8,
+// four bfs shards.
+func BenchmarkParseSchedule(b *testing.B) {
+	g, _ := gen.RandomUDG(2048, 1, 0.115, rng.New(1))
+	spec := GraphSpec{N: g.N()}
+	g.Edges(func(u, v int) { spec.Edges = append(spec.Edges, [2]int{u, v}) })
+	body, err := json.Marshal(Request{Graph: spec, Algorithm: solver.NameGreedy,
+		Battery: 8, Shards: 4, Partitioner: "bfs"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _, key, err := parseSchedule(body, 1<<20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkKey = key
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -458,6 +459,8 @@ func TestRequestValidation(t *testing.T) {
 		{"stacked refiner", Request{Graph: ring(4), Algorithm: solver.NameAnneal, Battery: 2, Refine: solver.NameTabu}, 400},
 		{"negative budget", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, Budget: -1}, 400},
 		{"negative time budget", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, TimeBudgetMS: -1}, 400},
+		{"budget total past MaxInt", Request{Graph: ring(6), Algorithm: solver.NameGreedy, Battery: 9_000_000_000_000_000_000}, 400},
+		{"batteries total past MaxInt", Request{Graph: GraphSpec{N: 2}, Algorithm: AlgGeneral, Batteries: []int{math.MaxInt, 1}}, 400},
 		{"too many nodes", Request{Graph: GraphSpec{N: 101}, Algorithm: AlgUniform, Battery: 1}, 413},
 	}
 	for _, c := range cases {

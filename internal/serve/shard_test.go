@@ -101,6 +101,27 @@ func TestScheduleShardValidation(t *testing.T) {
 	}
 }
 
+// TestScheduleShardedEmptyGraph pins that a sharded request on the empty
+// graph is answered like an unsharded one: 200 with an empty schedule.
+func TestScheduleShardedEmptyGraph(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+
+	body := []byte(`{"graph":{"n":0,"edges":[]},"algorithm":"greedy","battery":3,"shards":4}`)
+	w := post(h, "/v1/schedule", body)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", w.Code, w.Body.String())
+	}
+	var resp response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Lifetime != 0 || resp.Phases != 0 {
+		t.Fatalf("lifetime %d over %d phases, want the empty schedule", resp.Lifetime, resp.Phases)
+	}
+}
+
 // TestPatchShardedResolvesOneShard is the compositional-caching acceptance
 // check: after a sharded solve, a delta interior to one tile re-solves
 // exactly that shard — every other shard's schedule is served from the

@@ -24,12 +24,9 @@ func Geometric(g *graph.Graph, pts []geom.Point, shards int) (*Partition, error)
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards requested, need >= 1", shards)
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("shard: cannot partition the empty graph")
-	}
-	if shards > n {
-		shards = n
-	}
+	// Surplus shards would own no nodes. The empty graph takes the one-shard
+	// path and gets the whole partition, which has no shards.
+	shards = min(shards, max(n, 1))
 	if shards == 1 {
 		p := Whole(g)
 		p.Method = "geom"
@@ -85,12 +82,9 @@ func BFS(g *graph.Graph, shards int, seed uint64) (*Partition, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards requested, need >= 1", shards)
 	}
-	if n == 0 {
-		return nil, fmt.Errorf("shard: cannot partition the empty graph")
-	}
-	if shards > n {
-		shards = n
-	}
+	// Surplus shards would own no nodes. The empty graph takes the one-shard
+	// path and gets the whole partition, which has no shards.
+	shards = min(shards, max(n, 1))
 	if shards == 1 {
 		p := Whole(g)
 		p.Method, p.Seed = "bfs", seed

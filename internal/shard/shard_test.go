@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/geom"
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/shard"
@@ -108,6 +109,24 @@ func TestPartitionDisconnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, g, p)
+}
+
+// TestPartitionEmptyGraph pins that both partitioners answer the empty
+// graph with the whole partition, which has no shards, for any shard count.
+func TestPartitionEmptyGraph(t *testing.T) {
+	g := graph.New(0)
+	for _, shards := range []int{1, 4} {
+		for _, method := range []string{"bfs", "geom"} {
+			p, err := shard.ByName(method, g, []geom.Point{}, shards, 42)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", method, shards, err)
+			}
+			if len(p.Shards) != 0 || len(p.Assign) != 0 || p.Method != method {
+				t.Fatalf("%s/%d: %d shards, %d assignments, method %q; want the empty %s partition",
+					method, shards, len(p.Shards), len(p.Assign), p.Method, method)
+			}
+		}
+	}
 }
 
 // TestPartitionerDeterminism pins the determinism contract: same (graph,
