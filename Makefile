@@ -42,6 +42,7 @@ examples:
 	go run ./examples/sensornet
 	go run ./examples/faulttolerant
 	go run ./examples/distributed
+	go run ./examples/planner
 
 clean:
 	go clean ./...

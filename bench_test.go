@@ -1,6 +1,6 @@
 // Package repro's root benchmark suite regenerates every experiment table
-// of DESIGN.md under testing.B (BenchmarkE1 … BenchmarkE22) and provides
-// micro-benchmarks of the core algorithms. Run:
+// of DESIGN.md under testing.B (BenchmarkExperiments, one sub-benchmark per
+// experiment ID) and provides micro-benchmarks of the core algorithms. Run:
 //
 //	go test -bench=. -benchmem
 //
@@ -27,42 +27,24 @@ import (
 	"repro/internal/solver"
 )
 
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
+// BenchmarkExperiments regenerates every registered experiment table, one
+// sub-benchmark per ID (E1 … E26): go test -bench 'Experiments/E7$'.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := experiments.Config{Seed: 42, Quick: true, Trials: 1}
-	for i := 0; i < b.N; i++ {
-		tab, err := experiments.Run(id, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tab.Render(io.Discard); err != nil {
-			b.Fatal(err)
-		}
+	for _, id := range experiments.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tab, err := experiments.Run(id, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := tab.Render(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkE1(b *testing.B)  { benchExperiment(b, "E1") }
-func BenchmarkE2(b *testing.B)  { benchExperiment(b, "E2") }
-func BenchmarkE3(b *testing.B)  { benchExperiment(b, "E3") }
-func BenchmarkE4(b *testing.B)  { benchExperiment(b, "E4") }
-func BenchmarkE5(b *testing.B)  { benchExperiment(b, "E5") }
-func BenchmarkE6(b *testing.B)  { benchExperiment(b, "E6") }
-func BenchmarkE7(b *testing.B)  { benchExperiment(b, "E7") }
-func BenchmarkE8(b *testing.B)  { benchExperiment(b, "E8") }
-func BenchmarkE9(b *testing.B)  { benchExperiment(b, "E9") }
-func BenchmarkE10(b *testing.B) { benchExperiment(b, "E10") }
-func BenchmarkE11(b *testing.B) { benchExperiment(b, "E11") }
-func BenchmarkE12(b *testing.B) { benchExperiment(b, "E12") }
-func BenchmarkE13(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkE14(b *testing.B) { benchExperiment(b, "E14") }
-func BenchmarkE15(b *testing.B) { benchExperiment(b, "E15") }
-func BenchmarkE16(b *testing.B) { benchExperiment(b, "E16") }
-func BenchmarkE17(b *testing.B) { benchExperiment(b, "E17") }
-func BenchmarkE18(b *testing.B) { benchExperiment(b, "E18") }
-func BenchmarkE19(b *testing.B) { benchExperiment(b, "E19") }
-func BenchmarkE20(b *testing.B) { benchExperiment(b, "E20") }
-func BenchmarkE21(b *testing.B) { benchExperiment(b, "E21") }
-func BenchmarkE22(b *testing.B) { benchExperiment(b, "E22") }
 
 // benchGraph builds a connected-ish G(n, c·ln n/n) test graph outside the
 // timed loop.
@@ -165,14 +147,6 @@ func BenchmarkRandomColoring(b *testing.B) {
 				domatic.RandomColoring(g, 3, src)
 			}
 		})
-	}
-}
-
-func BenchmarkLubyMIS(b *testing.B) {
-	g := benchGraph(1024)
-	src := rng.New(4)
-	for i := 0; i < b.N; i++ {
-		domset.LubyMIS(g, src)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestHintTaggedFamiliesRoundTrip(t *testing.T) {
 		if !strings.HasPrefix(buf.String(), graph.HintPrefix+" "+tc.hint+"\n") {
 			t.Fatalf("%s: output does not lead with the hint comment:\n%.80s", tc.name, buf.String())
 		}
-		g, hint, err := graph.ReadEdgeListHinted(&buf)
+		g, hint, err := graph.ReadEdgeList(&buf)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -64,7 +64,7 @@ func TestUDGFamilyTagged(t *testing.T) {
 	if err := run(&buf, params{family: "udg", n: 40, side: 8, radius: 2, seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	g, hint, err := graph.ReadEdgeListHinted(&buf)
+	g, hint, err := graph.ReadEdgeList(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestUDGFamilyTagged(t *testing.T) {
 	if err := run(&buf, params{family: "gnp", n: 30, p: 0.2, seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if _, hint, err := graph.ReadEdgeListHinted(&buf); err != nil || hint != "" {
+	if _, hint, err := graph.ReadEdgeList(&buf); err != nil || hint != "" {
 		t.Fatalf("gnp emitted hint %q (err %v), want none", hint, err)
 	}
 }

@@ -76,7 +76,7 @@ func run() error {
 	// Hinted read: graphgen tags generated grids/tori with a "# hint:"
 	// comment, which seeds the structure classifier's trial ordering (the
 	// embedding is always re-verified, so a wrong hint only costs time).
-	g, hint, err := graph.ReadEdgeListHinted(in)
+	g, hint, err := graph.ReadEdgeList(in)
 	if err != nil {
 		return err
 	}
@@ -155,18 +155,8 @@ func run() error {
 		fmt.Println()
 	}
 	fmt.Printf("lifetime: %d slots in %d phases\n", s.Lifetime(), len(s.Phases))
-	switch *alg {
-	case solver.NameUniform:
-		fmt.Printf("upper bound (Lemma 4.1): %d\n", core.UniformUpperBound(g, *b))
-	case solver.NameFT:
-		fmt.Printf("upper bound (Lemma 6.1): %d\n", core.KTolerantUpperBound(g, *b, tolerance))
-	default:
-		if tolerance > 1 {
-			fmt.Printf("upper bound (Lemmas 5.1+6.1): %d\n", core.GeneralKTolerantUpperBound(g, batteries, tolerance))
-		} else {
-			fmt.Printf("upper bound (Lemma 5.1): %d\n", core.GeneralUpperBound(g, batteries))
-		}
-	}
+	fmt.Printf("upper bound (%s): %d\n", boundLemma(batteries, tolerance),
+		core.GeneralKTolerantUpperBound(g, batteries, tolerance))
 	if guaranteed, err := solver.Guaranteed(inst, spec); err == nil && guaranteed > 0 {
 		fmt.Printf("guaranteed w.h.p.: %d\n", guaranteed)
 	}
@@ -186,4 +176,24 @@ func run() error {
 		}
 	}
 	return nil
+}
+
+// boundLemma names the lemma that core.GeneralKTolerantUpperBound equals on
+// this instance: it is Lemma 4.1 on uniform batteries, 5.1 on arbitrary
+// ones, and divides either by the tolerance k as Lemma 6.1 does.
+func boundLemma(batteries []int, k int) string {
+	uniform := true
+	for _, b := range batteries {
+		uniform = uniform && b == batteries[0]
+	}
+	switch {
+	case uniform && k > 1:
+		return "Lemma 6.1"
+	case uniform:
+		return "Lemma 4.1"
+	case k > 1:
+		return "Lemmas 5.1+6.1"
+	default:
+		return "Lemma 5.1"
+	}
 }

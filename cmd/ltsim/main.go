@@ -41,8 +41,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/graph"
-	"repro/internal/instance"
 	"repro/internal/heal"
+	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/reconfig"
 	"repro/internal/rng"
@@ -193,7 +193,7 @@ func run() error {
 		defer file.Close()
 		in = file
 	}
-	g, hint, err := graph.ReadEdgeListHinted(in)
+	g, hint, err := graph.ReadEdgeList(in)
 	if err != nil {
 		return err
 	}

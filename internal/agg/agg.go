@@ -58,30 +58,6 @@ func NewBFSTree(g *graph.Graph, sink int) (*Tree, error) {
 	return &Tree{Sink: sink, Parent: parent, depth: depth}, nil
 }
 
-// Depth returns the hop distance from v to the sink.
-func (t *Tree) Depth(v int) int { return t.depth[v] }
-
-// MaxDepth returns the tree height.
-func (t *Tree) MaxDepth() int {
-	max := 0
-	for _, d := range t.depth {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
-// PathToSink returns the node sequence from v to the sink, inclusive.
-func (t *Tree) PathToSink(v int) []int {
-	var path []int
-	for v != -1 {
-		path = append(path, v)
-		v = t.Parent[v]
-	}
-	return path
-}
-
 // DeliveryCost returns the number of tree-edge transmissions needed to
 // deliver one aggregate from every source to the sink with in-network
 // aggregation: intermediate nodes merge incoming aggregates, so the cost is

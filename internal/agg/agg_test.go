@@ -18,18 +18,11 @@ func TestBFSTreeOnPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := 0; v < 5; v++ {
-		if tree.Depth(v) != v {
-			t.Errorf("depth(%d) = %d, want %d", v, tree.Depth(v), v)
+		if tree.depth[v] != v {
+			t.Errorf("depth(%d) = %d, want %d", v, tree.depth[v], v)
 		}
-	}
-	if tree.MaxDepth() != 4 {
-		t.Errorf("max depth = %d, want 4", tree.MaxDepth())
-	}
-	path := tree.PathToSink(4)
-	want := []int{4, 3, 2, 1, 0}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
+		if tree.Parent[v] != v-1 {
+			t.Errorf("parent(%d) = %d, want %d", v, tree.Parent[v], v-1)
 		}
 	}
 }
@@ -102,8 +95,8 @@ func TestBFSTreeOnRandomGraphs(t *testing.T) {
 		// BFS depths must equal graph distances.
 		dist := g.BFS(sink)
 		for v := 0; v < g.N(); v++ {
-			if tree.Depth(v) != dist[v] {
-				t.Fatalf("depth(%d) = %d, BFS distance %d", v, tree.Depth(v), dist[v])
+			if tree.depth[v] != dist[v] {
+				t.Fatalf("depth(%d) = %d, BFS distance %d", v, tree.depth[v], dist[v])
 			}
 		}
 	}

@@ -1,42 +1,20 @@
 // Package cds explores the open problem the paper's conclusion poses:
 // lifetime maximization for *connected* dominating sets (the structure
-// routing backbones need). It implements two CDS constructions —
-//
-//   - Growth: the Guha–Khuller-style greedy that grows a connected tree,
-//     always adding the frontier node covering the most uncovered nodes, and
-//   - Connect: any dominating set repaired into a connected one by adding
-//     BFS connector paths —
-//
-// plus a greedy connected-domatic partition (disjoint CDSs extracted until
-// exhaustion) and its lifetime schedule. Experiment E11 measures how much
+// routing backbones need). Growth builds one CDS with the Guha–Khuller-style
+// greedy that grows a connected tree, always adding the frontier node
+// covering the most uncovered nodes; GreedyConnectedPartition extracts
+// disjoint CDSs with it until exhaustion. Experiment E11 measures how much
 // lifetime the connectivity requirement costs; the paper conjectures the
 // problem is fundamentally harder, and indeed the greedy connected partition
 // consistently finds far fewer sets than the unconstrained one.
 package cds
 
 import (
-	"fmt"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/domatic"
-	"repro/internal/domset"
 	"repro/internal/graph"
 )
-
-// IsConnectedDominating reports whether set is a dominating set of g whose
-// induced subgraph is connected. The empty set qualifies only for the empty
-// graph; a singleton is connected by definition.
-func IsConnectedDominating(g *graph.Graph, set []int) bool {
-	if !domset.IsDominating(g, set, nil) {
-		return false
-	}
-	if len(set) <= 1 {
-		return true
-	}
-	sub, _ := g.InducedSubgraph(set)
-	return sub.Connected()
-}
 
 // Growth returns a connected dominating set of g built by greedy tree
 // growth: seed at an allowed node of maximum degree, then repeatedly attach
@@ -123,139 +101,9 @@ func Growth(g *graph.Graph, allowed []bool) []int {
 	return tree
 }
 
-// Connect repairs a dominating set into a connected one by inserting
-// BFS connector paths through allowed nodes. It returns nil if g is
-// disconnected, the input is not dominating, or no allowed connectors exist.
-func Connect(g *graph.Graph, set []int, allowed []bool) []int {
-	n := g.N()
-	if n == 0 || !domset.IsDominating(g, set, nil) || !g.Connected() {
-		return nil
-	}
-	mayUse := func(v int) bool { return allowed == nil || allowed[v] }
-	in := make([]bool, n)
-	for _, v := range set {
-		in[v] = true
-	}
-	out := append([]int(nil), set...)
-
-	for {
-		comp := componentsWithin(g, in)
-		if len(comp) <= 1 {
-			break
-		}
-		// BFS from component 0 through allowed (or already-chosen) nodes to
-		// any node of another component; add the interior path nodes.
-		parent := make([]int, n)
-		for i := range parent {
-			parent[i] = -2 // unvisited
-		}
-		var queue []int
-		for _, v := range comp[0] {
-			parent[v] = -1
-			queue = append(queue, v)
-		}
-		target := -1
-		for len(queue) > 0 && target == -1 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, uu := range g.Neighbors(v) {
-				u := int(uu)
-				if parent[u] != -2 {
-					continue
-				}
-				if !in[u] && !mayUse(u) {
-					continue
-				}
-				parent[u] = v
-				if in[u] {
-					target = u
-					break
-				}
-				queue = append(queue, u)
-			}
-		}
-		if target == -1 {
-			return nil // connectors unavailable
-		}
-		for v := parent[target]; v != -1 && !in[v]; v = parent[v] {
-			in[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// componentsWithin returns the connected components of the subgraph induced
-// by the marked nodes, as slices of original node IDs.
-func componentsWithin(g *graph.Graph, in []bool) [][]int {
-	n := g.N()
-	seen := make([]bool, n)
-	var comps [][]int
-	for s := 0; s < n; s++ {
-		if !in[s] || seen[s] {
-			continue
-		}
-		comp := []int{s}
-		seen[s] = true
-		for i := 0; i < len(comp); i++ {
-			for _, u := range g.Neighbors(comp[i]) {
-				if in[u] && !seen[u] {
-					seen[u] = true
-					comp = append(comp, int(u))
-				}
-			}
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
-// GrowthExtractor adapts Growth to the domatic.Extractor interface so
-// domatic.GreedyPartition can extract disjoint connected dominating sets.
-func GrowthExtractor(g *graph.Graph, allowed []bool) []int {
-	return Growth(g, allowed)
-}
-
 // GreedyConnectedPartition returns pairwise disjoint connected dominating
-// sets extracted greedily until no further one exists — the natural greedy
-// for the maximum connected-domatic partition the paper leaves open.
+// sets, extracted with Growth until no further one exists — the natural
+// greedy for the maximum connected-domatic partition the paper leaves open.
 func GreedyConnectedPartition(g *graph.Graph) domatic.Partition {
-	return domatic.GreedyPartition(g, GrowthExtractor)
-}
-
-// Schedule builds the maximum-lifetime CDS schedule the greedy connected
-// partition supports under a uniform battery b: each connected class is
-// active for b slots. The result answers the operational form of the
-// paper's §7 open problem (a routing backbone at every instant).
-func Schedule(g *graph.Graph, b int) *core.Schedule {
-	return core.FromPartition(GreedyConnectedPartition(g), b)
-}
-
-// ValidateSchedule checks that every positive-duration phase of s is a
-// *connected* dominating set of g and that per-node usage respects the
-// uniform battery b. This is the connected-backbone analogue of
-// core.Schedule.Validate.
-func ValidateSchedule(g *graph.Graph, s *core.Schedule, b int) error {
-	usage := make([]int, g.N())
-	for i, p := range s.Phases {
-		if p.Duration < 0 {
-			return fmt.Errorf("cds: phase %d has negative duration", i)
-		}
-		if p.Duration == 0 {
-			continue
-		}
-		if !IsConnectedDominating(g, p.Set) {
-			return fmt.Errorf("cds: phase %d is not a connected dominating set", i)
-		}
-		for _, v := range p.Set {
-			usage[v] += p.Duration
-		}
-	}
-	for v, u := range usage {
-		if u > b {
-			return fmt.Errorf("cds: node %d active %d slots, battery %d", v, u, b)
-		}
-	}
-	return nil
+	return domatic.GreedyPartition(g, Growth)
 }

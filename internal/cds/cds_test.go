@@ -3,23 +3,40 @@ package cds
 import (
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/domset"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
 )
 
+// isConnectedDominating reports whether set is a dominating set of g whose
+// induced subgraph is connected. The empty set qualifies only for the empty
+// graph; a singleton is connected by definition. It is the oracle the
+// tests check every constructed CDS against.
+func isConnectedDominating(g *graph.Graph, set []int) bool {
+	if !domset.IsDominating(g, set, nil) {
+		return false
+	}
+	if len(set) <= 1 {
+		return true
+	}
+	sub, _ := g.InducedSubgraph(set)
+	return sub.Connected()
+}
+
 func TestIsConnectedDominating(t *testing.T) {
 	g := gen.Path(5)
-	if !IsConnectedDominating(g, []int{1, 2, 3}) {
+	if !isConnectedDominating(g, []int{1, 2, 3}) {
 		t.Error("{1,2,3} is a CDS of P5")
 	}
-	if IsConnectedDominating(g, []int{1, 3}) {
+	if isConnectedDominating(g, []int{1, 3}) {
 		t.Error("{1,3} dominates P5 but is disconnected")
 	}
-	if IsConnectedDominating(g, []int{1}) {
+	if isConnectedDominating(g, []int{1}) {
 		t.Error("{1} does not dominate P5")
 	}
-	if !IsConnectedDominating(gen.Star(6), []int{0}) {
+	if !isConnectedDominating(gen.Star(6), []int{0}) {
 		t.Error("star center is a singleton CDS")
 	}
 }
@@ -39,7 +56,7 @@ func TestGrowthProducesCDS(t *testing.T) {
 		if set == nil {
 			t.Fatalf("graph %d: Growth returned nil on connected graph", i)
 		}
-		if !IsConnectedDominating(g, set) {
+		if !isConnectedDominating(g, set) {
 			t.Fatalf("graph %d: %v not a CDS", i, set)
 		}
 	}
@@ -77,49 +94,6 @@ func TestGrowthRespectsAllowed(t *testing.T) {
 	}
 }
 
-func TestConnectRepairsDisconnectedDS(t *testing.T) {
-	g := gen.Path(5)
-	set := Connect(g, []int{1, 3}, nil)
-	if set == nil {
-		t.Fatal("Connect failed")
-	}
-	if !IsConnectedDominating(g, set) {
-		t.Fatalf("%v not a CDS after repair", set)
-	}
-	// Must contain the original dominators.
-	found := map[int]bool{}
-	for _, v := range set {
-		found[v] = true
-	}
-	if !found[1] || !found[3] {
-		t.Fatalf("repair dropped original dominators: %v", set)
-	}
-}
-
-func TestConnectAlreadyConnectedIsNoop(t *testing.T) {
-	g := gen.Path(5)
-	set := Connect(g, []int{1, 2, 3}, nil)
-	if len(set) != 3 {
-		t.Fatalf("no-op repair changed the set: %v", set)
-	}
-}
-
-func TestConnectRejectsNonDominating(t *testing.T) {
-	g := gen.Path(5)
-	if set := Connect(g, []int{0}, nil); set != nil {
-		t.Fatalf("non-dominating input accepted: %v", set)
-	}
-}
-
-func TestConnectBlockedConnectors(t *testing.T) {
-	g := gen.Path(5)
-	// {1,3} needs node 2 as connector, but 2 is disallowed.
-	allowed := []bool{true, true, false, true, true}
-	if set := Connect(g, []int{1, 3}, allowed); set != nil {
-		t.Fatalf("expected nil when connectors blocked, got %v", set)
-	}
-}
-
 func TestGreedyConnectedPartition(t *testing.T) {
 	g := gen.Complete(8)
 	p := GreedyConnectedPartition(g)
@@ -130,7 +104,7 @@ func TestGreedyConnectedPartition(t *testing.T) {
 		t.Fatalf("K8 connected partition has %d sets, want 8 singletons", len(p))
 	}
 	for _, set := range p {
-		if !IsConnectedDominating(g, set) {
+		if !isConnectedDominating(g, set) {
 			t.Fatalf("class %v not connected", set)
 		}
 	}
@@ -151,7 +125,7 @@ func TestConnectedPartitionNeverLargerThanPlain(t *testing.T) {
 			t.Fatalf("trial %d: %d connected sets exceed δ+1 = %d", trial, len(p), g.MinDegree()+1)
 		}
 		for _, set := range p {
-			if !IsConnectedDominating(g, set) {
+			if !isConnectedDominating(g, set) {
 				t.Fatalf("trial %d: non-CDS class %v", trial, set)
 			}
 		}
@@ -166,5 +140,33 @@ func TestGrowthCDSIsReasonablySmall(t *testing.T) {
 	}
 	if set := Growth(gen.Path(10), nil); len(set) != 8 {
 		t.Fatalf("P10 CDS size = %d, want 8", len(set))
+	}
+}
+
+func TestScheduleIsConnectedBackbone(t *testing.T) {
+	src := rng.New(1)
+	g, _ := gen.RandomUDG(120, 10, 2.6, src)
+	if !g.Connected() {
+		t.Skip("unlucky disconnected deployment")
+	}
+	// Each class of the greedy connected partition is active for b slots:
+	// every phase is a connected backbone, and the whole is a plain valid
+	// schedule under the uniform battery b.
+	const b = 3
+	s := core.FromPartition(GreedyConnectedPartition(g), b)
+	if s.Lifetime() == 0 {
+		t.Fatal("no connected backbone schedule at all")
+	}
+	for i, p := range s.Phases {
+		if !isConnectedDominating(g, p.Set) {
+			t.Fatalf("phase %d is not a connected dominating set", i)
+		}
+	}
+	batteries := make([]int, g.N())
+	for i := range batteries {
+		batteries[i] = b
+	}
+	if err := s.Validate(g, batteries, 1); err != nil {
+		t.Fatal(err)
 	}
 }

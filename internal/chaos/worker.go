@@ -30,7 +30,6 @@ type WorkerFault struct {
 	slowP  float64
 	failP  float64
 	delay  time.Duration
-	slowed int
 	failed int
 }
 
@@ -62,9 +61,6 @@ func (f *WorkerFault) Invoke(key string) error {
 	f.mu.Lock()
 	slow := f.slowP > 0 && f.src.Float64() < f.slowP
 	fail := f.failP > 0 && f.src.Float64() < f.failP
-	if slow {
-		f.slowed++
-	}
 	if fail {
 		f.failed++
 	}
@@ -77,13 +73,6 @@ func (f *WorkerFault) Invoke(key string) error {
 		return fmt.Errorf("%w (job %s)", ErrWorkerFault, key)
 	}
 	return nil
-}
-
-// Slowed returns how many invocations were slowed so far.
-func (f *WorkerFault) Slowed() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.slowed
 }
 
 // Failed returns how many invocations were failed so far.

@@ -168,11 +168,32 @@ func TestGeneralBatteryMismatchPanics(t *testing.T) {
 
 func TestGeneralMatchesUniformUpperBoundOnUniformInput(t *testing.T) {
 	// With uniform batteries, GeneralUpperBound = Σ_{N+[u]} b = b(δ+1) at a
-	// minimum-degree node — consistent with Lemma 4.1.
-	g := gen.Grid(6, 6)
-	const b = 3
-	if got, want := GeneralUpperBound(g, uniformBatteries(g.N(), b)), UniformUpperBound(g, b); got != want {
-		t.Fatalf("GeneralUpperBound = %d, UniformUpperBound = %d", got, want)
+	// minimum-degree node — consistent with Lemma 4.1 — and dividing by k
+	// gives Lemma 6.1, so the combined bound is the one rule for all three
+	// lemmas.
+	graphs := []*graph.Graph{
+		graph.New(0),
+		graph.New(3),
+		gen.Path(7),
+		gen.Star(9),
+		gen.Grid(6, 6),
+		gen.Complete(5),
+		gen.GNP(60, 0.1, rng.New(4)),
+		gen.GNP(40, 0.5, rng.New(5)),
+	}
+	for i, g := range graphs {
+		for b := 0; b <= 4; b++ {
+			batteries := uniformBatteries(g.N(), b)
+			if got, want := GeneralUpperBound(g, batteries), UniformUpperBound(g, b); got != want {
+				t.Fatalf("graph %d, b=%d: GeneralUpperBound = %d, UniformUpperBound = %d", i, b, got, want)
+			}
+			for k := 1; k <= 3; k++ {
+				if got, want := GeneralKTolerantUpperBound(g, batteries, k), KTolerantUpperBound(g, b, k); got != want {
+					t.Fatalf("graph %d, b=%d, k=%d: GeneralKTolerantUpperBound = %d, KTolerantUpperBound = %d",
+						i, b, k, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -204,8 +204,8 @@ func GreedyDSSet(nodes []*GreedyDSNode) []int {
 }
 
 // LPDSNode is the per-node program of the constant-round LP-relaxation
-// dominating set (domset.LPRoundedDS as a protocol, in the spirit of
-// Kuhn–Wattenhofer's constant-time approximation): exchange degrees, set
+// dominating set (in the spirit of Kuhn–Wattenhofer's constant-time
+// approximation): exchange degrees, set
 // x_v = max_{u∈N+[v]} 1/(δ_u+1), join with probability
 // min(1, x_v · 2 ln(Δ²_v+2)) where Δ²_v is the local two-hop maximum degree,
 // then repair — any node with no joined closed neighbor self-joins.

@@ -2,19 +2,18 @@
 // kernel Session, whose exact per-node dominator counters answer every
 // plain and fault-tolerant (k-)domination query from O(n) words of state,
 // with the one-shot verifiers IsDominating and IsKDominating on top; the
-// classical greedy set-cover approximation for minimum dominating sets, a
-// greedy k-dominating set builder, an exact branch-and-bound minimum
-// dominating set for small graphs, and Luby's randomized maximal
-// independent set (every MIS is a dominating set; in unit disk graphs it is
-// a constant-factor approximation, as the paper's related-work section
-// recounts).
+// classical greedy set-cover approximation for minimum dominating sets, its
+// greedy k-dominating extension, and an exact branch-and-bound minimum
+// dominating set for small graphs. IsIndependent and IsMaximalIndependent
+// check the maximal independent sets other packages build (every MIS is a
+// dominating set; in unit disk graphs it is a constant-factor
+// approximation, as the paper's related-work section recounts).
 package domset
 
 import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/rng"
 )
 
 // IsDominating reports whether set is a dominating set of g restricted to
@@ -133,57 +132,6 @@ func GreedyK(g *graph.Graph, k int, allowed, alive []bool) []int {
 	}
 	sort.Ints(set)
 	return set
-}
-
-// LubyMIS computes a maximal independent set with Luby's randomized
-// algorithm: in each round every live node draws a random priority, joins
-// the MIS if it beats all live neighbors, and then it and its neighbors
-// leave the contest. Terminates in O(log n) rounds w.h.p. Every MIS is a
-// dominating set.
-func LubyMIS(g *graph.Graph, src *rng.Source) []int {
-	n := g.N()
-	state := make([]int8, n) // 0 = competing, 1 = in MIS, -1 = out
-	competing := n
-	var mis []int
-	prio := make([]uint64, n)
-	for competing > 0 {
-		for v := 0; v < n; v++ {
-			if state[v] == 0 {
-				prio[v] = src.Uint64()
-			}
-		}
-		// Determine all winners against this round's snapshot before
-		// mutating any state, so two adjacent nodes can never both win.
-		var winners []int
-		for v := 0; v < n; v++ {
-			if state[v] != 0 {
-				continue
-			}
-			win := true
-			for _, u := range g.Neighbors(v) {
-				if state[u] == 0 && (prio[u] > prio[v] || (prio[u] == prio[v] && int(u) < v)) {
-					win = false
-					break
-				}
-			}
-			if win {
-				winners = append(winners, v)
-			}
-		}
-		for _, v := range winners {
-			state[v] = 1
-			competing--
-			mis = append(mis, v)
-			for _, u := range g.Neighbors(v) {
-				if state[u] == 0 {
-					state[u] = -1
-					competing--
-				}
-			}
-		}
-	}
-	sort.Ints(mis)
-	return mis
 }
 
 // IsIndependent reports whether no two nodes of set are adjacent.

@@ -337,42 +337,18 @@ func TestGreedyKDifferential(t *testing.T) {
 	}
 }
 
-func TestLubyMIS(t *testing.T) {
-	src := rng.New(3)
-	graphs := []*graph.Graph{
-		gen.Path(15),
-		gen.Ring(20),
-		gen.Complete(7),
-		gen.Grid(6, 6),
-		gen.GNP(80, 0.08, src),
+func TestIsMaximalIndependent(t *testing.T) {
+	// Other packages' MIS protocols are checked against this oracle, so it
+	// must reject both ways a set can fail.
+	g := gen.Path(5)
+	if !IsMaximalIndependent(g, []int{0, 2, 4}) {
+		t.Error("{0,2,4} is a maximal independent set of P5")
 	}
-	for i, g := range graphs {
-		mis := LubyMIS(g, src)
-		if !IsMaximalIndependent(g, mis) {
-			t.Errorf("graph %d: Luby result %v not a maximal independent set", i, mis)
-		}
+	if IsMaximalIndependent(g, []int{0, 2}) {
+		t.Error("{0,2} leaves node 4 undominated, so it is not maximal")
 	}
-}
-
-func TestLubyMISOnEmptyAndIsolated(t *testing.T) {
-	src := rng.New(4)
-	if mis := LubyMIS(graph.New(0), src); len(mis) != 0 {
-		t.Fatal("MIS of empty graph non-empty")
-	}
-	g := graph.New(5) // all isolated
-	mis := LubyMIS(g, src)
-	if len(mis) != 5 {
-		t.Fatalf("MIS of 5 isolated nodes = %v, want all", mis)
-	}
-}
-
-func TestLubyMISCompleteGraphHasOneNode(t *testing.T) {
-	src := rng.New(5)
-	for i := 0; i < 10; i++ {
-		mis := LubyMIS(gen.Complete(9), src)
-		if len(mis) != 1 {
-			t.Fatalf("MIS of K9 = %v, want single node", mis)
-		}
+	if IsMaximalIndependent(g, []int{0, 1, 3}) {
+		t.Error("{0,1,3} contains the edge 0-1")
 	}
 }
 

@@ -58,39 +58,11 @@ func (n *Network) CanServe(v int) bool {
 	return n.Alive[v] && n.Residual[v] >= n.ActiveCost
 }
 
-// Drain charges one active slot to every node in set. It returns an error
-// naming the first node that is dead, out of budget, or listed twice (a
-// repeated member used to be double-charged silently; an active set is a
-// set, so duplicates now fail validation); on error no charges are applied.
-func (n *Network) Drain(set []int) error {
-	seen := make(map[int]bool, len(set))
-	for _, v := range set {
-		if v < 0 || v >= len(n.Residual) {
-			return fmt.Errorf("energy: node %d out of range", v)
-		}
-		if seen[v] {
-			return fmt.Errorf("energy: node %d scheduled twice in one slot", v)
-		}
-		seen[v] = true
-		if !n.Alive[v] {
-			return fmt.Errorf("energy: dead node %d scheduled", v)
-		}
-		if n.Residual[v] < n.ActiveCost {
-			return fmt.Errorf("energy: node %d out of budget", v)
-		}
-	}
-	for _, v := range set {
-		n.Residual[v] -= n.ActiveCost
-	}
-	return nil
-}
-
-// DrainServiceable is the tolerant variant of Drain a degraded deployment
-// needs: it charges one active slot to every node of set that can actually
-// serve (alive, in range, with budget, not yet charged this call) and skips
-// the rest instead of failing. It returns the sorted-input-order subset that
-// was charged — the set that truly served the slot. Duplicates are charged
-// once.
+// DrainServiceable charges one active slot to every node of set that can
+// actually serve (alive, in range, with budget, not yet charged this call)
+// and skips the rest instead of failing, as a degraded deployment needs. It
+// returns the input-order subset that was charged — the set that truly
+// served the slot. Duplicates are charged once.
 func (n *Network) DrainServiceable(set []int) []int {
 	var served []int
 	seen := make(map[int]bool, len(set))

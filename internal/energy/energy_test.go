@@ -56,8 +56,8 @@ func TestDrainAndCanServe(t *testing.T) {
 	if !net.CanServe(0) || !net.CanServe(1) || net.CanServe(2) {
 		t.Fatal("CanServe wrong on fresh network")
 	}
-	if err := net.Drain([]int{0, 1}); err != nil {
-		t.Fatal(err)
+	if served := net.DrainServiceable([]int{0, 1}); len(served) != 2 {
+		t.Fatalf("served %v, want [0 1]", served)
 	}
 	if net.Residual[0] != 1 || net.Residual[1] != 0 {
 		t.Fatalf("residuals = %v", net.Residual)
@@ -65,31 +65,8 @@ func TestDrainAndCanServe(t *testing.T) {
 	if net.CanServe(1) {
 		t.Fatal("exhausted node still serves")
 	}
-	if err := net.Drain([]int{1}); err == nil {
-		t.Fatal("drain of exhausted node accepted")
-	}
-}
-
-func TestDrainIsAtomic(t *testing.T) {
-	g := gen.Path(3)
-	net := NewNetwork(g, []int{2, 0, 2})
-	if err := net.Drain([]int{0, 1}); err == nil {
-		t.Fatal("expected error")
-	}
-	if net.Residual[0] != 2 {
-		t.Fatal("failed drain partially applied")
-	}
-}
-
-func TestDrainRejectsDeadAndOutOfRange(t *testing.T) {
-	g := gen.Path(3)
-	net := NewNetwork(g, Uniform(g, 5))
-	net.Kill(1)
-	if err := net.Drain([]int{1}); err == nil {
-		t.Fatal("dead node drain accepted")
-	}
-	if err := net.Drain([]int{7}); err == nil {
-		t.Fatal("out-of-range drain accepted")
+	if served := net.DrainServiceable([]int{1}); served != nil {
+		t.Fatalf("exhausted node served: %v", served)
 	}
 }
 
@@ -151,24 +128,6 @@ func TestNeighborhoodFailures(t *testing.T) {
 			t.Fatalf("node %d killed twice", f.Node)
 		}
 		seen[f.Node] = true
-	}
-}
-
-func TestDrainRejectsDuplicates(t *testing.T) {
-	// Regression: a repeated member of set used to be double-charged
-	// silently; an active set is a set, so Drain must reject it atomically.
-	g := gen.Path(3)
-	net := NewNetwork(g, Uniform(g, 5))
-	if err := net.Drain([]int{1, 0, 1}); err == nil {
-		t.Fatal("duplicate member accepted")
-	}
-	for v, r := range net.Residual {
-		if r != 5 {
-			t.Fatalf("node %d charged (%d) despite rejected set", v, r)
-		}
-	}
-	if err := net.Drain([]int{0, 1}); err != nil {
-		t.Fatalf("duplicate-free set rejected: %v", err)
 	}
 }
 

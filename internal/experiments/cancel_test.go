@@ -36,14 +36,6 @@ func TestRunCanceledMidway(t *testing.T) {
 	}
 }
 
-func TestRunAllStopsOnCancel(t *testing.T) {
-	cfg := quickCfg()
-	cfg.Cancel = func() bool { return true }
-	if tabs := RunAll(cfg); len(tabs) != 0 {
-		t.Fatalf("canceled RunAll returned %d tables, want 0", len(tabs))
-	}
-}
-
 func TestTrialEventsEmitted(t *testing.T) {
 	mem := &obs.Memory{}
 	cfg := quickCfg()

@@ -1,4 +1,4 @@
-// Package experiments defines the reproduction experiments E1–E13 listed in
+// Package experiments defines the reproduction experiments E1–E26 listed in
 // DESIGN.md. The paper is theoretical, so each experiment measures the
 // quantity one of its theorems, lemmas, figures, or cited results bounds and
 // renders a table; EXPERIMENTS.md records the expected shapes. The same code
@@ -6,7 +6,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -70,10 +69,10 @@ type Config struct {
 	// (trials run in parallel), so single-writer sinks like obs.JSONL are
 	// safe to pass directly.
 	Trace obs.Tracer
-	// Cancel, when non-nil, is polled between trials (and between
-	// experiments in RunAll). It must be sticky — once it returns true it
-	// keeps returning true, like a context's Done check. When it fires,
-	// remaining trials are skipped and Run returns ErrCanceled.
+	// Cancel, when non-nil, is polled before and after Run and between
+	// trials. It must be sticky — once it returns true it keeps returning
+	// true, like a context's Done check. When it fires, remaining trials
+	// are skipped and Run returns ErrCanceled.
 	Cancel func() bool
 }
 
@@ -275,22 +274,6 @@ func Run(id string, cfg Config) (*Table, error) {
 		return t, ErrCanceled
 	}
 	return t, nil
-}
-
-// RunAll executes every registered experiment in ID order, stopping early
-// when cfg.Cancel fires (the tables completed so far are returned).
-func RunAll(cfg Config) []*Table {
-	var out []*Table
-	for _, id := range IDs() {
-		t, err := Run(id, cfg)
-		if errors.Is(err, ErrCanceled) {
-			return out
-		}
-		if t != nil {
-			out = append(out, t)
-		}
-	}
-	return out
 }
 
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }

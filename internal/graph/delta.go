@@ -55,12 +55,6 @@ type Delta struct {
 	SetBudgets []BudgetUpdate `json:"set_budgets,omitempty"`
 }
 
-// Empty reports whether d is the identity delta.
-func (d Delta) Empty() bool {
-	return len(d.RemoveEdges) == 0 && len(d.RemoveNodes) == 0 &&
-		d.AddNodes == 0 && len(d.AddEdges) == 0 && len(d.SetBudgets) == 0
-}
-
 // packEdge keys an undirected edge for duplicate detection (u < v after
 // normalization; node IDs fit in 32 bits by construction of the graph layer).
 func packEdge(u, v int) uint64 {

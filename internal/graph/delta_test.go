@@ -233,12 +233,6 @@ func TestDeltaApplyIdentity(t *testing.T) {
 	if len(budgets2) != len(budgets) {
 		t.Fatalf("identity budgets length %d", len(budgets2))
 	}
-	if !(Delta{}).Empty() {
-		t.Fatal("zero delta not Empty")
-	}
-	if (Delta{AddNodes: 1}).Empty() {
-		t.Fatal("non-zero delta reported Empty")
-	}
 }
 
 // deltaErrorCases are deltas that Apply must reject against the path 0-1-2

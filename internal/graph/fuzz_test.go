@@ -16,7 +16,7 @@ func FuzzReadEdgeList(f *testing.F) {
 	f.Add("")
 	f.Add("n 5\n4 0\n# x\n\n3 2\n")
 	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ReadEdgeList(strings.NewReader(input))
+		g, _, err := ReadEdgeList(strings.NewReader(input))
 		if err != nil {
 			return
 		}
@@ -27,7 +27,7 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err := WriteEdgeList(&sb, g); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadEdgeList(strings.NewReader(sb.String()))
+		back, _, err := ReadEdgeList(strings.NewReader(sb.String()))
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}

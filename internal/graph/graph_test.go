@@ -203,7 +203,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&sb, g); err != nil {
 		t.Fatal(err)
 	}
-	h, err := ReadEdgeList(strings.NewReader(sb.String()))
+	h, _, err := ReadEdgeList(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +230,13 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"non-numeric point": "n 2\na b\n",
 	}
 	for name, input := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(input)); err == nil {
+		if _, _, err := ReadEdgeList(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: expected parse error for %q", name, input)
 		}
 	}
 	// Edges are validated by FromEdges after the scan; the error still
 	// names the offending edge's source line.
-	if _, err := ReadEdgeList(strings.NewReader("n 3\n0 1\n# c\n1 0\n")); err == nil ||
+	if _, _, err := ReadEdgeList(strings.NewReader("n 3\n0 1\n# c\n1 0\n")); err == nil ||
 		!strings.Contains(err.Error(), "line 4: edge {1,0}: duplicate edge") {
 		t.Errorf("duplicate edge: err = %v, want it to name line 4", err)
 	}
@@ -244,7 +244,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 
 func TestReadEdgeListCommentsAndBlanks(t *testing.T) {
 	in := "# a comment\n\nn 3\n# another\n0 2\n\n1 2\n"
-	g, err := ReadEdgeList(strings.NewReader(in))
+	g, _, err := ReadEdgeList(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
 	}

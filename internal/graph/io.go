@@ -35,24 +35,17 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 }
 
 // HintPrefix is the comment prefix under which edge lists may carry a
-// structure hint ("# hint: grid 8 8"). ReadEdgeList skips it like any
-// other comment; ReadEdgeListHinted surfaces the payload.
+// structure hint ("# hint: grid 8 8").
 const HintPrefix = "# hint:"
 
 // ReadEdgeList parses the format written by WriteEdgeList. Blank lines and
 // lines starting with '#' are ignored. The "n <N>" header must precede all
-// edges.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	g, _, err := ReadEdgeListHinted(r)
-	return g, err
-}
-
-// ReadEdgeListHinted is ReadEdgeList plus the structure hint: when the
-// stream carries a "# hint: <payload>" comment (cmd/graphgen tags its
-// grid/torus/udg families), the trimmed payload of the first such line is
-// returned alongside the graph. The hint is free-form advice for
-// instance.ParseHint — this layer does not interpret it.
-func ReadEdgeListHinted(r io.Reader) (*Graph, string, error) {
+// edges. When the stream carries a "# hint: <payload>" comment
+// (cmd/graphgen tags its grid/torus/udg families), the trimmed payload of
+// the first such line is returned alongside the graph, else "". The hint is
+// free-form advice for instance.ParseHint — this layer does not interpret
+// it.
+func ReadEdgeList(r io.Reader) (*Graph, string, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
 	n := -1

@@ -1,8 +1,10 @@
-// Package par provides the small deterministic-parallelism toolkit the
-// experiment harness uses: data-parallel loops over independent trials with
-// bounded workers. Determinism is preserved by the caller pre-splitting
-// per-trial randomness (rng.Source.SplitN) before fanning out, so results
-// are identical to the sequential execution regardless of scheduling.
+// Package par holds the deterministic-parallelism primitives: ForEach and
+// Map, data-parallel loops over independent tasks with bounded workers
+// (experiment trials, raced solver attempts, concurrent shard solves), and
+// Pool, the serving layer's long-lived job queue. Determinism is preserved
+// by the caller pre-splitting per-task randomness (rng.Source.SplitN)
+// before fanning out, so results are identical to the sequential execution
+// regardless of scheduling.
 package par
 
 import (

@@ -102,15 +102,15 @@ func Build(spec Spec) (*Plan, error) {
 		p.Algorithm = "Algorithm 3 (k-tolerant uniform)"
 		sspec.Name = solver.NameFT
 		in = in.WithK(spec.Tolerance)
-		p.UpperBound = core.KTolerantUpperBound(g, batteries[0], spec.Tolerance)
 	case uniform:
 		p.Algorithm = "Algorithm 1 (uniform)"
 		sspec.Name = solver.NameUniform
-		p.UpperBound = core.UniformUpperBound(g, batteries[0])
 	default:
 		p.Algorithm = "Algorithm 2 (general)"
-		p.UpperBound = core.GeneralUpperBound(g, batteries)
 	}
+	// On each lemma's domain the combined bound equals it: Lemma 4.1 for
+	// uniform batteries, 5.1 for arbitrary ones, 6.1 for k-tolerance.
+	p.UpperBound = core.GeneralKTolerantUpperBound(g, batteries, spec.Tolerance)
 	s, err := solver.Solve(in, sspec,
 		solver.Options{Tries: spec.Retries, Src: src})
 	if err != nil {

@@ -30,8 +30,8 @@ func TestRunFailureAtSlotZero(t *testing.T) {
 	if res.AchievedLifetime != 0 {
 		t.Fatalf("AchievedLifetime = %d, want 0", res.AchievedLifetime)
 	}
-	if !Verify(res) {
-		t.Fatal("result fails Verify")
+	if !verify(res) {
+		t.Fatal("result fails verify")
 	}
 }
 
@@ -63,8 +63,8 @@ func TestRunWholeNetworkCrashPlan(t *testing.T) {
 	if res.AchievedLifetime != 1 {
 		t.Fatalf("AchievedLifetime = %d, want 1 (only slot 0 was covered)", res.AchievedLifetime)
 	}
-	if !Verify(res) {
-		t.Fatal("result fails Verify")
+	if !verify(res) {
+		t.Fatal("result fails verify")
 	}
 }
 
@@ -93,8 +93,8 @@ func TestRunChaosKillsAllNodesMidSchedule(t *testing.T) {
 	if len(res.Coverage) != 4 || res.Coverage[3] != 0 {
 		t.Fatalf("coverage trace %v, want 4 entries ending in 0", res.Coverage)
 	}
-	if !Verify(res) {
-		t.Fatal("result fails Verify")
+	if !verify(res) {
+		t.Fatal("result fails verify")
 	}
 }
 

@@ -22,16 +22,6 @@ type Model struct {
 	TxCost     int // energy per aggregation-tree transmission (charged to the sender)
 }
 
-// DutyEquivalent returns the paper-model duty budget corresponding to a
-// total battery under this model, ignoring sleep and delivery costs:
-// ⌊battery/ActiveCost⌋.
-func (m Model) DutyEquivalent(battery int) int {
-	if m.ActiveCost <= 0 {
-		return battery
-	}
-	return battery / m.ActiveCost
-}
-
 // RealisticResult reports a battery-drain execution.
 type RealisticResult struct {
 	// AchievedLifetime counts the leading slots with full coverage of alive

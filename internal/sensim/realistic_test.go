@@ -107,12 +107,3 @@ func TestRealisticPanicsOnNonsenseModel(t *testing.T) {
 	}()
 	RunRealistic(gen.Path(2), &core.Schedule{}, []int{1, 1}, Model{ActiveCost: 1, SleepCost: 2}, nil)
 }
-
-func TestDutyEquivalent(t *testing.T) {
-	if got := (Model{ActiveCost: 10}).DutyEquivalent(45); got != 4 {
-		t.Fatalf("duty equivalent = %d, want 4", got)
-	}
-	if got := (Model{}).DutyEquivalent(7); got != 7 {
-		t.Fatalf("zero-cost duty equivalent = %d, want 7", got)
-	}
-}

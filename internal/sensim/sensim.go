@@ -184,21 +184,6 @@ func NaiveAllOn(n, b int) *core.Schedule {
 	return &core.Schedule{Phases: []core.Phase{{Set: all, Duration: b}}}
 }
 
-// Verify re-checks a claimed coverage trace against first principles: the
-// achieved lifetime equals the index of the first sub-1 coverage entry (or
-// the trace length). This also holds under the dead-network semantics: the
-// slot in which the network dies is recorded as coverage 0, so it is the
-// first sub-1 entry, matches FirstViolation, and ends the trace. Used by
-// tests as a cross-check on Run's bookkeeping.
-func Verify(res Result) bool {
-	for t, c := range res.Coverage {
-		if c < 1 {
-			return res.AchievedLifetime == t && res.FirstViolation == t
-		}
-	}
-	return res.AchievedLifetime == len(res.Coverage) && res.FirstViolation == -1
-}
-
 // AdversarialPlan returns the cheapest schedule-aware attack within the kill
 // budget: it scans the schedule's phases in order and, at the first phase in
 // which the victim node is served by at most `budget` nodes, kills exactly
@@ -229,34 +214,4 @@ func AdversarialPlan(g *graph.Graph, s *core.Schedule, victim, budget int) energ
 		}
 	}
 	return nil
-}
-
-// ResidualDominationHorizon returns how many additional slots of coverage
-// are information-theoretically possible for the network in its current
-// state: the Lemma 5.1 bound min over alive u of Σ residual budget in
-// N+[u] ∩ alive, divided by k. Dead nodes need no coverage.
-func ResidualDominationHorizon(net *energy.Network, k int) int {
-	if k < 1 {
-		k = 1
-	}
-	g := net.G
-	best := -1
-	for v := 0; v < g.N(); v++ {
-		if !net.Alive[v] {
-			continue
-		}
-		sum := net.Residual[v] // v itself passed the alive guard above
-		for _, u := range g.Neighbors(v) {
-			if net.Alive[u] {
-				sum += net.Residual[u]
-			}
-		}
-		if best == -1 || sum < best {
-			best = sum
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best / k
 }

@@ -9,6 +9,21 @@ import (
 	"repro/internal/rng"
 )
 
+// verify re-checks a claimed coverage trace against first principles: the
+// achieved lifetime equals the index of the first sub-1 coverage entry (or
+// the trace length). This also holds under the dead-network semantics: the
+// slot in which the network dies is recorded as coverage 0, so it is the
+// first sub-1 entry, matches FirstViolation, and ends the trace. The tests
+// use it as a cross-check on Run's bookkeeping.
+func verify(res Result) bool {
+	for t, c := range res.Coverage {
+		if c < 1 {
+			return res.AchievedLifetime == t && res.FirstViolation == t
+		}
+	}
+	return res.AchievedLifetime == len(res.Coverage) && res.FirstViolation == -1
+}
+
 func TestRunPerfectSchedule(t *testing.T) {
 	// P3, b=2: {1}×2 then {0,2}×2 → achieved lifetime 4, no violation.
 	g := gen.Path(3)
@@ -30,7 +45,7 @@ func TestRunPerfectSchedule(t *testing.T) {
 	if res.ReportsDelivered != 4*3 {
 		t.Fatalf("reports = %d, want 12", res.ReportsDelivered)
 	}
-	if !Verify(res) {
+	if !verify(res) {
 		t.Fatal("result fails self-verification")
 	}
 }
@@ -53,7 +68,7 @@ func TestRunDetectsViolation(t *testing.T) {
 	if len(res.Coverage) != 3 {
 		t.Fatalf("coverage trace length %d, want 3 (ran to completion)", len(res.Coverage))
 	}
-	if !Verify(res) {
+	if !verify(res) {
 		t.Fatal("result fails self-verification")
 	}
 }
@@ -177,86 +192,9 @@ func TestEndToEndUniformAlgorithmExecution(t *testing.T) {
 	}
 }
 
-func TestResidualDominationHorizon(t *testing.T) {
-	g := gen.Path(3)
-	net := energy.NewNetwork(g, []int{1, 2, 1})
-	// min closed-neighborhood residual: node 0 → 1+2 = 3; node 2 → 2+1 = 3;
-	// node 1 → 4. Horizon = 3.
-	if h := ResidualDominationHorizon(net, 1); h != 3 {
-		t.Fatalf("horizon = %d, want 3", h)
-	}
-	if h := ResidualDominationHorizon(net, 2); h != 1 {
-		t.Fatalf("k=2 horizon = %d, want 1", h)
-	}
-	net.Kill(0)
-	// Alive nodes 1, 2: node 2's alive closed nbhd = {1,2} → 3.
-	if h := ResidualDominationHorizon(net, 1); h != 3 {
-		t.Fatalf("post-death horizon = %d, want 3", h)
-	}
-	net.Kill(1)
-	net.Kill(2)
-	if h := ResidualDominationHorizon(net, 1); h != 0 {
-		t.Fatalf("all-dead horizon = %d, want 0", h)
-	}
-}
-
-func TestResidualDominationHorizonMatchesBruteForce(t *testing.T) {
-	// Property test: the horizon must equal a from-scratch recomputation of
-	// the Lemma 5.1 bound — min over alive v of the summed residual budget in
-	// N+[v] ∩ alive, divided by k — on random graphs with random budgets and
-	// random dead subsets (including the everyone-dead network).
-	brute := func(net *energy.Network, k int) int {
-		if k < 1 {
-			k = 1
-		}
-		best := -1
-		for v := 0; v < net.G.N(); v++ {
-			if !net.Alive[v] {
-				continue
-			}
-			sum := 0
-			closed := append([]int32{int32(v)}, net.G.Neighbors(v)...)
-			for _, u := range closed {
-				if net.Alive[u] {
-					sum += net.Residual[u]
-				}
-			}
-			if best == -1 || sum < best {
-				best = sum
-			}
-		}
-		if best < 0 {
-			return 0
-		}
-		return best / k
-	}
-	src := rng.New(11)
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + src.Intn(60)
-		g := gen.GNP(n, 0.1, src)
-		b := make([]int, n)
-		for i := range b {
-			b[i] = src.Intn(6)
-		}
-		net := energy.NewNetwork(g, b)
-		// Kill a random subset; the last trials kill everyone.
-		for v := 0; v < n; v++ {
-			if src.Intn(4) == 0 || trial >= 45 {
-				net.Kill(v)
-			}
-		}
-		for k := 1; k <= 3; k++ {
-			want := brute(net, k)
-			if got := ResidualDominationHorizon(net, k); got != want {
-				t.Fatalf("trial %d n=%d k=%d: horizon %d, want %d", trial, n, k, got, want)
-			}
-		}
-	}
-}
-
 func TestAchievedNeverExceedsResidualHorizon(t *testing.T) {
-	// Property: achieved lifetime ≤ initial ResidualDominationHorizon
-	// (Lemma 5.1 in executable form).
+	// Property: achieved lifetime ≤ the Lemma 5.1 bound of the fresh
+	// network, min over u of the budget in N+[u].
 	src := rng.New(3)
 	for trial := 0; trial < 10; trial++ {
 		g := gen.GNP(40, 0.2, src)
@@ -265,7 +203,7 @@ func TestAchievedNeverExceedsResidualHorizon(t *testing.T) {
 			b[i] = 1 + src.Intn(4)
 		}
 		net := energy.NewNetwork(g, b)
-		horizon := ResidualDominationHorizon(net, 1)
+		horizon := core.GeneralUpperBound(g, b)
 		s := mustSolve(t, g, b, "general", 1, 10, rng.New(uint64(100+trial)))
 		res := Run(net, s, Options{K: 1})
 		if res.AchievedLifetime > horizon {

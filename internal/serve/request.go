@@ -19,12 +19,10 @@ import (
 // every name in the internal/solver registry; these aliases of the paper
 // algorithms' registry names are kept for callers of the Go API.
 const (
-	AlgUniform   = solver.NameUniform   // Algorithm 1: uniform batteries
-	AlgGeneral   = solver.NameGeneral   // Algorithm 2: arbitrary batteries
-	AlgFT        = solver.NameFT        // Algorithm 3: uniform batteries, k-tolerant
-	AlgGeneralFT = solver.NameGeneralFT // repo extension: arbitrary batteries, k-tolerant
-	AlgGrid      = solver.NameGrid      // pattern tiling on certified grid/torus instances
-	AlgAuto      = solver.NameAuto      // portfolio: structure detection picks the solver
+	AlgUniform = solver.NameUniform // Algorithm 1: uniform batteries
+	AlgGeneral = solver.NameGeneral // Algorithm 2: arbitrary batteries
+	AlgFT      = solver.NameFT      // Algorithm 3: uniform batteries, k-tolerant
+	AlgAuto    = solver.NameAuto    // portfolio: structure detection picks the solver
 )
 
 // GraphSpec is the wire form of a network graph: a node count and an

@@ -155,10 +155,13 @@ func TestPatchShardedResolvesOneShard(t *testing.T) {
 		t.Fatalf("partition has %d shards; need >= 2", nShards)
 	}
 	victim := -1
-	for v := 0; v < res.ctx.inst.N(); v++ {
-		if len(part.Touched(res.ctx.inst.Graph, []int{v})) == 1 {
-			victim = v
-			break
+	for v := 0; v < res.ctx.inst.N() && victim == -1; v++ {
+		victim = v
+		for _, u := range res.ctx.inst.Graph.Neighbors(v) {
+			if part.Assign[u] != part.Assign[v] {
+				victim = -1
+				break
+			}
 		}
 	}
 	if victim == -1 {

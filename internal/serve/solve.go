@@ -40,10 +40,11 @@ type SolveDefaults struct {
 // <= 1 is the sequential driver. The driver validates the final schedule
 // before returning, so the service never hands out an infeasible one.
 //
-// Race attempts run on a transient per-call pool, never on the service's
-// worker pool: Solve itself executes on a pool worker, and re-submitting
-// the attempts to the same pool would deadlock once every worker blocks
-// waiting for attempts that sit queued behind the blocked workers.
+// Race attempts run on goroutines of their own (solver.Solve's par.ForEach),
+// never on the service's worker pool: Solve itself executes on a pool
+// worker, and re-submitting the attempts to the same pool would deadlock
+// once every worker blocks waiting for attempts that sit queued behind the
+// blocked workers.
 func Solve(inst *instance.Instance, req *Request, width int,
 	defs SolveDefaults, hooks obs.Hooks, cancel func() bool) (*core.Schedule, error) {
 	opt := solver.Options{
@@ -86,10 +87,10 @@ func (c shardCache) Put(key string, sched *core.Schedule) {
 }
 
 // shardOptions assembles the shard.Options of a server-side sharded solve:
-// the per-shard solves run on a transient pool (the job itself occupies a
-// serve worker; see Solve on why re-entering the service pool is off the
-// table), consult the server's compositional cache, and count into the
-// serve.shard_* metrics via the solve/hit events they emit.
+// the per-shard solves run concurrently on goroutines of their own (the job
+// itself occupies a serve worker; see Solve on why re-entering the service
+// pool is off the table), consult the server's compositional cache, and
+// count into the serve.shard_* metrics via the solve/hit events they emit.
 func (s *Server) shardOptions(spec solver.Spec, seed uint64, tries, budget int,
 	deadline time.Time, hooks obs.Hooks, cancel func() bool) shard.Options {
 	return shard.Options{

@@ -220,32 +220,6 @@ func (p *Partition) Rebase(g2 *graph.Graph, mapping []int) *Partition {
 	return assemble(g2, assign, ids, p.Method, p.Seed)
 }
 
-// Touched returns the positions (into p.Shards) of every shard whose local
-// instance the given nodes intersect — owned or halo — in ascending order.
-// g is the graph p partitions; a node sits in the halo of exactly the
-// shards owning one of its neighbors, so the scan is O(Σ deg). Out-of-range
-// IDs are ignored (a delta's added nodes do not exist in the pre-delta
-// partition).
-func (p *Partition) Touched(g *graph.Graph, touched []int) []int {
-	hit := make([]bool, len(p.Shards))
-	for _, v := range touched {
-		if v < 0 || v >= len(p.Assign) {
-			continue
-		}
-		hit[p.Assign[v]] = true
-		for _, u := range g.Neighbors(v) {
-			hit[p.Assign[int(u)]] = true
-		}
-	}
-	var out []int
-	for pos, h := range hit {
-		if h {
-			out = append(out, pos)
-		}
-	}
-	return out
-}
-
 // smallest returns the index of the minimum size, ties to the lower index.
 func smallest(sizes []int) int {
 	best := 0

@@ -3,8 +3,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -20,8 +18,8 @@ import (
 // content-addressed (Key), so implementations never need an invalidation
 // protocol: a shard whose local instance changed simply has a new key, and
 // a stale entry ages out of whatever eviction policy the implementation
-// uses. Implementations must be safe for concurrent use — per-shard solves
-// call Get/Put from pool workers.
+// uses. Implementations must be safe for concurrent use — concurrent
+// per-shard solves call Get/Put from their own goroutines.
 type Cache interface {
 	// Get returns the schedule cached under key, if any. Callers must not
 	// mutate the returned schedule.
@@ -37,21 +35,16 @@ type Options struct {
 	Spec solver.Spec
 	// Solver carries the per-shard driver knobs — Tries, Budget, Deadline,
 	// Cancel, RaceWidth — shared by every shard. Src is ignored: per-shard
-	// sources derive from Seed so cache keys can name them. Pool is
-	// ignored in favor of Options.Pool.
+	// sources derive from Seed so cache keys can name them.
 	Solver solver.Options
 	// Seed is the root seed. Shard i solves with the i-th split child (by
 	// stable Shard.Index), so results are deterministic in (partition,
 	// Seed) and independent of scheduling; the seed is part of every cache
 	// key.
 	Seed uint64
-	// Pool, when non-nil, runs per-shard solves concurrently; shards a
-	// busy pool rejects run inline on the caller, so a sharded solve never
-	// deadlocks on a shared pool. Nil solves sequentially unless
-	// Transient, below.
-	Pool *par.Pool
-	// TransientPool, when true and Pool is nil, spins up a pool sized to
-	// min(GOMAXPROCS, shards) for the duration of the call (the CLI path).
+	// TransientPool, when true, solves the shards concurrently on
+	// min(GOMAXPROCS, shards) goroutines for the duration of the call;
+	// false solves them one after another on the caller.
 	TransientPool bool
 	// Cache, when non-nil, is consulted before and updated after every
 	// per-shard solve.
@@ -97,12 +90,12 @@ func Key(sh *Shard, parent *instance.Instance, opt Options) string {
 	return h.Sum()
 }
 
-// SolveShards solves every shard of p independently — concurrently when a
-// pool is available — and returns the per-shard schedules in partition
-// position order. Shard i's typed instance derives from the parent via
-// instance.Derive: its local subgraph (owned nodes plus halo, so boundary
-// nodes keep full closed neighborhoods) under the local slice of the
-// parent's budgets, inheriting the parent's tolerance and a downgraded
+// SolveShards solves every shard of p independently — concurrently when
+// Options.TransientPool is set — and returns the per-shard schedules in
+// partition position order. Shard i's typed instance derives from the
+// parent via instance.Derive: its local subgraph (owned nodes plus halo, so
+// boundary nodes keep full closed neighborhoods) under the local slice of
+// the parent's budgets, inheriting the parent's tolerance and a downgraded
 // structure hint (a tile of a certified grid re-verifies as a grid in its
 // own right, so per-shard auto dispatch stays honest). Shard i's source is
 // the Index-th split child of the root seed, making the outcome
@@ -150,7 +143,6 @@ func SolveShards(parent *instance.Instance, p *Partition, opt Options) ([]*Shard
 		so := opt.Solver
 		so.Src = children[sh.Index]
 		so.Cancel = cancel
-		so.Pool = opt.Pool
 		so.Hooks = hooks
 		local := sh.LocalBudgets(budgets, nil)
 		s, err := solver.Solve(instance.Derive(parent, sh.Sub, local), opt.Spec, so)
@@ -166,34 +158,12 @@ func SolveShards(parent *instance.Instance, p *Partition, opt Options) ([]*Shard
 		}
 	}
 
-	pool := opt.Pool
-	transient := pool == nil && opt.TransientPool && len(p.Shards) > 1
-	if transient {
-		workers := runtime.GOMAXPROCS(0)
-		if len(p.Shards) < workers {
-			workers = len(p.Shards)
-		}
-		pool = par.NewPool(workers, len(p.Shards))
-		opt.Pool = nil // shard solves parallelize across, not within, shards
-	}
-	if pool == nil {
+	if opt.TransientPool {
+		par.ForEach(len(p.Shards), 0, solveOne)
+	} else {
 		for pos := range p.Shards {
 			solveOne(pos)
 		}
-	} else {
-		var wg sync.WaitGroup
-		for pos := range p.Shards {
-			wg.Add(1)
-			pos := pos
-			task := func() { defer wg.Done(); solveOne(pos) }
-			if !pool.TrySubmit(task) {
-				task()
-			}
-		}
-		wg.Wait()
-	}
-	if transient {
-		pool.Close()
 	}
 
 	// A real error outranks the sibling cancellations it triggered.

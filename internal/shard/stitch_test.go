@@ -224,6 +224,8 @@ func TestSolveShardsDeterministicAndCached(t *testing.T) {
 
 // TestSolveShardsConcurrent runs the pooled path under load; with -race this
 // doubles as the data-race check for the shared hooks/cache/abort state.
+// The race-width case nests the fan-outs: each concurrent shard solve races
+// its own seeded attempts.
 func TestSolveShardsConcurrent(t *testing.T) {
 	src := rng.New(29)
 	g, pts := gen.RandomUDG(200, 12, 2.2, src)
@@ -235,33 +237,45 @@ func TestSolveShardsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := newMapCache()
-	opt := shard.Options{
-		Spec:          solver.Spec{Name: solver.NameGreedy},
-		Seed:          5,
-		TransientPool: true,
-		Cache:         cache,
-	}
 	in := instance.New(g, budgets)
-	par1, err := shard.SolveShards(in, p, opt)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		spec   solver.Spec
+		solver solver.Options
+	}{
+		{"greedy", solver.Spec{Name: solver.NameGreedy}, solver.Options{}},
+		{"uniform-race-width=3", solver.Spec{Name: solver.NameUniform}, solver.Options{Tries: 4, RaceWidth: 3}},
 	}
-	seq, err := shard.SolveShards(in, p, shard.Options{Spec: opt.Spec, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range par1 {
-		if !reflect.DeepEqual(par1[i].Schedule, seq[i].Schedule) {
-			t.Fatalf("shard %d: pooled and sequential solves disagree", par1[i].Shard.Index)
-		}
-	}
-	st, err := shard.Stitch(in, p, par1, obs.Hooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Schedule.Lifetime() == 0 {
-		t.Fatal("stitched lifetime 0")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			opt := shard.Options{
+				Spec:          c.spec,
+				Solver:        c.solver,
+				Seed:          5,
+				TransientPool: true,
+				Cache:         newMapCache(),
+			}
+			par1, err := shard.SolveShards(in, p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq, err := shard.SolveShards(in, p, shard.Options{Spec: c.spec, Solver: c.solver, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range par1 {
+				if !reflect.DeepEqual(par1[i].Schedule, seq[i].Schedule) {
+					t.Fatalf("shard %d: pooled and sequential solves disagree", par1[i].Shard.Index)
+				}
+			}
+			st, err := shard.Stitch(in, p, par1, obs.Hooks{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Schedule.Lifetime() == 0 {
+				t.Fatal("stitched lifetime 0")
+			}
+		})
 	}
 }
 

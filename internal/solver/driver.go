@@ -3,8 +3,6 @@ package solver
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,10 +48,6 @@ type Options struct {
 	// Src seeds the randomized solvers. Nil means a fixed default seed
 	// (rng.New(1)), matching core.Options.
 	Src *rng.Source
-	// Pool, when non-nil, supplies the workers a raced solve runs its
-	// attempts on (the serve worker pool, typically). Nil makes Solve spin
-	// up a transient pool sized to the race width.
-	Pool *par.Pool
 	// RaceWidth is the number of independently seeded attempts Solve races
 	// (rng.SplitN children, deterministic winner). <= 1 runs one
 	// sequential attempt.
@@ -104,7 +98,7 @@ func DeadlinePoll(deadline time.Time) (poll func() bool, stop func()) {
 // effective solver (running the auto portfolio dispatch on the instance's
 // structure when spec.Name is "auto"), validates the instance once, and
 // runs opt.RaceWidth independently seeded attempts (sequentially for
-// width <= 1, concurrently on a pool otherwise), returning a
+// width <= 1, concurrently otherwise), returning a
 // deterministic winner — best lifetime, lowest attempt index breaking
 // ties.
 //
@@ -207,14 +201,10 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 	return best, nil
 }
 
-// race runs opt.RaceWidth solveOne attempts concurrently and returns the
-// deterministic winner. sv is resolved, spec normalized and validated.
-//
-// Attempts run on opt.Pool when given; a full pool is not an error — the
-// attempt runs inline on the calling goroutine instead, so a raced solve
-// never blocks behind foreign work and never deadlocks on a busy shared
-// pool. A fired cancel surfaces as ErrCanceled even when some attempts
-// finished.
+// race runs opt.RaceWidth solveOne attempts concurrently, on up to
+// GOMAXPROCS goroutines, and returns the deterministic winner. sv is
+// resolved, spec normalized and validated. A fired cancel surfaces as
+// ErrCanceled even when some attempts finished.
 func race(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, error) {
 	width := opt.RaceWidth
 	src := opt.Src
@@ -227,37 +217,13 @@ func race(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Sch
 
 	results := make([]*core.Schedule, width)
 	errs := make([]error, width)
-	var wg sync.WaitGroup
-	attempt := func(i int) {
-		defer wg.Done()
+	par.ForEach(width, 0, func(i int) {
 		o := opt
 		o.Src = children[i]
 		o.Hooks = hooks
-		o.Pool = nil
 		o.RaceWidth = 1
 		results[i], errs[i] = solveOne(sv, inst, spec, o)
-	}
-
-	pool := opt.Pool
-	transient := pool == nil
-	if transient {
-		workers := runtime.GOMAXPROCS(0)
-		if width < workers {
-			workers = width
-		}
-		pool = par.NewPool(workers, width)
-	}
-	for i := 0; i < width; i++ {
-		wg.Add(1)
-		i := i
-		if !pool.TrySubmit(func() { attempt(i) }) {
-			attempt(i)
-		}
-	}
-	wg.Wait()
-	if transient {
-		pool.Close()
-	}
+	})
 
 	var firstErr error
 	var best *core.Schedule

@@ -1,7 +1,5 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: summary statistics with confidence intervals, medians,
-// histograms, and least-squares fits (used to check that measured
-// approximation ratios grow like ln n).
+// harness needs: summary statistics with confidence intervals and medians.
 package stats
 
 import (
@@ -68,66 +66,4 @@ func (s Summary) CI95() float64 {
 // String renders "mean ± ci [min, max]".
 func (s Summary) String() string {
 	return fmt.Sprintf("%.3f ± %.3f [%.3f, %.3f]", s.Mean, s.CI95(), s.Min, s.Max)
-}
-
-// Ints converts an int slice to float64 for Summarize.
-func Ints(xs []int) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// LinearFit returns the least-squares slope and intercept of y against x.
-// It panics if the slices differ in length or have fewer than 2 points, and
-// returns slope 0 on degenerate (constant-x) input.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("stats: %d x-values but %d y-values", len(x), len(y)))
-	}
-	if len(x) < 2 {
-		panic("stats: need at least 2 points for a fit")
-	}
-	n := float64(len(x))
-	var sx, sy, sxx, sxy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-		sxx += x[i] * x[i]
-		sxy += x[i] * y[i]
-	}
-	den := n*sxx - sx*sx
-	if den == 0 {
-		return 0, sy / n
-	}
-	slope = (n*sxy - sx*sy) / den
-	intercept = (sy - slope*sx) / n
-	return slope, intercept
-}
-
-// Histogram counts xs into `bins` equal-width buckets spanning [min, max].
-// Values at max land in the last bucket. A constant sample (max == min, so
-// the bucket width is zero) lands entirely in bucket 0: the degenerate range
-// [min, min] collapses to the first bucket, matching where min itself falls
-// in any non-degenerate histogram. It panics for bins < 1 or an empty
-// sample.
-func Histogram(xs []float64, bins int) []int {
-	if bins < 1 {
-		panic("stats: bins must be >= 1")
-	}
-	s := Summarize(xs)
-	counts := make([]int, bins)
-	width := (s.Max - s.Min) / float64(bins)
-	for _, x := range xs {
-		i := 0
-		if width > 0 {
-			i = int((x - s.Min) / width)
-			if i >= bins {
-				i = bins - 1
-			}
-		}
-		counts[i]++
-	}
-	return counts
 }

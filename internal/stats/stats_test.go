@@ -52,76 +52,6 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-func TestInts(t *testing.T) {
-	xs := Ints([]int{1, 2, 3})
-	if len(xs) != 3 || xs[2] != 3.0 {
-		t.Fatalf("Ints = %v", xs)
-	}
-}
-
-func TestLinearFitExact(t *testing.T) {
-	// y = 2x + 1 exactly.
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7}
-	slope, intercept := LinearFit(x, y)
-	if !almost(slope, 2) || !almost(intercept, 1) {
-		t.Fatalf("fit = (%v, %v), want (2, 1)", slope, intercept)
-	}
-}
-
-func TestLinearFitDegenerateX(t *testing.T) {
-	slope, intercept := LinearFit([]float64{2, 2, 2}, []float64{1, 2, 3})
-	if slope != 0 || !almost(intercept, 2) {
-		t.Fatalf("degenerate fit = (%v, %v)", slope, intercept)
-	}
-}
-
-func TestLinearFitPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths did not panic")
-		}
-	}()
-	LinearFit([]float64{1}, []float64{1, 2})
-}
-
-func TestHistogram(t *testing.T) {
-	// Buckets are half-open: 0.5 lands in the second of two [0,1] buckets.
-	h := Histogram([]float64{0, 0.1, 0.5, 0.9, 1.0}, 2)
-	if h[0] != 2 || h[1] != 3 {
-		t.Fatalf("histogram = %v", h)
-	}
-	// x == Max lands in the last bucket, not a phantom bucket past the end.
-	h = Histogram([]float64{0, 1, 2, 3, 4}, 4)
-	if h[3] != 2 {
-		t.Fatalf("x==Max histogram = %v, want counts[3]=2 (3 and 4)", h)
-	}
-}
-
-func TestHistogramConstantSample(t *testing.T) {
-	// Constant sample: the width-0 range [5,5] collapses to bucket 0 —
-	// where min falls in every non-degenerate histogram — not the last
-	// bucket.
-	h := Histogram([]float64{5, 5, 5}, 3)
-	if h[0] != 3 || h[1] != 0 || h[2] != 0 {
-		t.Fatalf("constant histogram = %v, want [3 0 0]", h)
-	}
-	// Single value, single bucket: both rules agree.
-	h = Histogram([]float64{-2}, 1)
-	if h[0] != 1 {
-		t.Fatalf("single-value histogram = %v, want [1]", h)
-	}
-}
-
-func TestHistogramPanicsOnBadBins(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bins=0 did not panic")
-		}
-	}()
-	Histogram([]float64{1}, 0)
-}
-
 func TestSummaryString(t *testing.T) {
 	s := Summarize([]float64{1, 1, 1})
 	if got := s.String(); got != "1.000 ± 0.000 [1.000, 1.000]" {
