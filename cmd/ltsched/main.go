@@ -43,8 +43,8 @@ func main() {
 func run() error {
 	graphPath := flag.String("graph", "-", "edge-list file (\"-\" = stdin)")
 	alg := flag.String("alg", "uniform", "algorithm: "+strings.Join(solver.Names(), "|"))
-	b := flag.Int("b", 3, "uniform battery (uniform, ft, exact)")
-	bmax := flag.Int("bmax", 0, "random batteries in [1, bmax] (general; 0 = uniform b)")
+	b := flag.Int("b", 3, "every node's battery when -bmax is 0")
+	bmax := flag.Int("bmax", 0, "draw each battery from [1, bmax] (0 = every node gets -b; uniform and ft reject unequal batteries)")
 	k := flag.Int("k", 1, "domination tolerance (ft, generalft, baselines)")
 	kConst := flag.Float64("K", 3, "color-range constant")
 	seed := flag.Uint64("seed", 1, "random seed")

@@ -338,9 +338,13 @@ func run() error {
 		fmt.Printf("energy spent: %d units (%d on overlap windows)\n",
 			res.EnergySpent, res.OverlapEnergy)
 	} else if f.healing {
-		res := heal.Run(enet, s, heal.Options{
-			K: f.k, Chaos: plan, Loss: f.loss, Src: src.Split(), Hooks: hooks,
-		})
+		healSrc := src.Split()
+		if f.loss > 0 && plan.Radio == nil {
+			// -loss gives the patch protocol a flat-loss radio unless the
+			// -chaos spec names one.
+			plan.Radio = chaos.FlatLoss(f.loss, healSrc.Split()).Radio
+		}
+		res := heal.Run(enet, s, heal.Options{K: f.k, Chaos: plan, Hooks: hooks})
 		coverage = res.Coverage
 		report(res.Deaths, res.AchievedLifetime, res.FirstViolation)
 		fmt.Printf("healing: %d patch attempts (%d retries), %d slots patched, %d recruits\n",
@@ -350,9 +354,7 @@ func run() error {
 			res.Protocol.Messages, res.Protocol.Rounds, res.Protocol.Dropped)
 		fmt.Printf("energy spent: %d units\n", res.EnergySpent)
 	} else {
-		res := sensim.Run(enet, s, sensim.Options{
-			K: f.k, Inject: plan.Injector().WithHooks(hooks), Hooks: hooks,
-		})
+		res := sensim.Run(enet, s, sensim.Options{K: f.k, Chaos: plan, Hooks: hooks})
 		coverage = res.Coverage
 		report(res.Deaths, res.AchievedLifetime, res.FirstViolation)
 		fmt.Printf("energy spent: %d units; sensor reports delivered: %d\n",

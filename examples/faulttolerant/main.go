@@ -83,7 +83,7 @@ func main() {
 	fmt.Printf("chaos plan: %d crashes, %d battery leaks\n", plan.CrashCount(), len(plan.Leaks))
 
 	netStatic := energy.NewNetwork(g, energy.Uniform(g, b))
-	static := sensim.Run(netStatic, plain, sensim.Options{K: 1, Inject: plan.Injector()})
+	static := sensim.Run(netStatic, plain, sensim.Options{K: 1, Chaos: plan})
 	fmt.Printf("static run:  covered %3d/%3d slots", static.AchievedLifetime, plain.Lifetime())
 	if static.FirstViolation >= 0 {
 		fmt.Printf(" (first hole at slot %d, then runs degraded)", static.FirstViolation)
@@ -91,7 +91,9 @@ func main() {
 	fmt.Println()
 
 	netHeal := energy.NewNetwork(g, energy.Uniform(g, b))
-	healed := heal.Run(netHeal, plain, heal.Options{K: 1, Chaos: plan, Loss: 0.15, Src: src.Split()})
+	healSrc := src.Split()
+	lossy := chaos.Merge(plan, chaos.FlatLoss(0.15, healSrc.Split()))
+	healed := heal.Run(netHeal, plain, heal.Options{K: 1, Chaos: lossy})
 	fmt.Printf("healed run:  covered %3d/%3d slots — %d recruits over %d patches, %d replans, %d degraded slots\n",
 		healed.AchievedLifetime, plain.Lifetime(), healed.Recruited,
 		healed.PatchSuccesses, healed.Replans, healed.DegradedSlots)
@@ -109,7 +111,7 @@ func main() {
 func report(name string, g *graph.Graph, s *core.Schedule, victim, budget, b int) {
 	plan := sensim.AdversarialPlan(g, s, victim, budget)
 	net := energy.NewNetwork(g, energy.Uniform(g, b))
-	res := sensim.Run(net, s, sensim.Options{K: 1, Failures: plan})
+	res := sensim.Run(net, s, sensim.Options{K: 1, Chaos: chaos.Plan{Crashes: plan}})
 	status := "SURVIVED — adversary cannot break it"
 	if res.FirstViolation >= 0 {
 		status = fmt.Sprintf("coverage lost at slot %d", res.FirstViolation)

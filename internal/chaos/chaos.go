@@ -1,7 +1,7 @@
-// Package chaos is the unified fault-injection framework: it generalizes the
-// ad-hoc failure knobs that grew around the simulators (energy.FailurePlan
-// crash lists, distsim's flat radio loss rate) into composable, seeded
-// fault plans that every layer consumes through one description.
+// Package chaos is the unified fault-injection framework: a seeded,
+// composable Plan is the only fault input of the slot runtimes.
+// sensim.Run, heal.Run and reconfig.Simulate each take one, and build their
+// per-slot injectors from it.
 //
 // A Plan bundles three fault classes:
 //
@@ -12,17 +12,18 @@
 //     Gilbert–Elliott loss) for the message-passing layer.
 //
 // Plans are pure descriptions: building one performs no mutation, and the
-// same Plan can drive several executions. The energy/sensor layers consume a
-// Plan through Injector (per-slot application, satisfying sensim.Injector);
-// the message layer consumes Plan.Radio (satisfying distsim.Radio). All
-// randomness flows through rng.Source seeds, so a chaos scenario is exactly
-// reproducible — the property the self-healing experiments (E23) rely on to
-// subject both arms of a comparison to the identical fault sequence.
+// same Plan can drive several executions. The energy/sensor layers apply a
+// Plan's crashes and leaks through Injector, one slot at a time; the message
+// layer consumes Plan.Radio, a distsim.Radio. All randomness flows through
+// rng.Source seeds, so a chaos scenario is exactly reproducible — the
+// property the self-healing experiments (E23) rely on to subject both arms
+// of a comparison to the identical fault sequence.
 package chaos
 
 import (
 	"sort"
 
+	"repro/internal/distsim"
 	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -38,18 +39,11 @@ type Leak struct {
 	Amount int
 }
 
-// Radio is the message-loss model of a plan. It matches distsim.Radio
-// structurally, so a chaos radio plugs straight into distsim.Options.Radio
-// without this package importing the simulator.
-type Radio interface {
-	Drop(from, to, round int) bool
-}
-
 // Plan is a composable, seeded fault plan. The zero value injects nothing.
 type Plan struct {
 	Crashes energy.FailurePlan // time-ordered node crashes
 	Leaks   []Leak             // time-ordered battery-leak spikes
-	Radio   Radio              // message-loss model (nil = reliable medium)
+	Radio   distsim.Radio      // message-loss model (nil = reliable medium)
 }
 
 // Merge combines plans into one: crashes and leaks are concatenated and
@@ -113,20 +107,11 @@ func LeakSpikes(g *graph.Graph, count, maxAmount, horizon int, src *rng.Source) 
 	return Plan{Leaks: leaks}
 }
 
-// FlatLoss returns a plan whose radio drops every delivery independently
-// with probability p — the same model as distsim.FlatRadio, packaged as a
+// FlatLoss returns a plan whose radio is distsim.FlatRadio: it drops every
+// delivery independently with probability p, drawn from src. Packaged as a
 // Plan so it composes with crashes and leaks.
 func FlatLoss(p float64, src *rng.Source) Plan {
-	return Plan{Radio: &flatRadio{p: p, src: src}}
-}
-
-type flatRadio struct {
-	p   float64
-	src *rng.Source
-}
-
-func (r *flatRadio) Drop(from, to, round int) bool {
-	return r.src.Float64() < r.p
+	return Plan{Radio: distsim.FlatRadio(p, src)}
 }
 
 // BurstyLoss returns a plan whose radio follows a per-link Gilbert–Elliott
@@ -158,7 +143,7 @@ type linkState struct {
 	lastRound int
 }
 
-// Drop implements the radio interface. Per-link chains advance lazily: a
+// Drop implements distsim.Radio. Per-link chains advance lazily: a
 // link that was silent for r rounds performs r state transitions on its next
 // delivery, so burst lengths are measured in wall-clock rounds, not in
 // deliveries.
@@ -188,8 +173,8 @@ func (ge *GilbertElliott) Drop(from, to, round int) bool {
 }
 
 // Injector is the stateful per-slot executor of a plan's crash and leak
-// events. It satisfies sensim.Injector. A fresh Injector starts at slot 0;
-// one Injector drives one execution.
+// events. A fresh Injector starts at slot 0; one Injector drives one
+// execution.
 type Injector struct {
 	plan      Plan
 	nextCrash int

@@ -62,9 +62,8 @@ func (s *Stats) Add(o Stats) {
 // order (receivers in increasing node ID, then the receiver's sorted
 // neighbor list), which is what makes lossy executions reproducible.
 //
-// The interface is defined here, but implementations live wherever the
-// fault model does (package chaos provides flat and bursty radios;
-// FlatRadio below covers the common independent-loss case locally).
+// FlatRadio below is the one independent-loss radio; package chaos wraps it
+// as chaos.FlatLoss and adds the bursty Gilbert–Elliott radio.
 type Radio interface {
 	Drop(from, to, round int) bool
 }

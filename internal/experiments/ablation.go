@@ -6,7 +6,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -52,14 +51,14 @@ func runE12(cfg Config) *Table {
 			truncs = append(truncs, sm.trunc)
 			drops = append(drops, sm.drop)
 		}
-		r := stats.Summarize(raws)
-		tr := stats.Summarize(truncs)
-		dr := stats.Summarize(drops)
+		r := mean(raws)
+		tr := mean(truncs)
+		dr := mean(drops)
 		gain := 0.0
-		if tr.Mean > 0 {
-			gain = dr.Mean / tr.Mean
+		if tr > 0 {
+			gain = dr / tr
 		}
-		t.AddRow(f2(k), f2(r.Mean), f2(tr.Mean), f2(dr.Mean), f2(gain))
+		t.AddRow(f2(k), f2(r), f2(tr), f2(dr), f2(gain))
 	}
 	t.Notes = append(t.Notes,
 		"truncation models uncoordinated deployments (stop at first broken class); dropping models a coordinator that skips them",
@@ -112,15 +111,15 @@ func runE13(cfg Config) *Table {
 			lSizes = append(lSizes, sm.lSize)
 			gSizes = append(gSizes, sm.gSize)
 		}
-		l := stats.Summarize(locals)
-		gl := stats.Summarize(globals)
-		ls := stats.Summarize(lSizes)
-		gs := stats.Summarize(gSizes)
+		l := mean(locals)
+		gl := mean(globals)
+		ls := mean(lSizes)
+		gs := mean(gSizes)
 		saving := 0.0
-		if ls.Mean > 0 {
-			saving = gs.Mean / ls.Mean
+		if ls > 0 {
+			saving = gs / ls
 		}
-		t.AddRow(dep.name, f2(l.Mean), f2(gl.Mean), f2(ls.Mean), f2(gs.Mean), f2(saving))
+		t.AddRow(dep.name, f2(l), f2(gl), f2(ls), f2(gs), f2(saving))
 	}
 	t.Notes = append(t.Notes,
 		"both variants sustain the same guaranteed prefix (bounded by the global δ), but the local δ² range",

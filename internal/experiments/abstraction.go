@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/sensim"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -99,10 +98,10 @@ func runE18(cfg Config) *Table {
 			continue
 		}
 		t.AddRow(mc.name, itoa(mc.model.TxCost),
-			f2(stats.Summarize(nominal).Mean),
-			f2(stats.Summarize(achieved).Mean),
-			f2(stats.Summarize(fracs).Mean),
-			f2(stats.Summarize(deaths).Mean))
+			f2(mean(nominal)),
+			f2(mean(achieved)),
+			f2(mean(fracs)),
+			f2(mean(deaths)))
 	}
 	t.Notes = append(t.Notes,
 		"with zero idle drain the duty-budget abstraction is exact: achieved = nominal",

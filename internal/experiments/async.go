@@ -7,7 +7,6 @@ import (
 	"repro/internal/domset"
 	"repro/internal/gen"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -71,10 +70,10 @@ func runE19(cfg Config) *Table {
 			continue
 		}
 		t.AddRow(itoa(spread),
-			f2(stats.Summarize(dom).Mean),
-			f2(stats.Summarize(ratio).Mean),
-			f2(stats.Summarize(stab).Mean),
-			f2(stats.Summarize(beacons).Mean))
+			f2(mean(dom)),
+			f2(mean(ratio)),
+			f2(mean(stab)),
+			f2(mean(beacons)))
 	}
 	t.Notes = append(t.Notes,
 		"simultaneous wake-up (spread 1) is the worst case: everyone self-elects before hearing anyone",

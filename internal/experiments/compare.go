@@ -10,7 +10,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -94,11 +93,11 @@ func runE6(cfg Config) *Table {
 		if len(opts) == 0 {
 			continue
 		}
-		o := stats.Summarize(opts)
-		a := stats.Summarize(algs)
-		t.AddRow(itoa(n), itoa(b), f2(o.Mean), f2(stats.Summarize(lps).Mean),
-			f2(a.Mean), f2(stats.Summarize(greedys).Mean), itoa(b),
-			f2(a.Mean/o.Mean))
+		o := mean(opts)
+		a := mean(algs)
+		t.AddRow(itoa(n), itoa(b), f2(o), f2(mean(lps)),
+			f2(a), f2(mean(greedys)), itoa(b),
+			f2(a/o))
 	}
 	t.Notes = append(t.Notes,
 		"greedy partition × b is the centralized heuristic; Alg1 is distributed yet stays a constant fraction of OPT at these sizes",
@@ -226,14 +225,14 @@ func runE11(cfg Config) *Table {
 		if len(plainSets) == 0 {
 			continue
 		}
-		p := stats.Summarize(plainSets)
-		c := stats.Summarize(cdsSets)
+		p := mean(plainSets)
+		c := mean(cdsSets)
 		cost := math.Inf(1)
-		if c.Mean > 0 {
-			cost = p.Mean / c.Mean
+		if c > 0 {
+			cost = p / c
 		}
-		t.AddRow(itoa(n), "~14 ln n", f2(p.Mean), f2(c.Mean),
-			f2(p.Mean*b), f2(c.Mean*b), f2(cost))
+		t.AddRow(itoa(n), "~14 ln n", f2(p), f2(c),
+			f2(p*b), f2(c*b), f2(cost))
 	}
 	t.Notes = append(t.Notes,
 		"connectivity is a real constraint: each CDS needs Ω(diameter) nodes, so fewer disjoint ones fit",

@@ -276,6 +276,19 @@ func Run(id string, cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// mean is the arithmetic mean of a trial sample, summed in order. It
+// panics on an empty sample: every table row averages at least one trial.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		panic("experiments: mean of an empty sample")
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
 func itoa(v int) string    { return fmt.Sprint(v) }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
 	"strings"
@@ -64,8 +65,79 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !strings.Contains(sb.String(), id+":") {
 				t.Fatalf("rendered table missing id header:\n%s", sb.String())
 			}
+			blankWallClock(tab)
+			sb.Reset()
+			if err := tab.Render(&sb); err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(sb.String()))
+			if got := hex.EncodeToString(sum[:]); got != quickTablePins[id] {
+				t.Errorf("%s quick table sha256 %s, want %s:\n%s", id, got, quickTablePins[id], sb.String())
+			}
 		})
 	}
+}
+
+// quickTablePins holds the SHA-256 of every table rendered at quickCfg(),
+// with wall-clock cells blanked (blankWallClock). A change that moves any
+// table cell fails here.
+var quickTablePins = map[string]string{
+	"E1":  "15e5f0deccfc8f5c3579e1f4611ea6082ad827437487d78276fee33e06e1e6a2",
+	"E2":  "de441e33c597acd420386dbc3bef6087de3aa7dabad0d297cd4352d833e61193",
+	"E3":  "ee3aea225db2e7f587936ff92b4887f87e13f5158c6c8bdd1f5d97e5f5206aef",
+	"E4":  "b12870906ae02de42b3a830fd34ed17cd2900ed6393f9c9e2463f2cc57c2ed64",
+	"E5":  "8aa636886c17424e61226fd3f8c0b7607fdf02d4829b1e69d5cc668addd6ceb1",
+	"E6":  "d88f7e1b19547bb106ea4854a8f38b1a62de82395e34cfb55ca0913c2bf3d541",
+	"E7":  "0b517c812af2a37244699bf5dc014b1ffcb6c608e3a8bad9a65e1d09f268c711",
+	"E8":  "f1a5c2efb2a7338250d726239d2dcc2741ef49f048b77b3e644239ee5d8025d6",
+	"E9":  "2d9ee180fe539e852ffe207cb02a70b2edfe705c077ff23b31faf1636e0ef0f0",
+	"E10": "21dc3dc23b5efedf233f3e1d81286f2f213af5b1909ee716e2ef39bb73e17529",
+	"E11": "fd334d247cbfdc2177e2112592771372cab5164767deebf52a1f65a0fcd0836d",
+	"E12": "6d8c0054dfe06cd5493d96032dfe5aa15ad2d51a2710ae0fb1b1b4afce7c5d64",
+	"E13": "81c3fc1d960ab335bff247849e6709e39c99049c2f819a7bddda98fd38c25033",
+	"E14": "cf5860edda86566eedd443a16aee05bfa887320d0579314df8ed7ee63df45ad6",
+	"E15": "58972bc2c475320e7e0771767ad8d529d331e3d2e27f7d314515ed3fd50eb090",
+	"E16": "02029a03cad67d1e1af5279c2e7c919a3b7c2f5f78d5fc317a79df7551b8def4",
+	"E17": "429c77d89ef5a15b3e684b484c94ade4061f45a6284adb115b7599805040dab8",
+	"E18": "6d754ae4eeffef60001aa507b0b1d4f8c44ff503fd385962146520fbb1e3ada6",
+	"E19": "cdc6370dedd86dd09aa85c735b102189baae216c583b3381b06d290c03b08279",
+	"E20": "3d8420418391035928f3a18059633a444218f6bf66285cbd7434ee1cf4b770ef",
+	"E21": "eedc54262975ea75d23de022a6002b501c8c2c53323fa8931da5020983006ef5",
+	"E22": "14d34a9f2206fce8d7bd1bc486fbb3e42b285a66f03ebc61650882d668e61b35",
+	"E23": "dc48d18ca322c51402572b4ba34056f1594901f57c2da16f604112f97a989e29",
+	"E24": "38152af2f50d736498a22e63700ddcb34c21cd2d88c5d02318db86803a35a121",
+	"E25": "59619cce1a27a8e433b031df15af613e6f2b9def50d92b7c782f899ac7ab2847",
+	"E26": "52f01ed0ed32457ba6b6de94327e6ec321516984d4be6381afa39fe75817cefe",
+}
+
+// blankWallClock empties the cells of E26's "solve ms" column, the one
+// column that measures time and so varies by machine.
+func blankWallClock(tab *Table) {
+	for c, h := range tab.Header {
+		if h != "solve ms" {
+			continue
+		}
+		for _, row := range tab.Rows {
+			row[c] = ""
+		}
+	}
+}
+
+// TestMeanBasics pins the trial average behind every table cell: the
+// in-order sum over the sample size.
+func TestMeanBasics(t *testing.T) {
+	if got := mean([]float64{1, 2, 3, 4, 5}); got != 3 {
+		t.Fatalf("mean(1..5) = %v, want 3", got)
+	}
+}
+
+func TestMeanEmptyPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("mean of an empty sample did not panic")
+		}
+	}()
+	mean(nil)
 }
 
 func TestExperimentsDeterministic(t *testing.T) {

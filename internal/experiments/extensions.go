@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -78,10 +77,10 @@ func runE14(cfg Config) *Table {
 			if len(ratios) == 0 {
 				continue
 			}
-			r := stats.Summarize(ratios)
+			r := mean(ratios)
 			norm := math.Log(float64(bMax) * float64(n))
 			t.AddRow(itoa(n), itoa(bMax), itoa(k),
-				f2(stats.Summarize(lifetimes).Mean), f2(r.Mean), f3(r.Mean/norm))
+				f2(mean(lifetimes)), f2(r), f3(r/norm))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -134,13 +133,13 @@ func runE15(cfg Config) *Table {
 			constrained = append(constrained, sm.constrained)
 			deltas = append(deltas, sm.delta)
 		}
-		p := stats.Summarize(plain)
-		c := stats.Summarize(constrained)
+		p := mean(plain)
+		c := mean(constrained)
 		gain := 0.0
-		if p.Mean > 0 {
-			gain = c.Mean / p.Mean
+		if p > 0 {
+			gain = c / p
 		}
-		t.AddRow(fam.name, f2(stats.Summarize(deltas).Mean), f2(p.Mean), f2(c.Mean), f2(gain))
+		t.AddRow(fam.name, f2(mean(deltas)), f2(p), f2(c), f2(gain))
 	}
 	t.Notes = append(t.Notes,
 		"the scarcity-aware extractor (Slijepčević–Potkonjak style) reserves rare dominators for later sets",

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/domatic"
 	"repro/internal/energy"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sensim"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -71,11 +71,11 @@ func runE5(cfg Config) *Table {
 			if len(ratios) == 0 {
 				continue
 			}
-			r := stats.Summarize(ratios)
+			r := mean(ratios)
 			t.AddRow(reg.name, itoa(g.N()), itoa(g.MinDegree()), itoa(k),
 				itoa(core.KTolerantUpperBound(g, b, k)),
-				f2(stats.Summarize(lifetimes).Mean),
-				f2(r.Mean), f3(r.Mean/math.Log(float64(g.N()))))
+				f2(mean(lifetimes)),
+				f2(r), f3(r/math.Log(float64(g.N()))))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -146,7 +146,7 @@ func runE10(cfg Config) *Table {
 				}
 				plan := sensim.AdversarialPlan(g, s, victim, budget)
 				net := energy.NewNetwork(g, energy.Uniform(g, b))
-				res := sensim.Run(net, s, sensim.Options{K: 1, Failures: plan})
+				res := sensim.Run(net, s, sensim.Options{K: 1, Chaos: chaos.Plan{Crashes: plan}})
 				return sample{
 					frac:     float64(res.AchievedLifetime) / float64(s.Lifetime()),
 					survived: res.FirstViolation == -1,
@@ -169,7 +169,7 @@ func runE10(cfg Config) *Table {
 			}
 			t.AddRow(sched.name, itoa(budget), itoa(len(fracs)),
 				pct(float64(survived)/float64(len(fracs))),
-				f2(stats.Summarize(fracs).Mean))
+				f2(mean(fracs)))
 		}
 	}
 	t.Notes = append(t.Notes,

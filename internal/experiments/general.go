@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -73,12 +72,12 @@ func runE4(cfg Config) *Table {
 			if len(ratios) == 0 {
 				continue
 			}
-			r := stats.Summarize(ratios)
+			r := mean(ratios)
 			norm := math.Log(float64(bMax) * float64(n))
 			t.AddRow(itoa(n), itoa(bMax),
-				f2(stats.Summarize(ubs).Mean),
-				f2(stats.Summarize(lifetimes).Mean),
-				f2(r.Mean), f3(r.Mean/norm))
+				f2(mean(ubs)),
+				f2(mean(lifetimes)),
+				f2(r), f3(r/norm))
 		}
 	}
 	t.Notes = append(t.Notes,

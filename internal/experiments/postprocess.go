@@ -9,7 +9,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sched"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -84,11 +83,11 @@ func runE17(cfg Config) *Table {
 		if len(raw) == 0 {
 			continue
 		}
-		r := stats.Summarize(raw)
-		sq := stats.Summarize(squeezed)
-		ub := stats.Summarize(ubs)
-		t.AddRow(v.name, f2(r.Mean), f2(sq.Mean), f2(ub.Mean),
-			f2(r.Mean/ub.Mean), f2(sq.Mean/ub.Mean))
+		r := mean(raw)
+		sq := mean(squeezed)
+		ub := mean(ubs)
+		t.AddRow(v.name, f2(r), f2(sq), f2(ub),
+			f2(r/ub), f2(sq/ub))
 	}
 	t.Notes = append(t.Notes,
 		"Squeeze = prune each phase to a minimal dominating set, then greedily extract further sets from residual budget",

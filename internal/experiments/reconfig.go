@@ -10,7 +10,6 @@ import (
 	"repro/internal/reconfig"
 	"repro/internal/rng"
 	"repro/internal/sched"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -136,11 +135,11 @@ func runE24(cfg Config) *Table {
 		}
 		t.AddRow(a.name,
 			itoa(horizon),
-			f2(stats.Summarize(achieved).Mean),
-			f2(stats.Summarize(covered).Mean),
+			f2(mean(achieved)),
+			f2(mean(covered)),
 			itoa(reconfigs/got), itoa(degraded/got),
 			itoa(overlapEnergy/got), itoa(energy/got),
-			f2(stats.Summarize(deaths).Mean))
+			f2(mean(deaths)))
 	}
 	t.Notes = append(t.Notes,
 		"all arms replay the identical churn script: node replacements + battery swaps at the nominal schedule's quarter points (later events only fire while a schedule is still running), plus seeded crashes",

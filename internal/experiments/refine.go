@@ -9,7 +9,6 @@ import (
 	"repro/internal/instance"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -115,9 +114,9 @@ func runE25(cfg Config) *Table {
 			if len(vals) == 0 {
 				continue
 			}
-			mean := stats.Summarize(vals).Mean
+			avg := mean(vals)
 			if a.label == "greedy" {
-				greedyMean = mean
+				greedyMean = avg
 			}
 			budgetCell := "-"
 			if a.budget > 0 {
@@ -125,9 +124,9 @@ func runE25(cfg Config) *Table {
 			}
 			ratio := "-"
 			if greedyMean > 0 {
-				ratio = f2(mean / greedyMean)
+				ratio = f2(avg / greedyMean)
 			}
-			t.AddRow(fam.name, a.label, budgetCell, f2(mean), ratio)
+			t.AddRow(fam.name, a.label, budgetCell, f2(avg), ratio)
 		}
 	}
 	t.Notes = append(t.Notes,

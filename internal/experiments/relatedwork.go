@@ -8,7 +8,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -115,10 +114,10 @@ func runE16(cfg Config) *Table {
 				continue
 			}
 			t.AddRow(fam.name, itoa(n),
-				f2(stats.Summarize(central).Mean),
-				f2(stats.Summarize(dist).Mean)+" / "+f2(stats.Summarize(dr).Mean),
-				f2(stats.Summarize(mis).Mean)+" / "+f2(stats.Summarize(mr).Mean),
-				f2(stats.Summarize(lp).Mean)+" / "+f2(stats.Summarize(lr).Mean))
+				f2(mean(central)),
+				f2(mean(dist))+" / "+f2(mean(dr)),
+				f2(mean(mis))+" / "+f2(mean(mr)),
+				f2(mean(lp))+" / "+f2(mean(lr)))
 		}
 	}
 	t.Notes = append(t.Notes,

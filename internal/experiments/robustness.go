@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -74,10 +73,10 @@ func runE20(cfg Config) *Table {
 		if len(opts) == 0 {
 			continue
 		}
-		o := stats.Summarize(opts)
-		a := stats.Summarize(algs)
-		t.AddRow(itoa(n), itoa(k), f2(o.Mean), f2(stats.Summarize(bounds).Mean),
-			f2(a.Mean), f2(a.Mean/o.Mean))
+		o := mean(opts)
+		a := mean(algs)
+		t.AddRow(itoa(n), itoa(k), f2(o), f2(mean(bounds)),
+			f2(a), f2(a/o))
 	}
 	t.Notes = append(t.Notes,
 		"exact optimum from minimal k-dominating set enumeration + branch and bound",
@@ -109,7 +108,7 @@ func runE21(cfg Config) *Table {
 			s := distsim.UniformSchedule(nodes, b).TruncateInvalid(g, 1)
 			return float64(s.Lifetime()) / float64(b)
 		})
-		return stats.Summarize(vals).Mean
+		return mean(vals)
 	}()
 	for _, loss := range []float64{0, 0.05, 0.2, 0.5} {
 		srcs := root.SplitN(cfg.trials())
@@ -141,12 +140,12 @@ func runE21(cfg Config) *Table {
 		if len(prefixes) == 0 {
 			continue
 		}
-		p := stats.Summarize(prefixes)
+		p := mean(prefixes)
 		rel := 0.0
 		if baselinePrefix > 0 {
-			rel = p.Mean / baselinePrefix
+			rel = p / baselinePrefix
 		}
-		t.AddRow(pct(loss), f2(p.Mean), f2(rel), f2(stats.Summarize(dropped).Mean))
+		t.AddRow(pct(loss), f2(p), f2(rel), f2(mean(dropped)))
 	}
 	t.Notes = append(t.Notes,
 		"losing a degree message can only *raise* a node's estimate of δ²_v, widening its color range —",

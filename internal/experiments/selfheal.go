@@ -12,7 +12,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sensim"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -77,7 +76,7 @@ func runE23(cfg Config) *Table {
 				return sample{}
 			}
 			net := energy.NewNetwork(g, energy.Uniform(g, b))
-			res := sensim.Run(net, s, sensim.Options{K: 1, Inject: buildPlan(src, horizon).Injector()})
+			res := sensim.Run(net, s, sensim.Options{K: 1, Chaos: buildPlan(src, horizon)})
 			return sample{
 				nominal: s.Lifetime(), achieved: res.AchievedLifetime,
 				covered: coveredSlots(res.Coverage), deaths: res.Deaths, ok: true,
@@ -97,7 +96,7 @@ func runE23(cfg Config) *Table {
 			}
 			plan := chaos.Merge(buildPlan(src, horizon), chaos.FlatLoss(0.15, src.Split()))
 			net := energy.NewNetwork(g, energy.Uniform(g, b))
-			res := heal.Run(net, plain, heal.Options{K: 1, Chaos: plan, Src: src.Split()})
+			res := heal.Run(net, plain, heal.Options{K: 1, Chaos: plan})
 			return sample{
 				nominal: plain.Lifetime(), achieved: res.AchievedLifetime,
 				covered: coveredSlots(res.Coverage), deaths: res.Deaths,
@@ -134,10 +133,10 @@ func runE23(cfg Config) *Table {
 			continue
 		}
 		t.AddRow(a.name,
-			f2(stats.Summarize(nominal).Mean),
-			f2(stats.Summarize(achieved).Mean),
-			f2(stats.Summarize(covered).Mean),
-			f2(stats.Summarize(deaths).Mean),
+			f2(mean(nominal)),
+			f2(mean(achieved)),
+			f2(mean(covered)),
+			f2(mean(deaths)),
 			itoa(recruits/got), itoa(replans/got), itoa(msgs/got), itoa(degraded/got))
 	}
 	t.Notes = append(t.Notes,

@@ -14,7 +14,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -140,13 +139,13 @@ func runE26(cfg Config) *Table {
 		if len(lifetimes) == 0 {
 			continue
 		}
-		mean := stats.Summarize(lifetimes).Mean
+		avg := mean(lifetimes)
 		if a.partitioner == "" {
-			wholeMean = mean
+			wholeMean = avg
 		}
 		ratio := "-"
 		if a.partitioner != "" && wholeMean > 0 {
-			ratio = pct(mean / wholeMean)
+			ratio = pct(avg / wholeMean)
 		}
 		// One sequential timed pass per arm on the trial-0 instance. The
 		// trial averages above run concurrently (mapTrials), so timing them
@@ -158,8 +157,8 @@ func runE26(cfg Config) *Table {
 		runArm(a, g0, pts0, budgets0, seed0)
 		ms := float64(time.Since(start).Microseconds()) / 1000
 
-		t.AddRow(id, itoa(a.shards), f2(mean), ratio,
-			f2(stats.Summarize(repairs).Mean), f2(stats.Summarize(replans).Mean), f2(ms))
+		t.AddRow(id, itoa(a.shards), f2(avg), ratio,
+			f2(mean(repairs)), f2(mean(replans)), f2(ms))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("n = %d, uniform battery %d, UDG radius 2·sqrt(ln n / n); greedy recruitment in every arm.", n, b),

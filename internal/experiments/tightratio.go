@@ -7,7 +7,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -72,12 +71,12 @@ func runE22(cfg Config) *Table {
 			continue
 		}
 		t.AddRow(itoa(n),
-			f2(stats.Summarize(lpOpts).Mean),
-			f2(stats.Summarize(lpOpts).Mean*stats.Summarize(boundR).Mean),
-			f2(stats.Summarize(boundR).Mean),
-			f2(stats.Summarize(algR).Mean),
-			f2(stats.Summarize(greedyR).Mean),
-			f2(stats.Summarize(iters).Mean))
+			f2(mean(lpOpts)),
+			f2(mean(lpOpts)*mean(boundR)),
+			f2(mean(boundR)),
+			f2(mean(algR)),
+			f2(mean(greedyR)),
+			f2(mean(iters)))
 	}
 	t.Notes = append(t.Notes,
 		"the LP optimum (column generation, certified by pricing) is the true continuous-time optimum;",

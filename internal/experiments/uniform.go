@@ -9,7 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/rng"
 	"repro/internal/solver"
-	"repro/internal/stats"
 )
 
 func init() {
@@ -113,11 +112,11 @@ func runE2(cfg Config) *Table {
 			if len(ratios) == 0 {
 				continue
 			}
-			r := stats.Summarize(ratios)
-			l := stats.Summarize(lifetimes)
-			d := stats.Summarize(deltas)
-			t.AddRow(fam.name, itoa(n), f2(d.Mean), f2(float64(b)*(d.Mean+1)),
-				f2(l.Mean), f2(r.Mean), f3(r.Mean/math.Log(float64(n))))
+			r := mean(ratios)
+			l := mean(lifetimes)
+			d := mean(deltas)
+			t.AddRow(fam.name, itoa(n), f2(d), f2(float64(b)*(d+1)),
+				f2(l), f2(r), f3(r/math.Log(float64(n))))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -168,8 +167,8 @@ func runE3(cfg Config) *Table {
 			}
 			t.AddRow(itoa(n), f2(k), itoa(guaranteed),
 				pct(float64(success)/float64(trials)),
-				f2(stats.Summarize(prefixes).Mean),
-				f2(stats.Summarize(raws).Mean))
+				f2(mean(prefixes)),
+				f2(mean(raws)))
 		}
 	}
 	t.Notes = append(t.Notes,

@@ -369,14 +369,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// AverageDegree returns 2M/N, or 0 for the empty graph.
-func (g *Graph) AverageDegree() float64 {
-	if len(g.adj) == 0 {
-		return 0
-	}
-	return 2 * float64(g.m) / float64(len(g.adj))
-}
-
 // String returns a short human-readable summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{n=%d m=%d δ=%d Δ=%d}", g.N(), g.M(), g.MinDegree(), g.MaxDegree())

@@ -77,9 +77,6 @@ func TestDegreeStats(t *testing.T) {
 	if g.MinDegree() != 1 || g.MaxDegree() != 2 {
 		t.Errorf("δ=%d Δ=%d, want 1, 2", g.MinDegree(), g.MaxDegree())
 	}
-	if avg := g.AverageDegree(); avg != 1.5 {
-		t.Errorf("avg degree = %v, want 1.5", avg)
-	}
 }
 
 func TestTwoHopMinDegree(t *testing.T) {
@@ -304,12 +301,6 @@ func TestNewNegativePanics(t *testing.T) {
 		}
 	}()
 	New(-1)
-}
-
-func TestAverageDegreeEmpty(t *testing.T) {
-	if New(0).AverageDegree() != 0 {
-		t.Fatal("empty graph average degree non-zero")
-	}
 }
 
 func TestOutOfRangePanics(t *testing.T) {

@@ -33,39 +33,20 @@ import (
 	"repro/internal/domset"
 	"repro/internal/energy"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/sched"
 )
 
 // Options configures a self-healing execution. It follows the canonical
-// shape documented in package obs: the knobs it shares with sensim.Options
-// and distsim.Options carry the same names (K, MaxSlots, Radio, Src), and
-// the embedded obs.Hooks carries the tracing sinks.
+// shape documented in package obs, shared with sensim.Options: the
+// tolerance K, the fault plan Chaos, and the embedded obs.Hooks carrying
+// the tracing sinks.
 type Options struct {
 	// K is the required domination tolerance per slot (>= 1; 0 means 1).
 	K int
 	// Chaos is the fault plan injected during execution (zero value = none).
-	// Its Radio, when set, also degrades the patch protocol's messages.
+	// Its Radio, when set, is the patch protocol's medium; nil is a
+	// reliable one.
 	Chaos chaos.Plan
-	// Radio, when non-nil, is the patch-protocol medium and takes
-	// precedence over Chaos.Radio and Loss; aligned with
-	// distsim.Options.Radio.
-	Radio distsim.Radio
-	// Loss is a flat patch-radio loss probability used when neither Radio
-	// nor Chaos.Radio is set.
-	Loss float64
-	// PatchAttempts bounds the recruitment retries per slot (0 means 3).
-	// Attempt a rebroadcasts every protocol message 2^a times.
-	PatchAttempts int
-	// ReplanAfter is the number of consecutive patch-failure slots that
-	// triggers centralized re-planning (0 means 2).
-	ReplanAfter int
-	// MaxSlots caps the execution (0 means schedule lifetime plus total
-	// residual budget — enough for any replan to play out); aligned with
-	// sensim.Options.MaxSlots.
-	MaxSlots int
-	// Src seeds the patch radio fallback (nil = fixed seed).
-	Src *rng.Source
 	// Hooks carries the observability sinks (obs.Hooks; the promoted Trace
 	// field receives slot, crash/leak, patch, recruit, replan, degraded,
 	// and protocol round events). The zero value is the no-op default: the
@@ -73,24 +54,14 @@ type Options struct {
 	obs.Hooks
 }
 
-func (o Options) normalize(net *energy.Network, s *core.Schedule) Options {
-	if o.K < 1 {
-		o.K = 1
-	}
-	if o.PatchAttempts <= 0 {
-		o.PatchAttempts = 3
-	}
-	if o.ReplanAfter <= 0 {
-		o.ReplanAfter = 2
-	}
-	if o.MaxSlots <= 0 {
-		o.MaxSlots = s.Lifetime() + net.TotalResidual() + 1
-	}
-	if o.Src == nil {
-		o.Src = rng.New(1)
-	}
-	return o
-}
+const (
+	// patchAttempts bounds the recruitment retries per slot. Attempt a
+	// rebroadcasts every protocol message 2^a times.
+	patchAttempts = 3
+	// replanAfter is the number of consecutive patch-failure slots that
+	// triggers centralized re-planning.
+	replanAfter = 2
+)
 
 // Result summarizes a self-healing execution. The coverage bookkeeping
 // matches sensim.Result so the two runtimes are directly comparable.
@@ -133,11 +104,15 @@ type Result struct {
 // violations (degraded slots) until the plan and the replanner are both
 // exhausted.
 func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
-	opt = opt.normalize(net, s)
+	if opt.K < 1 {
+		opt.K = 1
+	}
 	res := Result{ScheduleLifetime: s.Lifetime(), FirstViolation: -1}
 	g := net.G
+	// Enough slots for any replan over the residual budgets to play out.
+	maxSlots := s.Lifetime() + net.TotalResidual() + 1
 
-	radio := patchRadio(opt)
+	radio := opt.Chaos.Radio
 	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
 	sess := domset.NewSession(g)
 	uncovBuf := make([]int, 0, g.N())
@@ -149,7 +124,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 	lastPhase := -1
 
 	opt.Emit(obs.RunStart("heal", g.N()))
-	for t := 0; t < opt.MaxSlots; t++ {
+	for t := 0; t < maxSlots; t++ {
 		opt.Emit(obs.SlotStart(t))
 		res.Deaths += inject.Inject(net, t)
 
@@ -197,7 +172,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 
 		// Rung 1: local patching with exponential backoff.
 		if len(uncovered) > 0 {
-			for attempt := 0; attempt < opt.PatchAttempts && len(uncovered) > 0; attempt++ {
+			for attempt := 0; attempt < patchAttempts && len(uncovered) > 0; attempt++ {
 				res.PatchAttempts++
 				if attempt > 0 {
 					res.Retries++
@@ -234,7 +209,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 		// Rung 2: centralized re-planning over residual budgets.
 		if len(uncovered) > 0 {
 			failStreak++
-			if failStreak >= opt.ReplanAfter {
+			if failStreak >= replanAfter {
 				failStreak = 0
 				next := sched.Replan(g, net.Residual, opt.K, net.Alive)
 				if next.Lifetime() > 0 {
@@ -337,20 +312,4 @@ func serviceable(net *energy.Network, phaseSet []int, recruits map[int]bool) []i
 	}
 	sort.Ints(out)
 	return out
-}
-
-// patchRadio picks the radio degrading the recruitment protocol: the
-// explicit Options.Radio when set, else the chaos plan's radio, else a
-// flat-loss radio for Options.Loss > 0, else a reliable medium.
-func patchRadio(opt Options) distsim.Radio {
-	if opt.Radio != nil {
-		return opt.Radio
-	}
-	if opt.Chaos.Radio != nil {
-		return opt.Chaos.Radio
-	}
-	if opt.Loss > 0 {
-		return chaos.FlatLoss(opt.Loss, opt.Src.Split()).Radio
-	}
-	return nil
 }

@@ -86,7 +86,7 @@ func TestPatchRetriesUnderLossyRadio(t *testing.T) {
 		chaos.Plan{Crashes: energy.FailurePlan{{Time: 1, Node: 0}}},
 		chaos.FlatLoss(0.7, rng.New(12)),
 	)
-	res := Run(net, s, Options{K: 1, Chaos: plan, PatchAttempts: 5, Src: rng.New(3)})
+	res := Run(net, s, Options{K: 1, Chaos: plan})
 	if res.Protocol.Dropped == 0 {
 		t.Fatal("lossy radio dropped nothing — the patch protocol did not run under it")
 	}
@@ -100,10 +100,10 @@ func TestPatchRetriesUnderLossyRadio(t *testing.T) {
 
 func TestEscalatesToCentralReplan(t *testing.T) {
 	// Path 0-1-2, node 1 serves. A battery leak empties node 1 at slot 2
-	// while the radio blacks out every patch message; node 2 can still
-	// self-recruit (local decision), but node 0 stays uncovered, so the
-	// runtime must escalate to a centralized replan over residual budgets,
-	// which schedules {0, 2} and keeps the network covered.
+	// while the radio blacks out every patch message; nodes 0 and 2 still
+	// self-recruit (local decisions), so the patch holds until the schedule
+	// ends. Then the runtime replans over residual budgets, which schedules
+	// {0, 2} and keeps the network covered.
 	g := gen.Path(3)
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{1}, Duration: 4}}}
 	net := energy.NewNetwork(g, []int{3, 4, 5})
@@ -111,7 +111,7 @@ func TestEscalatesToCentralReplan(t *testing.T) {
 		Leaks: []chaos.Leak{{Time: 2, Node: 1, Amount: 99}},
 		Radio: blackoutRadio{},
 	}
-	res := Run(net, s, Options{K: 1, Chaos: plan, ReplanAfter: 1})
+	res := Run(net, s, Options{K: 1, Chaos: plan})
 	if res.Replans == 0 {
 		t.Fatalf("no replan escalation recorded: %+v", res)
 	}
@@ -125,6 +125,43 @@ func TestEscalatesToCentralReplan(t *testing.T) {
 	}
 	if res.DegradedSlots != 0 {
 		t.Fatalf("DegradedSlots = %d, want 0", res.DegradedSlots)
+	}
+}
+
+func TestReplanAfterTwoFailedPatchSlots(t *testing.T) {
+	// Edges 0-1, 1-2, 0-3; {2, 3} serves. Node 3 crashes at slot 2, leaving
+	// node 0 uncovered. Node 0 has no battery to self-recruit, and the
+	// blackout radio keeps its plea from node 1, the idle neighbor that
+	// could serve. Each slot spends all three patch attempts; slot 2 runs
+	// degraded, and the second failed slot (3) escalates to a replan over
+	// residual budgets, which covers node 0 through node 1 in that slot.
+	g := graph.NewFromEdges(4, [][2]int{{0, 1}, {1, 2}, {0, 3}})
+	s := &core.Schedule{Phases: []core.Phase{{Set: []int{2, 3}, Duration: 4}}}
+	net := energy.NewNetwork(g, []int{0, 5, 5, 4})
+	plan := chaos.Plan{
+		Crashes: energy.FailurePlan{{Time: 2, Node: 3}},
+		Radio:   blackoutRadio{},
+	}
+	mem := &obs.Memory{}
+	res := Run(net, s, Options{K: 1, Chaos: plan, Hooks: obs.Hooks{Trace: mem}})
+	if res.PatchAttempts != 6 || res.PatchSuccesses != 0 {
+		t.Fatalf("patch attempts %d, successes %d; want 3 failed attempts in each of slots 2 and 3",
+			res.PatchAttempts, res.PatchSuccesses)
+	}
+	var replanAt []int
+	for _, e := range mem.Events {
+		if e.Type == obs.EvReplan {
+			replanAt = append(replanAt, e.T)
+		}
+	}
+	if len(replanAt) != 1 || replanAt[0] != 3 || res.Replans != 1 {
+		t.Fatalf("replans at slots %v (count %d), want one at slot 3", replanAt, res.Replans)
+	}
+	if res.DegradedSlots != 1 || res.FirstViolation != 2 {
+		t.Fatalf("degraded %d, first violation %d; want slot 2 alone degraded", res.DegradedSlots, res.FirstViolation)
+	}
+	if len(res.Coverage) < 4 || res.Coverage[3] != 1 {
+		t.Fatalf("coverage %v: the replan must cover slot 3", res.Coverage)
 	}
 }
 
@@ -200,7 +237,7 @@ func TestHealingBeatsStaticAcceptance(t *testing.T) {
 	}
 
 	netStatic := energy.NewNetwork(g, energy.Uniform(g, b))
-	static := sensim.Run(netStatic, s, sensim.Options{K: 1, Inject: plan.Injector()})
+	static := sensim.Run(netStatic, s, sensim.Options{K: 1, Chaos: plan})
 
 	netHeal := energy.NewNetwork(g, energy.Uniform(g, b))
 	healed := Run(netHeal, s, Options{K: 1, Chaos: plan})
@@ -230,7 +267,7 @@ func TestHealDeterministic(t *testing.T) {
 			chaos.Crashes(g, 8, 10, rng.New(17)),
 			chaos.FlatLoss(0.3, rng.New(23)),
 		)
-		return Run(net, s, Options{K: 1, Chaos: plan, Src: rng.New(31)})
+		return Run(net, s, Options{K: 1, Chaos: plan})
 	}
 	a, b2 := run(), run()
 	if a.AchievedLifetime != b2.AchievedLifetime || a.Protocol != b2.Protocol ||
@@ -241,15 +278,15 @@ func TestHealDeterministic(t *testing.T) {
 
 func TestHealTerminatesUnderTotalLoss(t *testing.T) {
 	// Degradation edge: the sole server crashes immediately, the patch radio
-	// loses every message (Loss = 1), and no survivor has budget to serve —
+	// loses every message, and no survivor has budget to serve —
 	// every rung of the ladder fails. Run must terminate with a reported
 	// violation instead of panicking or spinning on retries.
 	g := gen.Path(2)
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{0}, Duration: 4}}}
 	net := energy.NewNetwork(g, []int{4, 0})
-	plan := chaos.Plan{Crashes: energy.FailurePlan{{Time: 0, Node: 0}}}
+	plan := chaos.Plan{Crashes: energy.FailurePlan{{Time: 0, Node: 0}}, Radio: blackoutRadio{}}
 	done := make(chan Result, 1)
-	go func() { done <- Run(net, s, Options{K: 1, Chaos: plan, Loss: 1.0, Src: rng.New(3)}) }()
+	go func() { done <- Run(net, s, Options{K: 1, Chaos: plan}) }()
 	var res Result
 	select {
 	case res = <-done:

@@ -6,46 +6,35 @@ import (
 
 // Classify runs the structure-detection pass over g: grid and torus
 // recognition by degree-sequence gating plus an explicit coordinate
-// embedding that is verified edge-for-edge, tree detection, and the
-// degree/density/degeneracy statistics. hint (possibly zero) only orders
-// the embedding trials — a wrong hint cannot produce a wrong Class,
-// because every positive classification is certified by full adjacency
-// verification. Cost is O(n + m) for the gates and statistics and
+// embedding that is verified edge-for-edge, and tree detection. hint
+// (possibly zero) only orders the embedding trials — a wrong hint cannot
+// produce a wrong Class, because every positive classification is certified
+// by full adjacency verification. Cost is O(n + m) for the gates and
 // O(n + m) per embedding trial, with a constant number of trials.
 func Classify(g *graph.Graph, hint Hint) *Meta {
 	n := g.N()
-	m := &Meta{
-		MinDeg: g.MinDegree(),
-		MaxDeg: g.MaxDegree(),
-		AvgDeg: g.AverageDegree(),
-		UDG:    hint.Family == "udg",
-	}
-	comps := componentCount(g)
-	m.Connected = comps <= 1
-	if n > 1 {
-		m.Density = float64(2*g.M()) / float64(n*(n-1))
-	}
-	m.Degeneracy = degeneracy(g)
-	m.Acyclic = g.M() == n-comps
+	m := &Meta{UDG: hint.Family == "udg"}
+	connected := componentCount(g) <= 1
 
-	if rows, cols, coords := detectGrid(g, hint, m.Connected); coords != nil {
+	if rows, cols, coords := detectGrid(g, hint, connected); coords != nil {
 		m.Class, m.Rows, m.Cols, m.Coords = Grid, rows, cols, coords
 		return m
 	}
-	if rows, cols, coords := detectTorus(g, hint, m.Connected); coords != nil {
+	if rows, cols, coords := detectTorus(g, hint, connected); coords != nil {
 		m.Class, m.Rows, m.Cols, m.Coords = Torus, rows, cols, coords
 		return m
 	}
-	if m.Connected && m.Acyclic && n > 0 {
+	// A connected graph with n - 1 edges is a tree.
+	if connected && n > 0 && g.M() == n-1 {
 		m.Class = Tree
 	}
 	return m
 }
 
 // componentCount counts connected components with one unsorted BFS sweep —
-// Classify needs only the count (connectivity, the acyclicity identity
-// m == n - components), never the component contents, so the per-component
-// slices and sorting of graph.Components would be pure overhead here.
+// Classify needs only the count (connectivity), never the component
+// contents, so the per-component slices and sorting of graph.Components
+// would be pure overhead here.
 func componentCount(g *graph.Graph) int {
 	n := g.N()
 	seen := make([]bool, n)
@@ -68,67 +57,6 @@ func componentCount(g *graph.Graph) int {
 		}
 	}
 	return comps
-}
-
-// degeneracy computes the graph degeneracy by the standard linear-time
-// peeling: repeatedly remove a minimum-degree node; the answer is the
-// largest degree seen at removal time. The implementation is the
-// Batagelj–Zaveršnik array form: nodes counting-sorted by degree into vert,
-// with bin[d] the start of the degree-d block, so each peel is an O(1) swap
-// instead of a bucket append (no churn, no stale entries).
-func degeneracy(g *graph.Graph) int {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
-	deg := make([]int, n)
-	maxDeg := 0
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(v)
-		if deg[v] > maxDeg {
-			maxDeg = deg[v]
-		}
-	}
-	bin := make([]int, maxDeg+1)
-	for _, d := range deg {
-		bin[d]++
-	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		bin[d], start = start, start+bin[d]
-	}
-	vert := make([]int, n)
-	pos := make([]int, n)
-	next := append([]int(nil), bin...)
-	for v := 0; v < n; v++ {
-		p := next[deg[v]]
-		next[deg[v]]++
-		vert[p], pos[v] = v, p
-	}
-	k := 0
-	for i := 0; i < n; i++ {
-		v := vert[i]
-		if deg[v] > k {
-			k = deg[v]
-		}
-		for _, w32 := range g.Neighbors(v) {
-			w := int(w32)
-			if deg[w] > deg[v] {
-				// Swap w to the front of its degree block, advance the
-				// block start past it, and drop its degree by one.
-				dw, pw := deg[w], pos[w]
-				ps := bin[dw]
-				u := vert[ps]
-				if u != w {
-					vert[ps], vert[pw] = w, u
-					pos[w], pos[u] = ps, pw
-				}
-				bin[dw]++
-				deg[w]--
-			}
-		}
-	}
-	return k
 }
 
 // dims is one (rows, cols) candidate for an embedding trial.

@@ -153,26 +153,6 @@ func TestClassifyGenCorpus(t *testing.T) {
 	}
 }
 
-func TestClassifyStats(t *testing.T) {
-	g := gen.Grid(4, 5)
-	m := Classify(g, Hint{})
-	if !m.Connected || m.Acyclic {
-		t.Fatalf("grid stats wrong: connected=%v acyclic=%v", m.Connected, m.Acyclic)
-	}
-	if m.MinDeg != 2 || m.MaxDeg != 4 {
-		t.Fatalf("grid degree stats wrong: min=%d max=%d", m.MinDeg, m.MaxDeg)
-	}
-	if m.Degeneracy != 2 {
-		t.Fatalf("grid degeneracy = %d, want 2", m.Degeneracy)
-	}
-	if d := Classify(gen.RandomTree(25, rng.New(1)), Hint{}).Degeneracy; d != 1 {
-		t.Fatalf("tree degeneracy = %d, want 1", d)
-	}
-	if d := Classify(gen.Complete(7), Hint{}).Degeneracy; d != 6 {
-		t.Fatalf("K7 degeneracy = %d, want 6", d)
-	}
-}
-
 func TestHintRoundTrip(t *testing.T) {
 	for _, h := range []Hint{
 		{Family: "grid", Rows: 8, Cols: 9},

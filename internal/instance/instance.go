@@ -67,17 +67,6 @@ type Meta struct {
 	Coords []int32
 	// UDG records a unit-disk-graph hint propagated from a generator.
 	UDG bool
-	// MinDeg, MaxDeg, AvgDeg, Density are degree statistics.
-	MinDeg, MaxDeg int
-	AvgDeg         float64
-	Density        float64
-	// Degeneracy is the graph degeneracy (max over the peeling order of
-	// the minimum degree at removal time).
-	Degeneracy int
-	// Connected and Acyclic are the usual graph facts (Acyclic counts
-	// forests: m == n - #components).
-	Connected bool
-	Acyclic   bool
 }
 
 // String renders the classification the way the CLIs report it, e.g.

@@ -18,16 +18,18 @@
 // distsim.Options) embeds a Hooks value, so observability is wired the same
 // way everywhere:
 //
-//	sensim.Options{K: 1, Hooks: obs.Hooks{Trace: sink}}
+//	sensim.Options{K: 1, Chaos: plan, Hooks: obs.Hooks{Trace: sink}}
 //	distsim.Options{MaxRounds: 10, Radio: r, Hooks: obs.Hooks{Trace: sink}}
 //
 // The zero Hooks is the no-op default: emitting through it costs a single
 // nil check and zero allocations, which is what keeps instrumented hot
 // paths allocation-free when tracing is off (pinned by AllocsPerRun tests).
-// Common runtime knobs use one canonical name across packages — K
-// (domination tolerance), MaxSlots/MaxRounds (execution cap), Radio
-// (unreliable-medium model), Src (seeded randomness) — documented here once
-// instead of three times; see docs/OBSERVABILITY.md for the full schema.
+// Common runtime knobs use one canonical name across packages, documented
+// here once instead of three times: K (domination tolerance), Chaos (the
+// slot runtimes' one fault plan, chaos.Plan), MaxRounds (distsim's round
+// cap) and Radio (distsim's unreliable-medium model, which heal takes from
+// Chaos.Radio). sensim.Options and heal.Options hold exactly K, Chaos and
+// Hooks; see docs/OBSERVABILITY.md for the full schema.
 package obs
 
 import "sync"
@@ -50,7 +52,8 @@ const (
 	// EvSlotEnd closes slot T: A = serving nodes, B = alive nodes,
 	// F = coverage fraction.
 	EvSlotEnd
-	// EvDeath reports a battery/failure-plan death of Node at slot T.
+	// EvDeath reports a battery death of Node at slot T (emitted only by
+	// sensim.RunRealisticObs; chaos-plan crashes are EvCrash).
 	EvDeath
 	// EvCrash reports a chaos-plan crash of Node applied at slot T.
 	EvCrash
@@ -163,7 +166,7 @@ func SlotEnd(t, served, alive int, coverage float64) Event {
 	return Event{Type: EvSlotEnd, T: t, Node: -1, A: served, B: alive, F: coverage}
 }
 
-// Death records a failure-plan or battery death.
+// Death records a battery death.
 func Death(t, node int) Event { return Event{Type: EvDeath, T: t, Node: node} }
 
 // Crash records a chaos-plan crash.

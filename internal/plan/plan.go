@@ -20,6 +20,9 @@ import (
 	"repro/internal/solver"
 )
 
+// retries bounds the WHP retry loop of the paper's randomized algorithms.
+const retries = 30
+
 // Spec describes the deployment and the scheduling requirements.
 type Spec struct {
 	// Points are the node positions; the communication graph is their unit
@@ -37,8 +40,6 @@ type Spec struct {
 	K float64
 	// Seed makes the plan reproducible.
 	Seed uint64
-	// Retries bounds the WHP retry loop (0 = 30).
-	Retries int
 	// Squeeze applies the centralized Minimalize+Extend post-pass,
 	// trading the paper's locality for lifetime.
 	Squeeze bool
@@ -68,9 +69,6 @@ func Build(spec Spec) (*Plan, error) {
 	}
 	if spec.Tolerance < 1 {
 		spec.Tolerance = 1
-	}
-	if spec.Retries <= 0 {
-		spec.Retries = 30
 	}
 
 	batteries, uniform, err := normalizeBatteries(spec.Batteries, n)
@@ -112,7 +110,7 @@ func Build(spec Spec) (*Plan, error) {
 	// uniform batteries, 5.1 for arbitrary ones, 6.1 for k-tolerance.
 	p.UpperBound = core.GeneralKTolerantUpperBound(g, batteries, spec.Tolerance)
 	s, err := solver.Solve(in, sspec,
-		solver.Options{Tries: spec.Retries, Src: src})
+		solver.Options{Tries: retries, Src: src})
 	if err != nil {
 		return nil, fmt.Errorf("plan: %w", err)
 	}

@@ -45,10 +45,7 @@ type SimOptions struct {
 	// graph's ID space; events whose node has been removed by a delta are
 	// dropped.
 	Chaos chaos.Plan
-	// MaxSlots caps the simulation. <= 0 means initial lifetime plus total
-	// budget plus one — enough that any feasible plan can run out.
-	MaxSlots int
-	// Hooks receives slot, death, wake-miss, and reconfig events.
+	// Hooks receives slot, crash, leak, wake-miss, and reconfig events.
 	Hooks obs.Hooks
 }
 
@@ -126,13 +123,11 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 		origIdx[v] = v
 	}
 
-	maxSlots := opt.MaxSlots
-	if maxSlots <= 0 {
-		total := 0
-		for _, b := range budgets {
-			total += b
-		}
-		maxSlots = s.Lifetime() + total + 1
+	// Initial lifetime plus total budget plus one: enough slots that any
+	// feasible plan can run out.
+	maxSlots := s.Lifetime() + 1
+	for _, b := range budgets {
+		maxSlots += b
 	}
 	res.ScheduleLifetime = s.Lifetime()
 

@@ -3,6 +3,7 @@ package sensim
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/domatic"
 	"repro/internal/energy"
@@ -19,7 +20,7 @@ func TestAdversarialPlanBreaksSingleServerPhase(t *testing.T) {
 		t.Fatalf("plan = %v, want kill node 1", plan)
 	}
 	net := energy.NewNetwork(g, energy.Uniform(g, 5))
-	res := Run(net, s, Options{K: 1, Failures: plan})
+	res := Run(net, s, Options{K: 1, Chaos: chaos.Plan{Crashes: plan}})
 	if res.FirstViolation != 0 {
 		t.Fatalf("violation at %v, want 0", res.FirstViolation)
 	}
@@ -86,7 +87,7 @@ func TestGreedyPartitionFallsToAdversary(t *testing.T) {
 		t.Skip("this instance happens to double-cover the victim everywhere")
 	}
 	net := energy.NewNetwork(g, energy.Uniform(g, 2))
-	res := Run(net, s, Options{K: 1, Failures: plan})
+	res := Run(net, s, Options{K: 1, Chaos: chaos.Plan{Crashes: plan}})
 	if res.FirstViolation == -1 {
 		t.Fatal("adversarial kill of the sole server did not break coverage")
 	}

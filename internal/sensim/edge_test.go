@@ -20,7 +20,7 @@ func TestRunFailureAtSlotZero(t *testing.T) {
 	net := energy.NewNetwork(g, energy.Uniform(g, 2))
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{1}, Duration: 2}}}
 	plan := energy.FailurePlan{{Time: 0, Node: 1}}
-	res := Run(net, s, Options{K: 1, Failures: plan})
+	res := Run(net, s, Options{K: 1, Chaos: chaos.Plan{Crashes: plan}})
 	if res.Deaths != 1 {
 		t.Fatalf("deaths = %d, want 1", res.Deaths)
 	}
@@ -47,7 +47,7 @@ func TestRunWholeNetworkCrashPlan(t *testing.T) {
 	for v := 0; v < 6; v++ {
 		plan = append(plan, energy.Failure{Time: 1, Node: v})
 	}
-	res := Run(net, s, Options{K: 1, Failures: plan})
+	res := Run(net, s, Options{K: 1, Chaos: chaos.Plan{Crashes: plan}})
 	if res.Deaths != 6 {
 		t.Fatalf("deaths = %d, want 6", res.Deaths)
 	}
@@ -80,7 +80,7 @@ func TestRunChaosKillsAllNodesMidSchedule(t *testing.T) {
 		crashes = append(crashes, energy.Failure{Time: 3, Node: v})
 	}
 	plan := chaos.Plan{Crashes: crashes}
-	res := Run(net, s, Options{K: 1, Inject: plan.Injector()})
+	res := Run(net, s, Options{K: 1, Chaos: plan})
 	if res.Deaths != 5 {
 		t.Fatalf("deaths = %d, want 5", res.Deaths)
 	}
@@ -119,7 +119,7 @@ func TestRunKLargerThanAnyNeighborhood(t *testing.T) {
 
 func TestRunChaosInjector(t *testing.T) {
 	// The chaos injector path: a crash and a battery leak delivered through
-	// Options.Inject must shape the run exactly like inline failures.
+	// Options.Chaos both land at the start of their slots.
 	g := gen.Path(3)
 	net := energy.NewNetwork(g, energy.Uniform(g, 4))
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{1}, Duration: 4}}}
@@ -127,7 +127,7 @@ func TestRunChaosInjector(t *testing.T) {
 		chaos.Plan{Crashes: energy.FailurePlan{{Time: 2, Node: 0}}},
 		chaos.Plan{Leaks: []chaos.Leak{{Time: 1, Node: 1, Amount: 2}}},
 	)
-	res := Run(net, s, Options{K: 1, Inject: plan.Injector()})
+	res := Run(net, s, Options{K: 1, Chaos: plan})
 	if res.Deaths != 1 {
 		t.Fatalf("deaths = %d, want 1 (injector crash)", res.Deaths)
 	}

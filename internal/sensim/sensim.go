@@ -8,6 +8,7 @@
 package sensim
 
 import (
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/domset"
 	"repro/internal/energy"
@@ -32,48 +33,31 @@ type Result struct {
 	ReportsDelivered int
 	// FirstViolation is the slot of the first coverage violation, or -1.
 	FirstViolation int
-	// Deaths is the number of failure-plan crashes applied.
+	// Deaths is the number of chaos-plan crashes that killed an alive node.
 	Deaths int
 }
 
-// Injector applies per-slot faults to the network at the start of slot t and
-// returns the number of nodes it killed. chaos.Plan's Injector satisfies
-// this, giving Run access to the full unified fault taxonomy (crashes,
-// regional blackouts, battery leaks) without this package depending on the
-// chaos framework.
-type Injector interface {
-	Inject(net *energy.Network, t int) int
-}
-
 // Options configures an execution. It follows the canonical shape
-// documented in package obs: common knobs (K, MaxSlots) share their names
-// with heal.Options, and the embedded obs.Hooks carries the tracing sinks.
+// documented in package obs, shared with heal.Options: the tolerance K, the
+// fault plan Chaos, and the embedded obs.Hooks carrying the tracing sinks.
 type Options struct {
 	// K is the required domination tolerance per slot (>= 1).
 	K int
-	// Failures is the crash plan applied during execution (may be nil).
-	Failures energy.FailurePlan
-	// Inject, if non-nil, is invoked at the start of every slot after the
-	// Failures plan, typically with a chaos.Plan injector. Its kills count
-	// toward Result.Deaths.
-	Inject Injector
-	// StopAtViolation stops execution at the first uncovered slot rather
-	// than running the schedule to completion.
-	StopAtViolation bool
-	// MaxSlots caps the slots executed (0 = run the whole schedule);
-	// aligned with heal.Options.MaxSlots.
-	MaxSlots int
+	// Chaos is the fault plan applied during execution (zero value = none):
+	// its crashes and leaks land at the start of their slots, and its kills
+	// count toward Result.Deaths. Its Radio is unused here (no messages).
+	Chaos chaos.Plan
 	// Hooks carries the observability sinks (obs.Hooks; the promoted Trace
-	// field receives slot, death, and run events). The zero value is the
-	// no-op default: the slot loop stays allocation-free.
+	// field receives slot, crash, leak, and run events). The zero value is
+	// the no-op default: the slot loop stays allocation-free.
 	obs.Hooks
 }
 
-// Run executes schedule s on the network until the schedule ends (or the
-// first violation, if requested). The network is mutated: budgets drain and
-// failures are applied. Nodes that are dead or out of budget are silently
-// excluded from the active set (they cannot serve), exactly as a deployment
-// would experience.
+// Run executes schedule s on the network until the schedule ends. The
+// network is mutated: budgets drain and the chaos plan's faults are
+// applied. Nodes that are dead or out of budget are silently excluded from
+// the active set (they cannot serve), exactly as a deployment would
+// experience.
 //
 // A fully dead network is a terminal coverage violation: crashed nodes never
 // revive, so the slot in which the last node dies is recorded with coverage
@@ -83,18 +67,16 @@ type Options struct {
 // everyone *improve* the reported lifetime.)
 //
 // When opt.Hooks carries a tracer, Run emits run_start/run_end, per-slot
-// slot_start/slot_end (serving count, alive count, coverage), and death
-// events; with the zero Hooks the instrumentation is a nil check per
-// emission and the slot loop allocates nothing extra.
+// slot_start/slot_end (serving count, alive count, coverage), and the chaos
+// plan's crash and leak events; with the zero Hooks the instrumentation is
+// a nil check per emission and the slot loop allocates nothing extra.
 func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 	if opt.K < 1 {
 		opt.K = 1
 	}
 	res := Result{ScheduleLifetime: s.Lifetime(), FirstViolation: -1}
-	plan := append(energy.FailurePlan(nil), opt.Failures...)
-	plan.Sort()
+	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
 	sess := domset.NewSession(net.G)
-	next := 0
 	t := 0
 	// Hoisted so the hot loop skips Event construction entirely when tracing
 	// is off — the nil check inside Emit alone still pays for building the
@@ -108,26 +90,10 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 
 	for _, phase := range s.Phases {
 		for dt := 0; dt < phase.Duration; dt++ {
-			if opt.MaxSlots > 0 && t >= opt.MaxSlots {
-				return finish()
-			}
 			if traced {
 				opt.Emit(obs.SlotStart(t))
 			}
-			// Apply crashes scheduled for this slot.
-			for next < len(plan) && plan[next].Time <= t {
-				if net.Alive[plan[next].Node] {
-					net.Kill(plan[next].Node)
-					res.Deaths++
-					if traced {
-						opt.Emit(obs.Death(t, plan[next].Node))
-					}
-				}
-				next++
-			}
-			if opt.Inject != nil {
-				res.Deaths += opt.Inject.Inject(net, t)
-			}
+			res.Deaths += inject.Inject(net, t)
 			// Serving set: the scheduled nodes that are alive and have
 			// budget; the rest are silently excluded (they cannot serve),
 			// exactly as a deployment would experience.
@@ -160,9 +126,6 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 				}
 			} else if res.FirstViolation == -1 {
 				res.FirstViolation = t
-				if opt.StopAtViolation {
-					return finish()
-				}
 			}
 			t++
 		}

@@ -3,6 +3,7 @@ package sensim
 import (
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/gen"
@@ -73,18 +74,6 @@ func TestRunDetectsViolation(t *testing.T) {
 	}
 }
 
-func TestRunStopAtViolation(t *testing.T) {
-	g := gen.Path(3)
-	net := energy.NewNetwork(g, energy.Uniform(g, 5))
-	s := &core.Schedule{Phases: []core.Phase{
-		{Set: []int{0}, Duration: 3}, // uncovered from slot 0
-	}}
-	res := Run(net, s, Options{K: 1, StopAtViolation: true})
-	if len(res.Coverage) != 1 || res.FirstViolation != 0 {
-		t.Fatalf("res = %+v, want stop after slot 0", res)
-	}
-}
-
 func TestRunOutOfBudgetNodesStopServing(t *testing.T) {
 	// Node 1 has budget 1 but is scheduled for 3 slots: from slot 1 on it
 	// cannot serve and coverage collapses.
@@ -106,8 +95,8 @@ func TestRunWithFailures(t *testing.T) {
 	net := energy.NewNetwork(g, energy.Uniform(g, 5))
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{0}, Duration: 2}}}
 	res := Run(net, s, Options{
-		K:        1,
-		Failures: energy.FailurePlan{{Time: 1, Node: 0}},
+		K:     1,
+		Chaos: chaos.Plan{Crashes: energy.FailurePlan{{Time: 1, Node: 0}}},
 	})
 	if res.Deaths != 1 {
 		t.Fatalf("deaths = %d, want 1", res.Deaths)
@@ -124,8 +113,8 @@ func TestRunKTolerantSurvivesFailure(t *testing.T) {
 	net := energy.NewNetwork(g, energy.Uniform(g, 5))
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{0, 1}, Duration: 2}}}
 	res := Run(net, s, Options{
-		K:        1,
-		Failures: energy.FailurePlan{{Time: 1, Node: 0}},
+		K:     1,
+		Chaos: chaos.Plan{Crashes: energy.FailurePlan{{Time: 1, Node: 0}}},
 	})
 	if res.FirstViolation != -1 {
 		t.Fatalf("violation at %d, want none (redundancy should absorb the death)", res.FirstViolation)
@@ -142,8 +131,8 @@ func TestRunDeadNodesNeedNoCoverage(t *testing.T) {
 	net := energy.NewNetwork(g, energy.Uniform(g, 5))
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{0}, Duration: 1}}}
 	res := Run(net, s, Options{
-		K:        1,
-		Failures: energy.FailurePlan{{Time: 0, Node: 2}},
+		K:     1,
+		Chaos: chaos.Plan{Crashes: energy.FailurePlan{{Time: 0, Node: 2}}},
 	})
 	if res.FirstViolation != -1 {
 		t.Fatalf("violation at %d, want none", res.FirstViolation)

@@ -32,7 +32,7 @@ func TestGoldenTrace(t *testing.T) {
 	jsonl := obs.NewJSONL(&buf)
 	h := obs.Hooks{Trace: jsonl}
 	net := energy.NewNetwork(g, []int{2, 2, 2})
-	Run(net, s, Options{K: 1, Inject: plan.Injector().WithHooks(h), Hooks: h})
+	Run(net, s, Options{K: 1, Chaos: plan, Hooks: h})
 	if err := jsonl.Err(); err != nil {
 		t.Fatalf("jsonl sink: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestTraceDeterministicUnderChaos(t *testing.T) {
 		jsonl := obs.NewJSONL(&buf)
 		h := obs.Hooks{Trace: jsonl}
 		net := energy.NewNetwork(g, b)
-		Run(net, s, Options{K: 1, Inject: plan.Injector().WithHooks(h), Hooks: h})
+		Run(net, s, Options{K: 1, Chaos: plan, Hooks: h})
 		if err := jsonl.Err(); err != nil {
 			t.Fatalf("jsonl sink: %v", err)
 		}

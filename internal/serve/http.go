@@ -8,10 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -255,8 +253,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 	res, j, coalesced, status := s.admit(key, kind, timeout, run)
 	switch status {
 	case http.StatusTooManyRequests:
-		w.Header().Set("Retry-After",
-			strconv.Itoa(int(math.Ceil(s.cfg.RetryAfter.Seconds()))))
+		w.Header().Set("Retry-After", "1")
 		writeError(w, status, "server at capacity; retry later")
 		return false
 	case http.StatusServiceUnavailable:

@@ -72,8 +72,6 @@ type Config struct {
 	// MaxNodes rejects requests whose graph exceeds this node count with
 	// 413 before any work happens. <= 0 means 1<<20.
 	MaxNodes int
-	// RetryAfter is the hint returned with 429 responses. <= 0 means 1s.
-	RetryAfter time.Duration
 	// RaceWidth is the number of independently seeded solver attempts each
 	// schedule job races concurrently (solver.Options.RaceWidth); the winner
 	// is deterministic, so responses and cache keys are unaffected. <= 1 runs
@@ -119,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxNodes <= 0 {
 		c.MaxNodes = 1 << 20
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.RaceWidth <= 0 {
 		c.RaceWidth = 1

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -275,6 +276,37 @@ func TestDeadlineCancelsInFlightJob(t *testing.T) {
 	}
 	if cacheLen(s) != 0 {
 		t.Fatal("canceled job left a cache entry")
+	}
+}
+
+// TestDeadlineDuringRefinementCachesNothing: a request deadline that fires
+// while tabu is refining cancels the job. The refiner stops at its next
+// move, but the job must count as canceled and leave nothing in the cache —
+// not its truncated schedule under a key that excludes timeout_ms, and on a
+// sharded request not the truncated shard schedules either.
+func TestDeadlineDuringRefinementCachesNothing(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := New(Config{Workers: 1})
+			defer s.Shutdown(context.Background())
+			req := Request{Graph: ring(200), Algorithm: solver.NameGreedy, Battery: 3,
+				Refine: solver.NameTabu, Budget: 2_000_000_000, Shards: shards, TimeoutMS: 100}
+			if w := post(s.Handler(), "/v1/schedule", scheduleBody(t, req)); w.Code != http.StatusGatewayTimeout {
+				t.Fatalf("status %d, want 504: %s", w.Code, w.Body.String())
+			}
+			// The handler answers at the deadline; the job ends at the
+			// refiner's next poll.
+			s.Shutdown(context.Background())
+			if got := counter(s, "serve.canceled"); got != 1 {
+				t.Errorf("serve.canceled = %d, want 1", got)
+			}
+			if got := counter(s, "serve.completed"); got != 0 {
+				t.Errorf("serve.completed = %d for a job its deadline canceled", got)
+			}
+			if n := cacheLen(s); n != 0 {
+				t.Fatalf("canceled refinement left %d cache entries", n)
+			}
+		})
 	}
 }
 

@@ -78,7 +78,6 @@ func Key(sh *Shard, parent *instance.Instance, opt Options) string {
 	sh.HashInto(h, parent.Budgets)
 	h.String("shard.alg", opt.Spec.Name)
 	h.String("shard.base", opt.Spec.Base)
-	h.String("shard.fallback", opt.Spec.Fallback)
 	h.Int("shard.k", parent.Tolerance())
 	h.String("shard.hint", parent.Hint().String())
 	h.Float("shard.kconst", opt.Spec.KConst)

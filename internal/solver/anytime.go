@@ -145,7 +145,7 @@ func (s anytimeSolver) BaseSpec(spec Spec) Spec {
 	if base == "" {
 		base = NameGreedy
 	}
-	return Spec{Name: base, KConst: spec.KConst, Fallback: spec.Fallback}
+	return Spec{Name: base, KConst: spec.KConst}
 }
 
 // Validate resolves the base solver through the auto portfolio dispatch,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -189,6 +190,53 @@ func TestRefineCancelReturnsBestSoFar(t *testing.T) {
 		}
 		if err := out.Validate(g, budgets, 1); err != nil {
 			t.Errorf("%s: mid-flight cancel schedule invalid: %v", name, err)
+		}
+	}
+}
+
+// TestCancelDuringRefinementFails pins the driver's half of the anytime
+// rule: a Cancel that fires while the refiner runs fails the solve with
+// ErrCanceled, so no caller mistakes the truncated schedule for a finished
+// one.
+func TestCancelDuringRefinementFails(t *testing.T) {
+	in := hetInstance(t, 64, 3)
+	for _, name := range []string{NameTabu, NameAnneal} {
+		polls := 0
+		cancel := func() bool { polls++; return polls > 100 }
+		s, err := Solve(in, Spec{Name: name, Base: NameGreedy},
+			Options{Budget: 2_000_000_000, Cancel: cancel, Src: rng.New(1)})
+		if !errors.Is(err, ErrCanceled) {
+			t.Errorf("%s: mid-refinement cancel gave error %v, want ErrCanceled", name, err)
+		}
+		if s != nil {
+			t.Errorf("%s: canceled solve returned a schedule of lifetime %d", name, s.Lifetime())
+		}
+		if polls <= 100 {
+			t.Errorf("%s: cancel polled %d times, so it never fired during refinement", name, polls)
+		}
+	}
+}
+
+// TestDeadlineDuringRefinementTruncates pins the other half: a Deadline,
+// the time budget, that lapses while the refiner runs keeps its best
+// schedule so far — feasible, no worse than the base, and no error.
+func TestDeadlineDuringRefinementTruncates(t *testing.T) {
+	in := hetInstance(t, 64, 3)
+	base, err := Solve(in, Spec{Name: NameGreedy}, Options{Src: rng.New(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{NameTabu, NameAnneal} {
+		s, err := Solve(in, Spec{Name: name, Base: NameGreedy}, Options{
+			Budget: 2_000_000_000, Deadline: time.Now().Add(50 * time.Millisecond), Src: rng.New(1)})
+		if err != nil {
+			t.Fatalf("%s: lapsed time budget failed the solve: %v", name, err)
+		}
+		if err := s.Validate(in.Graph, in.Budgets, 1); err != nil {
+			t.Errorf("%s: truncated schedule infeasible: %v", name, err)
+		}
+		if s.Lifetime() < base.Lifetime() {
+			t.Errorf("%s: truncated lifetime %d < base %d", name, s.Lifetime(), base.Lifetime())
 		}
 	}
 }

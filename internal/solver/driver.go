@@ -39,8 +39,9 @@ type Options struct {
 	// It composes with Cancel — whichever fires first wins.
 	Deadline time.Time
 	// Cancel, when non-nil, is polled before every retry and refinement
-	// move; once it reports true the WHP loop stops and returns
-	// ErrCanceled. This is the serve path's sticky deadline check.
+	// move; once it reports true the solve stops and returns ErrCanceled,
+	// also when it fires during refinement. It must be sticky: once true,
+	// it stays true. This is the serve path's request-deadline check.
 	Cancel func() bool
 	// Hooks receives one obs.Attempt event per retry and one obs.Refine
 	// event per refinement pass. The zero value is the free no-op.
@@ -194,6 +195,11 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 			Src:    src,
 			Hooks:  opt.Hooks,
 		})
+		// The anytime rule: a lapsed Deadline (the time budget) keeps the
+		// refiner's best so far, but a fired Cancel fails the solve.
+		if opt.Cancel != nil && opt.Cancel() {
+			return nil, ErrCanceled
+		}
 	}
 	if err := best.ValidateWith(sess, inst.Budgets, truncK); err != nil {
 		return nil, fmt.Errorf("solver: %s produced infeasible schedule: %w", spec.Name, err)

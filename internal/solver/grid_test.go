@@ -77,10 +77,9 @@ func TestGridFallsBackOffGrid(t *testing.T) {
 
 // TestAutoDispatch pins the portfolio rule at every branch: a certified
 // grid (or mod-5 torus, where the pattern closes seamlessly) at tolerance 1
-// → grid; leaky tori stay on the fallback; small instances → exact;
-// everything else → the configured fallback (default greedy). The rule must
-// also be what Effective reports, since serve and the CLIs surface that
-// name.
+// → grid; leaky tori stay on greedy; small instances → exact; everything
+// else → greedy. The rule must also be what Effective reports, since serve
+// and the CLIs surface that name.
 func TestAutoDispatch(t *testing.T) {
 	big := gridInst(50, 50, 3)
 	cases := []struct {
@@ -94,7 +93,6 @@ func TestAutoDispatch(t *testing.T) {
 		{"leaky torus stays on fallback", instance.New(gen.Torus(9, 9), uniformBudgets(81, 3)), solver.Spec{Name: solver.NameAuto}, solver.NameGreedy},
 		{"small ring", instance.New(gen.Ring(12), uniformBudgets(12, 2)), solver.Spec{Name: solver.NameAuto}, solver.NameExact},
 		{"gnp default fallback", instance.New(gen.GNP(80, 0.15, rng.New(5)), uniformBudgets(80, 3)), solver.Spec{Name: solver.NameAuto}, solver.NameGreedy},
-		{"gnp configured fallback", instance.New(gen.GNP(80, 0.15, rng.New(5)), uniformBudgets(80, 3)), solver.Spec{Name: solver.NameAuto, Fallback: solver.NameGeneral}, solver.NameGeneral},
 		{"grid at k=2 skips tiling", gridInst(10, 10, 3).WithK(2), solver.Spec{Name: solver.NameAuto}, solver.NameGreedy},
 	}
 	for _, tc := range cases {

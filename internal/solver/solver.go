@@ -12,8 +12,7 @@
 // (g, budgets) pair. That makes structure-aware dispatch a first-class
 // registry feature: the "grid" solver reads the instance's certified
 // grid/torus embedding, and the "auto" portfolio solver picks a concrete
-// algorithm per instance (grid → grid, small → exact, else the configured
-// fallback).
+// algorithm per instance (grid → grid, small → exact, else greedy).
 //
 // Callers resolve algorithms by registry name ("uniform", "general", "ft",
 // "generalft", "greedy", "lp", "exact", "grid", "auto", ...); the serve
@@ -62,9 +61,6 @@ type Spec struct {
 	// anneal) starts from; empty means greedy. Non-refining solvers reject
 	// a non-empty Base.
 	Base string
-	// Fallback names the solver the auto portfolio dispatches to when no
-	// structured fast path applies; empty means greedy. Only auto reads it.
-	Fallback string
 }
 
 func (s Spec) normalize() Spec {
@@ -198,19 +194,10 @@ func Effective(inst *instance.Instance, spec Spec) (Solver, Spec, error) {
 	if spec.Name != NameAuto {
 		return sv, spec, nil
 	}
-	name := autoPick(inst, spec)
-	if name == NameAuto {
-		return nil, spec, fmt.Errorf("solver: auto fallback must name a concrete algorithm, not %q", NameAuto)
-	}
-	eff, err := Resolve(name)
-	if err != nil {
-		return nil, spec, fmt.Errorf("solver: auto fallback: %w", err)
-	}
-	if _, refiner := eff.(Refiner); refiner {
-		return nil, spec, fmt.Errorf("solver: auto fallback %q is a refiner; set it as the refine stage instead", name)
-	}
-	spec.Name = name
-	return eff, spec, nil
+	// autoPick names one of the built-in grid, exact and greedy solvers.
+	spec.Name = autoPick(inst)
+	eff, err := Resolve(spec.Name)
+	return eff, spec, err
 }
 
 // Guaranteed returns the w.h.p. lifetime target of the named algorithm on
