@@ -8,23 +8,8 @@ import (
 	"repro/internal/rng"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E12",
-		Title: "Ablation — truncate-at-first-failure vs drop-failed-classes repair",
-		Run:   runE12,
-	})
-	register(Experiment{
-		ID:    "E13",
-		Title: "Ablation — local two-hop δ² color range vs global δ range",
-		Run:   runE13,
-	})
-}
-
 func runE12(cfg Config) *Table {
 	t := &Table{
-		ID:     "E12",
-		Title:  "Ablation — truncate-at-first-failure vs drop-failed-classes repair",
 		Header: []string{"K", "raw lifetime", "truncated", "dropped", "drop gain"},
 	}
 	root := rng.New(cfg.Seed + 12)
@@ -68,8 +53,6 @@ func runE12(cfg Config) *Table {
 
 func runE13(cfg Config) *Table {
 	t := &Table{
-		ID:     "E13",
-		Title:  "Ablation — local two-hop δ² color range vs global δ range",
 		Header: []string{"deployment", "local valid classes", "global valid classes", "local active/slot", "global active/slot", "per-slot energy saving"},
 	}
 	root := rng.New(cfg.Seed + 13)

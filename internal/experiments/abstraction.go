@@ -11,18 +11,8 @@ import (
 	"repro/internal/sensim"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E18",
-		Title: "Abstraction gap — the paper's duty-budget model vs battery-drain reality",
-		Run:   runE18,
-	})
-}
-
 func runE18(cfg Config) *Table {
 	t := &Table{
-		ID:     "E18",
-		Title:  "Abstraction gap — the paper's duty-budget model vs battery-drain reality",
 		Header: []string{"configuration", "tx cost", "nominal lifetime", "achieved", "achieved/nominal", "deaths"},
 	}
 	root := rng.New(cfg.Seed + 18)

@@ -9,18 +9,8 @@ import (
 	"repro/internal/rng"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E19",
-		Title: "Related work (§3) — asynchronous wake-up clustering without a global clock",
-		Run:   runE19,
-	})
-}
-
 func runE19(cfg Config) *Table {
 	t := &Table{
-		ID:     "E19",
-		Title:  "Related work (§3) — asynchronous wake-up clustering without a global clock",
 		Header: []string{"wake spread", "dominators", "vs central greedy", "stabilized by", "beacons/slot"},
 	}
 	root := rng.New(cfg.Seed + 19)

@@ -12,33 +12,8 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E6",
-		Title: "Algorithm comparison against the exact optimum (small instances)",
-		Run:   runE6,
-	})
-	register(Experiment{
-		ID:    "E7",
-		Title: "Fujita lower bound — greedy-minimum domatic partition collapses to 2 sets",
-		Run:   runE7,
-	})
-	register(Experiment{
-		ID:    "E9",
-		Title: "Feige et al. — domatic partition sizes against (δ+1)/ln Δ and δ+1",
-		Run:   runE9,
-	})
-	register(Experiment{
-		ID:    "E11",
-		Title: "Future work (§7) — the lifetime cost of requiring connected dominating sets",
-		Run:   runE11,
-	})
-}
-
 func runE6(cfg Config) *Table {
 	t := &Table{
-		ID:     "E6",
-		Title:  "Algorithm comparison against the exact optimum (small instances)",
 		Header: []string{"n", "b", "exact OPT", "LP OPT", "Alg1 (uniform)", "greedy partition", "naive all-on", "Alg1/OPT"},
 	}
 	root := rng.New(cfg.Seed + 6)
@@ -107,8 +82,6 @@ func runE6(cfg Config) *Table {
 
 func runE7(cfg Config) *Table {
 	t := &Table{
-		ID:     "E7",
-		Title:  "Fujita lower bound — greedy-minimum domatic partition collapses to 2 sets",
 		Header: []string{"k", "n", "domatic ≥ (planted)", "greedy-min sets", "greedy-setcover sets", "coloring valid classes", "greedy-min gap"},
 	}
 	ks := []int{3, 4, 5, 6, 8}
@@ -134,8 +107,6 @@ func runE7(cfg Config) *Table {
 
 func runE9(cfg Config) *Table {
 	t := &Table{
-		ID:     "E9",
-		Title:  "Feige et al. — domatic partition sizes against (δ+1)/ln Δ and δ+1",
 		Header: []string{"family", "n", "δ+1", "(δ+1)/ln Δ", "planted/exact", "greedy sets", "coloring valid"},
 	}
 	root := rng.New(cfg.Seed + 9)
@@ -186,8 +157,6 @@ func runE9(cfg Config) *Table {
 
 func runE11(cfg Config) *Table {
 	t := &Table{
-		ID:     "E11",
-		Title:  "Future work (§7) — the lifetime cost of requiring connected dominating sets",
 		Header: []string{"n", "avg deg", "plain greedy sets", "connected greedy sets", "plain lifetime", "CDS lifetime", "cost factor"},
 	}
 	root := rng.New(cfg.Seed + 11)

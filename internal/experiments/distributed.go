@@ -8,14 +8,6 @@ import (
 	"repro/internal/rng"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E8",
-		Title: "Distributed cost — constant rounds, messages linear in edges",
-		Run:   runE8,
-	})
-}
-
 func e8Sizes(cfg Config) []int {
 	if cfg.Quick {
 		return []int{64, 256}
@@ -25,8 +17,6 @@ func e8Sizes(cfg Config) []int {
 
 func runE8(cfg Config) *Table {
 	t := &Table{
-		ID:     "E8",
-		Title:  "Distributed cost — constant rounds, messages linear in edges",
 		Header: []string{"protocol", "n", "edges", "rounds", "messages", "msgs/edge"},
 	}
 	root := rng.New(cfg.Seed + 8)

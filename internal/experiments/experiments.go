@@ -1,14 +1,15 @@
 // Package experiments defines the reproduction experiments E1–E26 listed in
 // DESIGN.md. The paper is theoretical, so each experiment measures the
 // quantity one of its theorems, lemmas, figures, or cited results bounds and
-// renders a table; EXPERIMENTS.md records the expected shapes. The same code
-// backs cmd/ltbench and the root-level benchmarks.
+// renders a table; EXPERIMENTS.md records the expected shapes. The
+// experiments are one ordered list in this file, each entry an ID, a title
+// and the function that builds the table. The same code backs cmd/ltbench,
+// the service's /v1/experiment and the root-level benchmarks.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -213,49 +214,62 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Experiment is a registered experiment.
+// Experiment is one entry of the experiment list.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Config) *Table
+	// Run builds the table's header, rows and notes; the package's Run
+	// stamps ID and Title on it.
+	Run func(Config) *Table
 }
 
-var registry = map[string]Experiment{}
-
-func register(e Experiment) {
-	if _, dup := registry[e.ID]; dup {
-		panic("experiments: duplicate id " + e.ID)
-	}
-	registry[e.ID] = e
+// list holds every experiment, in ID order.
+var list = []Experiment{
+	{"E1", "Figure 1 — 7-node instance with optimal lifetime 6", runE1},
+	{"E2", "Theorem 4.3 — uniform approximation ratio scales like ln n", runE2},
+	{"E3", "Lemma 4.2 — color-class success probability vs constant K", runE3},
+	{"E4", "Theorem 5.3 — general (non-uniform battery) approximation ratio", runE4},
+	{"E5", "Theorem 6.2 — k-tolerant approximation ratio in both regimes", runE5},
+	{"E6", "Algorithm comparison against the exact optimum (small instances)", runE6},
+	{"E7", "Fujita lower bound — greedy-minimum domatic partition collapses to 2 sets", runE7},
+	{"E8", "Distributed cost — constant rounds, messages linear in edges", runE8},
+	{"E9", "Feige et al. — domatic partition sizes against (δ+1)/ln Δ and δ+1", runE9},
+	{"E10", "Adversarial failure injection — k-tolerant schedules survive any budget < k", runE10},
+	{"E11", "Future work (§7) — the lifetime cost of requiring connected dominating sets", runE11},
+	{"E12", "Ablation — truncate-at-first-failure vs drop-failed-classes repair", runE12},
+	{"E13", "Ablation — local two-hop δ² color range vs global δ range", runE13},
+	{"E14", "Extension — general-battery k-tolerant scheduling (paper's open problem)", runE14},
+	{"E15", "Extension — scarcity-aware vs plain greedy partition extraction", runE15},
+	{"E16", "Related work (§3) — one good dominating set, computed distributedly", runE16},
+	{"E17", "Extension — centralized post-processing on top of the distributed schedules", runE17},
+	{"E18", "Abstraction gap — the paper's duty-budget model vs battery-drain reality", runE18},
+	{"E19", "Related work (§3) — asynchronous wake-up clustering without a global clock", runE19},
+	{"E20", "Algorithm 3 against the exact k-tolerant optimum (small instances)", runE20},
+	{"E21", "Robustness — Algorithm 1 under radio message loss", runE21},
+	{"E22", "Tight optima via column generation — true LP ratios at mid-scale", runE22},
+	{"E23", "Self-healing — static k-tolerance vs 1-tolerant + online repair under chaos", runE23},
+	{"E24", "Live reconfiguration — overlap-planned transitions vs naive re-solve-and-swap under churn", runE24},
+	{"E25", "Anytime refinement — lifetime vs move budget for tabu and annealing over the baselines", runE25},
+	{"E26", "Sharded solve — stitched vs whole-graph lifetime and wall-clock on large UDG instances", runE26},
 }
 
-// IDs returns the registered experiment IDs in order.
+// IDs returns the experiment IDs in order.
 func IDs() []string {
-	ids := make([]string, 0, len(registry))
-	for id := range registry {
-		ids = append(ids, id)
+	ids := make([]string, len(list))
+	for i, e := range list {
+		ids[i] = e.ID
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		// Numeric ordering: E2 before E10.
-		return idKey(ids[i]) < idKey(ids[j])
-	})
 	return ids
-}
-
-func idKey(id string) int {
-	n := 0
-	for _, r := range id {
-		if r >= '0' && r <= '9' {
-			n = n*10 + int(r-'0')
-		}
-	}
-	return n
 }
 
 // Get looks up an experiment by ID (case-insensitive).
 func Get(id string) (Experiment, bool) {
-	e, ok := registry[strings.ToUpper(id)]
-	return e, ok
+	for _, e := range list {
+		if strings.EqualFold(e.ID, id) {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // Run executes the experiment with the given ID. When cfg.Cancel fires
@@ -270,6 +284,7 @@ func Run(id string, cfg Config) (*Table, error) {
 		return nil, ErrCanceled
 	}
 	t := e.Run(cfg)
+	t.ID, t.Title = e.ID, e.Title
 	if cfg.canceled() {
 		return t, ErrCanceled
 	}

@@ -11,23 +11,8 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E14",
-		Title: "Extension — general-battery k-tolerant scheduling (paper's open problem)",
-		Run:   runE14,
-	})
-	register(Experiment{
-		ID:    "E15",
-		Title: "Extension — scarcity-aware vs plain greedy partition extraction",
-		Run:   runE15,
-	})
-}
-
 func runE14(cfg Config) *Table {
 	t := &Table{
-		ID:     "E14",
-		Title:  "Extension — general-battery k-tolerant scheduling (paper's open problem)",
 		Header: []string{"n", "b_max", "k", "lifetime", "ratio", "ratio/ln(b_max·n)"},
 	}
 	root := rng.New(cfg.Seed + 14)
@@ -92,8 +77,6 @@ func runE14(cfg Config) *Table {
 
 func runE15(cfg Config) *Table {
 	t := &Table{
-		ID:     "E15",
-		Title:  "Extension — scarcity-aware vs plain greedy partition extraction",
 		Header: []string{"family", "δ+1", "plain greedy sets", "constrained greedy sets", "gain"},
 	}
 	root := rng.New(cfg.Seed + 15)

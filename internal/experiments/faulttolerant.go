@@ -14,23 +14,8 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E5",
-		Title: "Theorem 6.2 — k-tolerant approximation ratio in both regimes",
-		Run:   runE5,
-	})
-	register(Experiment{
-		ID:    "E10",
-		Title: "Adversarial failure injection — k-tolerant schedules survive any budget < k",
-		Run:   runE10,
-	})
-}
-
 func runE5(cfg Config) *Table {
 	t := &Table{
-		ID:     "E5",
-		Title:  "Theorem 6.2 — k-tolerant approximation ratio in both regimes",
 		Header: []string{"regime", "n", "δ", "k", "UB=b(δ+1)/k", "lifetime", "ratio", "ratio/ln n"},
 	}
 	const b = 4
@@ -98,8 +83,6 @@ func isqrt(n int) int {
 
 func runE10(cfg Config) *Table {
 	t := &Table{
-		ID:     "E10",
-		Title:  "Adversarial failure injection — k-tolerant schedules survive any budget < k",
 		Header: []string{"schedule", "kill budget", "trials", "survived", "mean achieved/nominal"},
 	}
 	root := rng.New(cfg.Seed + 10)

@@ -21,19 +21,9 @@ func Figure1Instance() (*graph.Graph, []int) {
 	return g, []int{3, 2, 1, 1, 2, 3, 1}
 }
 
-func init() {
-	register(Experiment{
-		ID:    "E1",
-		Title: "Figure 1 — 7-node instance with optimal lifetime 6",
-		Run:   runE1,
-	})
-}
-
 func runE1(cfg Config) *Table {
 	g, b := Figure1Instance()
 	t := &Table{
-		ID:     "E1",
-		Title:  "Figure 1 — 7-node instance with optimal lifetime 6",
 		Header: []string{"quantity", "value"},
 	}
 

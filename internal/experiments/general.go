@@ -9,14 +9,6 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E4",
-		Title: "Theorem 5.3 — general (non-uniform battery) approximation ratio",
-		Run:   runE4,
-	})
-}
-
 func e4Sizes(cfg Config) []int {
 	if cfg.Quick {
 		return []int{64, 256}
@@ -26,8 +18,6 @@ func e4Sizes(cfg Config) []int {
 
 func runE4(cfg Config) *Table {
 	t := &Table{
-		ID:     "E4",
-		Title:  "Theorem 5.3 — general (non-uniform battery) approximation ratio",
 		Header: []string{"n", "b_max", "UB (Lemma 5.1)", "lifetime", "ratio", "ratio/ln(b_max·n)"},
 	}
 	root := rng.New(cfg.Seed + 4)

@@ -11,18 +11,8 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E17",
-		Title: "Extension — centralized post-processing on top of the distributed schedules",
-		Run:   runE17,
-	})
-}
-
 func runE17(cfg Config) *Table {
 	t := &Table{
-		ID:     "E17",
-		Title:  "Extension — centralized post-processing on top of the distributed schedules",
 		Header: []string{"algorithm", "raw lifetime", "+minimalize+extend", "UB", "raw/UB", "squeezed/UB"},
 	}
 	root := rng.New(cfg.Seed + 17)

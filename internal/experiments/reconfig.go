@@ -12,14 +12,6 @@ import (
 	"repro/internal/sched"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E24",
-		Title: "Live reconfiguration — overlap-planned transitions vs naive re-solve-and-swap under churn",
-		Run:   runE24,
-	})
-}
-
 // E24 measures the lifetime cost of live reconfiguration: a network whose
 // topology keeps changing (nodes replaced, batteries swapped) while the
 // schedule is running, under seeded crashes and a lossy wake-up channel.
@@ -38,8 +30,6 @@ func init() {
 // prefix.
 func runE24(cfg Config) *Table {
 	t := &Table{
-		ID:    "E24",
-		Title: "Live reconfiguration — overlap-planned transitions vs naive re-solve-and-swap under churn",
 		Header: []string{"arm", "nominal", "achieved", "covered slots",
 			"reconfigs", "degraded", "overlap energy", "energy", "deaths"},
 	}

@@ -11,14 +11,6 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E25",
-		Title: "Anytime refinement — lifetime vs move budget for tabu and annealing over the baselines",
-		Run:   runE25,
-	})
-}
-
 // E25 traces the anytime contract of the local-search refiners: starting from
 // the greedy baseline's schedule, how much lifetime do tabu search and
 // simulated annealing buy per unit of move budget, and where does the curve
@@ -38,8 +30,6 @@ func init() {
 // score lower at a larger budget.
 func runE25(cfg Config) *Table {
 	t := &Table{
-		ID:     "E25",
-		Title:  "Anytime refinement — lifetime vs move budget for tabu and annealing over the baselines",
 		Header: []string{"family", "algorithm", "budget", "lifetime", "vs greedy"},
 	}
 	n := 128

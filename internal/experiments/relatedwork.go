@@ -10,18 +10,8 @@ import (
 	"repro/internal/rng"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E16",
-		Title: "Related work (§3) — one good dominating set, computed distributedly",
-		Run:   runE16,
-	})
-}
-
 func runE16(cfg Config) *Table {
 	t := &Table{
-		ID:     "E16",
-		Title:  "Related work (§3) — one good dominating set, computed distributedly",
 		Header: []string{"family", "n", "central greedy", "dist greedy (size/rounds)", "Luby MIS (size/rounds)", "LP-rounded (size/rounds)"},
 	}
 	root := rng.New(cfg.Seed + 16)

@@ -9,23 +9,8 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E20",
-		Title: "Algorithm 3 against the exact k-tolerant optimum (small instances)",
-		Run:   runE20,
-	})
-	register(Experiment{
-		ID:    "E21",
-		Title: "Robustness — Algorithm 1 under radio message loss",
-		Run:   runE21,
-	})
-}
-
 func runE20(cfg Config) *Table {
 	t := &Table{
-		ID:     "E20",
-		Title:  "Algorithm 3 against the exact k-tolerant optimum (small instances)",
 		Header: []string{"n", "k", "exact OPT", "Lemma 6.1 bound", "Alg3 lifetime", "Alg3/OPT"},
 	}
 	root := rng.New(cfg.Seed + 20)
@@ -87,8 +72,6 @@ func runE20(cfg Config) *Table {
 
 func runE21(cfg Config) *Table {
 	t := &Table{
-		ID:     "E21",
-		Title:  "Robustness — Algorithm 1 under radio message loss",
 		Header: []string{"loss", "valid prefix classes", "vs lossless", "dropped msgs"},
 	}
 	root := rng.New(cfg.Seed + 21)

@@ -16,14 +16,6 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E26",
-		Title: "Sharded solve — stitched vs whole-graph lifetime and wall-clock on large UDG instances",
-		Run:   runE26,
-	})
-}
-
 // E26 measures what the partition-solve-stitch pipeline (internal/shard)
 // costs in schedule quality and buys in wall-clock on large unit-disk
 // instances — the deployment regime sharding exists for. Each arm solves the
@@ -45,8 +37,6 @@ func init() {
 // by construction.
 func runE26(cfg Config) *Table {
 	t := &Table{
-		ID:     "E26",
-		Title:  "Sharded solve — stitched vs whole-graph lifetime and wall-clock on large UDG instances",
 		Header: []string{"arm", "shards", "lifetime", "vs whole", "repairs", "replans", "solve ms"},
 	}
 	n, b := 2000, 8

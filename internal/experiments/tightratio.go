@@ -9,18 +9,8 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E22",
-		Title: "Tight optima via column generation — true LP ratios at mid-scale",
-		Run:   runE22,
-	})
-}
-
 func runE22(cfg Config) *Table {
 	t := &Table{
-		ID:     "E22",
-		Title:  "Tight optima via column generation — true LP ratios at mid-scale",
 		Header: []string{"n", "LP OPT", "Lemma 5.1 bound", "bound/LP", "Alg1/LP", "greedy/LP", "CG iters"},
 	}
 	root := rng.New(cfg.Seed + 22)

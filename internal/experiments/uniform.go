@@ -11,19 +11,6 @@ import (
 	"repro/internal/solver"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "E2",
-		Title: "Theorem 4.3 — uniform approximation ratio scales like ln n",
-		Run:   runE2,
-	})
-	register(Experiment{
-		ID:    "E3",
-		Title: "Lemma 4.2 — color-class success probability vs constant K",
-		Run:   runE3,
-	})
-}
-
 // family is a named deterministic graph generator used by several sweeps.
 type family struct {
 	name  string
@@ -73,8 +60,6 @@ func e2Sizes(cfg Config) []int {
 
 func runE2(cfg Config) *Table {
 	t := &Table{
-		ID:     "E2",
-		Title:  "Theorem 4.3 — uniform approximation ratio scales like ln n",
 		Header: []string{"family", "n", "δ", "UB=b(δ+1)", "lifetime", "ratio", "ratio/ln n"},
 	}
 	const b = 3
@@ -133,8 +118,6 @@ func e3Sizes(cfg Config) []int {
 
 func runE3(cfg Config) *Table {
 	t := &Table{
-		ID:     "E3",
-		Title:  "Lemma 4.2 — color-class success probability vs constant K",
 		Header: []string{"n", "K", "guaranteed classes", "P[all guaranteed classes dominate]", "mean valid prefix", "mean raw classes"},
 	}
 	root := rng.New(cfg.Seed + 3)

@@ -142,7 +142,7 @@ func TestRefineMovesPreserveDomination(t *testing.T) {
 					k, members)
 			}
 		}
-		rc := &Refinement{Budget: 3000, Src: rng.New(3)}
+		rc := &refinement{Budget: 3000, Src: rng.New(3)}
 		out := refineSchedule(in, base, rc, NameTabu, newTabuPolicy(g.N(), 3000), observe)
 		if moves == 0 {
 			t.Fatalf("k=%d: the property test observed no accepted moves; fixture too easy", k)
@@ -153,9 +153,9 @@ func TestRefineMovesPreserveDomination(t *testing.T) {
 	}
 }
 
-// TestRefineCancelReturnsBestSoFar pins the anytime contract at the Refiner
-// layer: a cancel that fires immediately returns the start schedule (the
-// best seen), not an error and never something worse.
+// TestRefineCancelReturnsBestSoFar pins the anytime contract at the
+// refiner layer: a cancel that fires immediately returns the start schedule
+// (the best seen), not an error and never something worse.
 func TestRefineCancelReturnsBestSoFar(t *testing.T) {
 	in := hetInstance(t, 64, 3)
 	g, budgets := in.Graph, in.Budgets
@@ -168,12 +168,14 @@ func TestRefineCancelReturnsBestSoFar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rf, ok := sv.(Refiner)
-		if !ok {
-			t.Fatalf("%s does not implement Refiner", name)
+		if !sv.refiner() {
+			t.Fatalf("%s is not a refiner", name)
 		}
-		out := rf.Refine(in, base, Spec{Name: name, Base: NameGreedy}.normalize(),
-			&Refinement{Budget: 50000, Cancel: func() bool { return true }, Src: rng.New(1)})
+		refine := func(cancel func() bool) *core.Schedule {
+			return refineSchedule(in, base, &refinement{Budget: 50000, Cancel: cancel, Src: rng.New(1)},
+				name, sv.policy(in.N(), 50000), nil)
+		}
+		out := refine(func() bool { return true })
 		if out.Lifetime() != base.Lifetime() {
 			t.Errorf("%s: canceled-at-once refinement returned lifetime %d, want the start's %d",
 				name, out.Lifetime(), base.Lifetime())
@@ -182,8 +184,7 @@ func TestRefineCancelReturnsBestSoFar(t *testing.T) {
 		// A cancel firing after a bounded number of polls must still yield a
 		// feasible schedule no worse than the start.
 		polls := 0
-		out = rf.Refine(in, base, Spec{Name: name, Base: NameGreedy}.normalize(),
-			&Refinement{Budget: 50000, Cancel: func() bool { polls++; return polls > 500 }, Src: rng.New(1)})
+		out = refine(func() bool { polls++; return polls > 500 })
 		if out.Lifetime() < base.Lifetime() {
 			t.Errorf("%s: mid-flight cancel returned lifetime %d < start %d",
 				name, out.Lifetime(), base.Lifetime())

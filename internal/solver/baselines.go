@@ -1,20 +1,16 @@
 package solver
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/exact"
 	"repro/internal/instance"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 // The deterministic baselines ltsched exposes — greedy, LP relaxation, and
 // the branch-and-bound optimum — ride the same driver as the randomized
-// algorithms. They ignore the randomness source, and their
-// GuaranteedLifetime of 0 makes the driver's early-stop fire after the
-// first attempt, so a solve costs exactly one generation. Running them
+// algorithms. They ignore the randomness source, and their nil guarantee
+// (0) makes the driver's early-stop fire after the first attempt, so a solve costs exactly one generation. Running them
 // through the driver still buys the shared ValidateWith feasibility gate:
 // an infeasible baseline schedule fails loudly instead of being reported.
 
@@ -24,59 +20,11 @@ import (
 // "small enough for exact" threshold.
 const exactNodeCap = 24
 
-func init() {
-	Register(greedySolver{})
-	Register(lpSolver{})
-	Register(exactSolver{})
-}
-
-// greedySolver peels greedy k-dominating phases off the budget vector until
-// none remains — the replanning heuristic of the self-healing runtime
-// (sched.Replan), exposed as a schedule baseline.
-type greedySolver struct{}
-
-func (greedySolver) Name() string { return NameGreedy }
-
-func (greedySolver) Validate(inst *instance.Instance, spec Spec) error {
-	return validateBudgets(inst, NameGreedy, false)
-}
-
-func (greedySolver) GuaranteedLifetime(*instance.Instance, Spec) int { return 0 }
-
-func (greedySolver) TruncK(inst *instance.Instance, _ Spec) int { return inst.Tolerance() }
-
-func (greedySolver) Generate(inst *instance.Instance, spec Spec, _ *rng.Source) *core.Schedule {
-	return sched.Replan(inst.Graph, inst.Budgets, inst.Tolerance(), nil)
-}
-
-// validateExactSize gates the exponential baselines.
-func validateExactSize(inst *instance.Instance, name string) error {
-	if inst.N() > exactNodeCap {
-		return fmt.Errorf("solver: %s solver limited to %d nodes (got %d)", name, exactNodeCap, inst.N())
-	}
-	return nil
-}
-
-// lpSolver solves the fractional LP relaxation over all minimal
+// lpSchedule solves the fractional LP relaxation over all minimal
 // k-dominating sets and floors the phase durations. Flooring only shrinks
 // per-node usage, so the integral schedule inherits feasibility from the
 // LP solution while losing at most one slot per set.
-type lpSolver struct{}
-
-func (lpSolver) Name() string { return NameLP }
-
-func (lpSolver) Validate(inst *instance.Instance, spec Spec) error {
-	if err := validateExactSize(inst, NameLP); err != nil {
-		return err
-	}
-	return validateBudgets(inst, NameLP, false)
-}
-
-func (lpSolver) GuaranteedLifetime(*instance.Instance, Spec) int { return 0 }
-
-func (lpSolver) TruncK(inst *instance.Instance, _ Spec) int { return inst.Tolerance() }
-
-func (lpSolver) Generate(inst *instance.Instance, spec Spec, _ *rng.Source) *core.Schedule {
+func lpSchedule(inst *instance.Instance, _ Spec, _ *rng.Source) *core.Schedule {
 	_, sets, durs, err := exact.Fractional(inst.Graph, inst.Budgets, inst.Tolerance())
 	if err != nil {
 		// The LP can only fail on malformed input, which Validate already
@@ -92,23 +40,8 @@ func (lpSolver) Generate(inst *instance.Instance, spec Spec, _ *rng.Source) *cor
 	return s
 }
 
-// exactSolver is the branch-and-bound optimum (exact.Integral).
-type exactSolver struct{}
-
-func (exactSolver) Name() string { return NameExact }
-
-func (exactSolver) Validate(inst *instance.Instance, spec Spec) error {
-	if err := validateExactSize(inst, NameExact); err != nil {
-		return err
-	}
-	return validateBudgets(inst, NameExact, false)
-}
-
-func (exactSolver) GuaranteedLifetime(*instance.Instance, Spec) int { return 0 }
-
-func (exactSolver) TruncK(inst *instance.Instance, _ Spec) int { return inst.Tolerance() }
-
-func (exactSolver) Generate(inst *instance.Instance, spec Spec, _ *rng.Source) *core.Schedule {
+// exactSchedule is the branch-and-bound optimum (exact.Integral).
+func exactSchedule(inst *instance.Instance, _ Spec, _ *rng.Source) *core.Schedule {
 	_, sets, durs := exact.Integral(inst.Graph, inst.Budgets, inst.Tolerance())
 	s := &core.Schedule{}
 	for i, set := range sets {

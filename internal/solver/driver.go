@@ -107,11 +107,11 @@ func DeadlinePoll(deadline time.Time) (poll func() bool, stop func()) {
 // hard-coded per algorithm: up to Tries draws, each truncated at its first
 // non-k-dominating phase, keeping the best truncated schedule and stopping
 // early once it reaches the solver's guaranteed lifetime. When spec.Name
-// resolves to a Refiner (tabu, anneal), the attempt composes a pipeline:
+// resolves to a refiner (tabu, anneal), the attempt composes a pipeline:
 // the base solver named by spec.Base (itself resolved through the auto
-// dispatch when it says "auto") runs the WHP loop first, then Refine
-// improves its schedule under the Budget/Deadline/Cancel contract. The
-// final schedule passes the ValidateWith feasibility gate before being
+// dispatch when it says "auto") runs the WHP loop first, then the
+// refiner's local search improves its schedule under the
+// Budget/Deadline/Cancel contract. The final schedule passes the ValidateWith feasibility gate before being
 // returned — a violation there is a solver bug and surfaces as an error,
 // never as a bad schedule.
 //
@@ -128,7 +128,7 @@ func Solve(inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, err
 	if err := sv.Validate(inst, spec); err != nil {
 		return nil, err
 	}
-	if _, ok := sv.(Refiner); !ok && spec.Base != "" {
+	if !sv.refiner() && spec.Base != "" {
 		return nil, fmt.Errorf("solver: %s is not a refiner; base solver %q is only meaningful with one of %v",
 			spec.Name, spec.Base, RefinerNames())
 	}
@@ -139,39 +139,40 @@ func Solve(inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, err
 }
 
 // solveOne runs one sequential attempt: the WHP loop, plus the refinement
-// stage when sv is a Refiner. spec is normalized and validated.
-func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, error) {
+// stage when sv is a refiner. spec is normalized and validated. Every
+// solver truncates and validates at the instance's tolerance: a
+// tolerance-1 solver has rejected any other.
+func solveOne(sv *Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, error) {
 	src := opt.Src
 	if src == nil {
 		src = rng.New(1)
 	}
 	sess := domset.NewSession(inst.Graph)
+	k := inst.Tolerance()
 
-	rf, refining := sv.(Refiner)
-	loopSolver, loopSpec := sv, spec
-	if refining {
+	loop, loopSpec := sv, spec
+	if sv.refiner() {
 		// The base solver draws the starting schedule under its own
-		// guarantee/truncation contract; the refiner then improves it.
-		base, bspec, err := Effective(inst, rf.BaseSpec(spec))
+		// guarantee; the refiner then improves it.
+		base, bspec, err := Effective(inst, baseSpec(spec))
 		if err != nil {
 			return nil, fmt.Errorf("solver: %s: %w", spec.Name, err)
 		}
-		loopSolver, loopSpec = base, bspec
+		loop, loopSpec = base, bspec
 	}
 
 	tries := opt.Tries
 	if tries <= 0 {
 		tries = 1
 	}
-	target := loopSolver.GuaranteedLifetime(inst, loopSpec)
-	loopK := loopSolver.TruncK(inst, loopSpec)
+	target := loop.guaranteed(inst, loopSpec)
 
 	var best *core.Schedule
 	for try := 0; try < tries; try++ {
 		if opt.expired() {
 			return nil, ErrCanceled
 		}
-		s := loopSolver.Generate(inst, loopSpec, src).TruncateInvalidWith(sess, loopK)
+		s := loop.generate(inst, loopSpec, src).TruncateInvalidWith(sess, k)
 		if best == nil || s.Lifetime() > best.Lifetime() {
 			best = s
 		}
@@ -181,27 +182,26 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 		}
 	}
 
-	truncK := sv.TruncK(inst, spec)
-	if refining {
+	if sv.refiner() {
 		budget := opt.Budget
 		if budget <= 0 {
 			budget = DefaultRefineBudget
 		}
 		cancel, stop := opt.cancelFunc()
 		defer stop()
-		best = rf.Refine(inst, best, spec, &Refinement{
+		best = refineSchedule(inst, best, &refinement{
 			Budget: budget,
 			Cancel: cancel,
 			Src:    src,
 			Hooks:  opt.Hooks,
-		})
+		}, sv.name, sv.policy(inst.N(), budget), nil)
 		// The anytime rule: a lapsed Deadline (the time budget) keeps the
 		// refiner's best so far, but a fired Cancel fails the solve.
 		if opt.Cancel != nil && opt.Cancel() {
 			return nil, ErrCanceled
 		}
 	}
-	if err := best.ValidateWith(sess, inst.Budgets, truncK); err != nil {
+	if err := best.ValidateWith(sess, inst.Budgets, k); err != nil {
 		return nil, fmt.Errorf("solver: %s produced infeasible schedule: %w", spec.Name, err)
 	}
 	return best, nil
@@ -211,7 +211,7 @@ func solveOne(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core
 // GOMAXPROCS goroutines, and returns the deterministic winner. sv is
 // resolved, spec normalized and validated. A fired cancel surfaces as
 // ErrCanceled even when some attempts finished.
-func race(sv Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, error) {
+func race(sv *Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, error) {
 	width := opt.RaceWidth
 	src := opt.Src
 	if src == nil {
