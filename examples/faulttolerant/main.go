@@ -93,7 +93,10 @@ func main() {
 	netHeal := energy.NewNetwork(g, energy.Uniform(g, b))
 	healSrc := src.Split()
 	lossy := chaos.Merge(plan, chaos.FlatLoss(0.15, healSrc.Split()))
-	healed := heal.Run(netHeal, plain, heal.Options{K: 1, Chaos: lossy})
+	healed, err := heal.Run(netHeal, plain, heal.Options{K: 1, Chaos: lossy})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("healed run:  covered %3d/%3d slots — %d recruits over %d patches, %d replans, %d degraded slots\n",
 		healed.AchievedLifetime, plain.Lifetime(), healed.Recruited,
 		healed.PatchSuccesses, healed.Replans, healed.DegradedSlots)

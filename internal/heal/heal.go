@@ -25,6 +25,7 @@
 package heal
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/chaos"
@@ -102,8 +103,10 @@ type Result struct {
 // run continues past the nominal schedule end as long as re-planning over
 // residual budgets can still produce covering phases, and past coverage
 // violations (degraded slots) until the plan and the replanner are both
-// exhausted.
-func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
+// exhausted. It fails before the first slot when the plan's radio is one
+// the patch protocol rejects (a flat loss outside [0, 1)), and mid-run when
+// a patch protocol run fails; the Result then holds the slots run so far.
+func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 	if opt.K < 1 {
 		opt.K = 1
 	}
@@ -113,6 +116,9 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 	maxSlots := s.Lifetime() + net.TotalResidual() + 1
 
 	radio := opt.Chaos.Radio
+	if err := (distsim.Options{Radio: radio}).Validate(); err != nil {
+		return res, fmt.Errorf("heal: patch radio: %w", err)
+	}
 	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
 	sess := domset.NewSession(g)
 	uncovBuf := make([]int, 0, g.N())
@@ -182,7 +188,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 				res.Protocol.Add(stats)
 				opt.Emit(obs.Patch(t, attempt, len(enlisted)))
 				if err != nil {
-					break
+					return res, fmt.Errorf("heal: slot %d: patch attempt %d: %w", t, attempt, err)
 				}
 				if len(enlisted) > 0 {
 					res.Recruited += len(enlisted)
@@ -278,7 +284,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 		pos++
 	}
 	opt.Emit(obs.RunEnd("heal", len(res.Coverage), res.AchievedLifetime, res.Deaths))
-	return res
+	return res, nil
 }
 
 // activeAt returns the active set and phase index of slot pos in s, or

@@ -2,6 +2,7 @@ package heal
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +29,16 @@ func mustSolve(t testing.TB, g *graph.Graph, budgets []int, name string, tries i
 		t.Fatal(err)
 	}
 	return s
+}
+
+// mustRun is Run for plans whose radio the patch protocol accepts.
+func mustRun(t *testing.T, net *energy.Network, s *core.Schedule, opt Options) Result {
+	t.Helper()
+	res, err := Run(net, s, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // blackoutRadio drops every delivery — the deterministic worst radio, used
@@ -61,7 +72,7 @@ func TestHealCoversCrashOfSoleServer(t *testing.T) {
 	s := &core.Schedule{Phases: []core.Phase{{Set: []int{0}, Duration: 4}}}
 	net := energy.NewNetwork(g, energy.Uniform(g, 4))
 	plan := chaos.Plan{Crashes: energy.FailurePlan{{Time: 2, Node: 0}}}
-	res := Run(net, s, Options{K: 1, Chaos: plan})
+	res := mustRun(t, net, s, Options{K: 1, Chaos: plan})
 	if res.Deaths != 1 {
 		t.Fatalf("deaths = %d, want 1", res.Deaths)
 	}
@@ -76,6 +87,28 @@ func TestHealCoversCrashOfSoleServer(t *testing.T) {
 	}
 }
 
+// TestRejectsInvalidPatchRadio: a plan whose radio the patch protocol
+// rejects — chaos.FlatLoss(1.0), a loss rate outside [0, 1) that only code
+// can build — must fail the run before the first slot. It used to skip the
+// patch rung silently: on this K4 run, 2 patch attempts that sent no
+// message, a degraded slot and lifetime 2, with no error anywhere.
+func TestRejectsInvalidPatchRadio(t *testing.T) {
+	g := gen.Complete(4)
+	s := &core.Schedule{Phases: []core.Phase{{Set: []int{0}, Duration: 4}}}
+	net := energy.NewNetwork(g, energy.Uniform(g, 4))
+	plan := chaos.Merge(
+		chaos.Plan{Crashes: energy.FailurePlan{{Time: 2, Node: 0}}},
+		chaos.FlatLoss(1.0, rng.New(1)),
+	)
+	res, err := Run(net, s, Options{K: 1, Chaos: plan})
+	if err == nil || !strings.Contains(err.Error(), "loss probability 1 out of [0, 1)") {
+		t.Fatalf("error = %v, want the rejected loss rate", err)
+	}
+	if len(res.Coverage) != 0 || res.PatchAttempts != 0 {
+		t.Fatalf("rejected plan still ran %d slots and %d patch attempts", len(res.Coverage), res.PatchAttempts)
+	}
+}
+
 func TestPatchRetriesUnderLossyRadio(t *testing.T) {
 	// A hole under a very lossy flat radio: the first attempts lose
 	// messages, the exponential-backoff rebroadcasts push them through.
@@ -86,7 +119,7 @@ func TestPatchRetriesUnderLossyRadio(t *testing.T) {
 		chaos.Plan{Crashes: energy.FailurePlan{{Time: 1, Node: 0}}},
 		chaos.FlatLoss(0.7, rng.New(12)),
 	)
-	res := Run(net, s, Options{K: 1, Chaos: plan})
+	res := mustRun(t, net, s, Options{K: 1, Chaos: plan})
 	if res.Protocol.Dropped == 0 {
 		t.Fatal("lossy radio dropped nothing — the patch protocol did not run under it")
 	}
@@ -111,7 +144,7 @@ func TestEscalatesToCentralReplan(t *testing.T) {
 		Leaks: []chaos.Leak{{Time: 2, Node: 1, Amount: 99}},
 		Radio: blackoutRadio{},
 	}
-	res := Run(net, s, Options{K: 1, Chaos: plan})
+	res := mustRun(t, net, s, Options{K: 1, Chaos: plan})
 	if res.Replans == 0 {
 		t.Fatalf("no replan escalation recorded: %+v", res)
 	}
@@ -143,7 +176,7 @@ func TestReplanAfterTwoFailedPatchSlots(t *testing.T) {
 		Radio:   blackoutRadio{},
 	}
 	mem := &obs.Memory{}
-	res := Run(net, s, Options{K: 1, Chaos: plan, Hooks: obs.Hooks{Trace: mem}})
+	res := mustRun(t, net, s, Options{K: 1, Chaos: plan, Hooks: obs.Hooks{Trace: mem}})
 	if res.PatchAttempts != 6 || res.PatchSuccesses != 0 {
 		t.Fatalf("patch attempts %d, successes %d; want 3 failed attempts in each of slots 2 and 3",
 			res.PatchAttempts, res.PatchSuccesses)
@@ -175,7 +208,7 @@ func TestDegradesGracefully(t *testing.T) {
 	plan := chaos.Plan{Crashes: energy.FailurePlan{
 		{Time: 1, Node: 0}, {Time: 1, Node: 2},
 	}}
-	res := Run(net, s, Options{K: 1, Chaos: plan})
+	res := mustRun(t, net, s, Options{K: 1, Chaos: plan})
 	if res.Deaths != 2 {
 		t.Fatalf("deaths = %d, want 2", res.Deaths)
 	}
@@ -206,7 +239,7 @@ func TestRunWithoutChaosMatchesScheduleAndHarvests(t *testing.T) {
 		t.Skip("degenerate schedule")
 	}
 	net := energy.NewNetwork(g, energy.Uniform(g, b))
-	res := Run(net, s, Options{K: 1})
+	res := mustRun(t, net, s, Options{K: 1})
 	if res.FirstViolation != -1 {
 		t.Fatalf("violation at %d in a fault-free run", res.FirstViolation)
 	}
@@ -240,7 +273,7 @@ func TestHealingBeatsStaticAcceptance(t *testing.T) {
 	static := sensim.Run(netStatic, s, sensim.Options{K: 1, Chaos: plan})
 
 	netHeal := energy.NewNetwork(g, energy.Uniform(g, b))
-	healed := Run(netHeal, s, Options{K: 1, Chaos: plan})
+	healed := mustRun(t, netHeal, s, Options{K: 1, Chaos: plan})
 
 	if static.Deaths < 10 || healed.Deaths < 10 {
 		t.Fatalf("crashes not applied: static %d, healed %d deaths", static.Deaths, healed.Deaths)
@@ -267,7 +300,7 @@ func TestHealDeterministic(t *testing.T) {
 			chaos.Crashes(g, 8, 10, rng.New(17)),
 			chaos.FlatLoss(0.3, rng.New(23)),
 		)
-		return Run(net, s, Options{K: 1, Chaos: plan})
+		return mustRun(t, net, s, Options{K: 1, Chaos: plan})
 	}
 	a, b2 := run(), run()
 	if a.AchievedLifetime != b2.AchievedLifetime || a.Protocol != b2.Protocol ||
@@ -286,7 +319,13 @@ func TestHealTerminatesUnderTotalLoss(t *testing.T) {
 	net := energy.NewNetwork(g, []int{4, 0})
 	plan := chaos.Plan{Crashes: energy.FailurePlan{{Time: 0, Node: 0}}, Radio: blackoutRadio{}}
 	done := make(chan Result, 1)
-	go func() { done <- Run(net, s, Options{K: 1, Chaos: plan}) }()
+	go func() {
+		res, err := Run(net, s, Options{K: 1, Chaos: plan})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
 	var res Result
 	select {
 	case res = <-done:
@@ -317,7 +356,7 @@ func TestHealDeadNetworkIsTerminalViolation(t *testing.T) {
 	plan := chaos.Plan{Crashes: energy.FailurePlan{
 		{Time: 2, Node: 0}, {Time: 2, Node: 1}, {Time: 2, Node: 2},
 	}}
-	res := Run(net, s, Options{K: 1, Chaos: plan})
+	res := mustRun(t, net, s, Options{K: 1, Chaos: plan})
 	if res.AchievedLifetime != 2 {
 		t.Fatalf("AchievedLifetime = %d, want 2 (slots before the wipeout)", res.AchievedLifetime)
 	}
