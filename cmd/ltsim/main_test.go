@@ -34,6 +34,11 @@ func TestValidateFlags(t *testing.T) {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
+	for _, alg := range algs {
+		if err := (flags{alg: alg, b: 3, k: 1}).validate(); err != nil {
+			t.Errorf("-alg %s rejected: %v", alg, err)
+		}
+	}
 	// -failures with -bmax set is fine: batteries are positive.
 	ok := flags{alg: "uniform", b: 0, bmax: 4, k: 1, failures: 5}
 	if err := ok.validate(); err != nil {
