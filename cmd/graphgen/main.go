@@ -10,8 +10,8 @@
 //	graphgen -family fujita -k 5
 //	graphgen -family planted -n 60 -d 4
 //
-// Structured families tag their edge lists with a "# hint:" comment
-// ("grid 8 8", "torus 5 10", "udg") that seeds the instance classifier's
+// The grid and torus families tag their edge lists with a "# hint:"
+// comment ("grid 8 8", "torus 5 10") that seeds the instance classifier's
 // trial ordering downstream; the classifier re-verifies every claim, so
 // the tag is an ordering aid, never trusted.
 package main
@@ -48,10 +48,10 @@ func build(f params) (*graph.Graph, string, error) {
 		return gen.GNP(f.n, f.p, src), "", nil
 	case "udg":
 		g, _ := gen.RandomUDG(f.n, f.side, f.radius, src)
-		return g, "udg", nil
+		return g, "", nil
 	case "hudg":
 		g, _, _ := gen.HeterogeneousUDG(f.n, f.side, f.radius/2, f.radius, src)
-		return g, "udg", nil
+		return g, "", nil
 	case "grid":
 		return gen.Grid(f.rows, f.cols), fmt.Sprintf("grid %d %d", f.rows, f.cols), nil
 	case "torus":

@@ -57,30 +57,25 @@ func TestHintTaggedFamiliesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestUDGFamilyTagged: udg/hudg carry the "udg" hint the UDG-aware layers
-// propagate, and unstructured families stay untagged.
-func TestUDGFamilyTagged(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run(&buf, params{family: "udg", n: 40, side: 8, radius: 2, seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	g, hint, err := graph.ReadEdgeList(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hint != "udg" || g.N() != 40 {
-		t.Fatalf("hint %q n %d, want \"udg\" 40", hint, g.N())
-	}
-	if !instance.New(g, make([]int, g.N())).WithHint(instance.ParseHint(hint)).Meta().UDG {
-		t.Fatal("udg hint did not propagate into Meta")
-	}
-
-	buf.Reset()
-	if err := run(&buf, params{family: "gnp", n: 30, p: 0.2, seed: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, hint, err := graph.ReadEdgeList(&buf); err != nil || hint != "" {
-		t.Fatalf("gnp emitted hint %q (err %v), want none", hint, err)
+// TestUnstructuredFamiliesUntagged: only grid and torus edge lists carry a
+// hint; the random families, unit-disk ones included, stay untagged.
+func TestUnstructuredFamiliesUntagged(t *testing.T) {
+	for _, f := range []params{
+		{family: "gnp", n: 30, p: 0.2, seed: 3},
+		{family: "udg", n: 40, side: 8, radius: 2, seed: 3},
+		{family: "hudg", n: 40, side: 8, radius: 2, seed: 3},
+	} {
+		var buf bytes.Buffer
+		if err := run(&buf, f); err != nil {
+			t.Fatal(err)
+		}
+		g, hint, err := graph.ReadEdgeList(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", f.family, err)
+		}
+		if hint != "" || g.N() != f.n {
+			t.Fatalf("%s: hint %q, n %d, want no hint and %d nodes", f.family, hint, g.N(), f.n)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func run() error {
 	for i := range budgets {
 		budgets[i] = *b
 	}
-	in := instance.New(g, budgets).WithHint(instance.Hint{Family: "udg"})
+	in := instance.New(g, budgets)
 	s, err := solver.Solve(in, solver.Spec{Name: solver.NameUniform},
 		solver.Options{Tries: 30, Src: src.Split()})
 	if err != nil {

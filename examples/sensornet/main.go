@@ -82,7 +82,7 @@ func main() {
 
 	// 3. Algorithm 2 — distributed, constant rounds, O(log(b_max·n))
 	// approximation w.h.p. with the paper's analysis constant K = 3.
-	in := instance.New(g, batteries).WithHint(instance.Hint{Family: "udg"})
+	in := instance.New(g, batteries)
 	solve := func(spec solver.Spec) *core.Schedule {
 		s, err := solver.Solve(in, spec,
 			solver.Options{Tries: 30, Src: src.Split()})

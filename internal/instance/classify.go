@@ -13,7 +13,7 @@ import (
 // O(n + m) per embedding trial, with a constant number of trials.
 func Classify(g *graph.Graph, hint Hint) *Meta {
 	n := g.N()
-	m := &Meta{UDG: hint.Family == "udg"}
+	m := &Meta{}
 	connected := componentCount(g) <= 1
 
 	if rows, cols, coords := detectGrid(g, hint, connected); coords != nil {

@@ -144,11 +144,7 @@ func TestClassifyGenCorpus(t *testing.T) {
 		}
 	}
 	udg, _ := gen.RandomUDG(80, 9, 1.6, src.Split())
-	m := Classify(udg, Hint{Family: "udg"})
-	if !m.UDG {
-		t.Error("udg hint not propagated to Meta.UDG")
-	}
-	if m.Class == Grid || m.Class == Torus {
+	if m := Classify(udg, Hint{}); m.Class == Grid || m.Class == Torus {
 		t.Errorf("random UDG classified as %v", m.Class)
 	}
 }
@@ -157,7 +153,6 @@ func TestHintRoundTrip(t *testing.T) {
 	for _, h := range []Hint{
 		{Family: "grid", Rows: 8, Cols: 9},
 		{Family: "torus", Rows: 5, Cols: 5},
-		{Family: "udg"},
 		{},
 	} {
 		got := ParseHint(h.String())
@@ -168,8 +163,10 @@ func TestHintRoundTrip(t *testing.T) {
 	if h := ParseHint("grid x y"); h.Family != "grid" || h.Rows != 0 {
 		t.Errorf("malformed dims should parse as dimensionless grid hint, got %+v", h)
 	}
-	if h := ParseHint("wobble 3"); h != (Hint{}) {
-		t.Errorf("unknown hint should be zero, got %+v", h)
+	for _, s := range []string{"wobble 3", "udg"} {
+		if h := ParseHint(s); h != (Hint{}) {
+			t.Errorf("unknown hint %q should be zero, got %+v", s, h)
+		}
 	}
 }
 

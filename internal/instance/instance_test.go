@@ -75,10 +75,4 @@ func TestDerive(t *testing.T) {
 	if c := Derive(parent, irr, uniform(10, 3)).Meta().Class; c == Grid || c == Torus {
 		t.Fatalf("irregular tile classified as %v", c)
 	}
-	// A UDG parent propagates the udg hint.
-	udgParent := New(gen.Grid(4, 4), uniform(16, 1)).WithHint(Hint{Family: "udg"})
-	udgChild := Derive(udgParent, sub, uniform(9, 1))
-	if !udgChild.Meta().UDG {
-		t.Fatal("udg hint must propagate to derived children")
-	}
 }

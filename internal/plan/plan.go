@@ -90,10 +90,7 @@ func Build(spec Spec) (*Plan, error) {
 
 	// Pick the paper algorithm by registry name; the solver driver owns the
 	// retry/truncate/keep-best loop and the w.h.p. guarantee computation.
-	// The typed instance carries the tolerance and a UDG structure hint —
-	// the deployment geometry is known here, so classification gets it for
-	// free.
-	in := instance.New(g, batteries).WithHint(instance.Hint{Family: "udg"})
+	in := instance.New(g, batteries)
 	sspec := solver.Spec{Name: solver.NameGeneral, KConst: spec.K}
 	switch {
 	case spec.Tolerance > 1:

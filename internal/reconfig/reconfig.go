@@ -255,7 +255,7 @@ func Compute(inst *instance.Instance, req Request) (*Plan, error) {
 		incoming, fb := req.Incoming, false
 		if incoming == nil {
 			var err error
-			incoming, fb, err = solveIncoming(g2, charged, k, inst.Hint(), alive2, solverName, req)
+			incoming, fb, err = solveIncoming(g2, charged, k, alive2, solverName, req)
 			if err != nil {
 				return nil, err
 			}
@@ -297,12 +297,10 @@ func Compute(inst *instance.Instance, req Request) (*Plan, error) {
 // the WHP driver when the instance allows it; when it does not (dead nodes,
 // or the solver rejects the charged budget shape), the planner falls back to
 // Replan and reports the fallback so the plan is flagged degraded.
-func solveIncoming(g *graph.Graph, charged []int, k int, hint instance.Hint,
+func solveIncoming(g *graph.Graph, charged []int, k int,
 	alive []bool, name string, req Request) (*core.Schedule, bool, error) {
 	if name != solver.NameGreedy && alive == nil {
-		// The pre-delta hint rides along as classification trial ordering
-		// only; the post-delta instance re-verifies from scratch.
-		post := instance.New(g, charged).WithK(k).WithHint(hint)
+		post := instance.New(g, charged).WithK(k)
 		spec := solver.Spec{Name: name}
 		opt := solver.Options{
 			Tries:  req.Tries,

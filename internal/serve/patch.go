@@ -203,10 +203,8 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		var part2 *shard.Partition
 		if ctx.part != nil {
 			part2 = ctx.part.Rebase(g2, mapping)
-			// The post-delta parent instance: same tolerance, and the prior
-			// structure hint rides along as classification trial ordering.
-			parent2 := instance.New(g2, budgets2).
-				WithK(ctx.inst.Tolerance()).WithHint(ctx.inst.Hint())
+			// The post-delta parent instance keeps the tolerance.
+			parent2 := instance.New(g2, budgets2).WithK(ctx.inst.Tolerance())
 			opt := s.shardOptions(ctx.spec, ctx.seed, ctx.tries, ctx.budget,
 				time.Time{}, obs.Hooks{}, cancel)
 			solved, err := shard.SolveShards(parent2, part2, opt)
@@ -307,7 +305,7 @@ func patchResult(key, priorFP string, req *PatchRequest, overlap int,
 		algorithm = solver.NameGreedy
 	}
 	ctx := &scheduleCtx{
-		inst:      instance.New(p.Graph, p.Budgets).WithK(base.inst.Tolerance()).WithHint(base.inst.Hint()),
+		inst:      instance.New(p.Graph, p.Budgets).WithK(base.inst.Tolerance()),
 		algorithm: algorithm,
 		seed:      req.seedOrDefault(),
 		tries:     req.triesOrDefault(),
