@@ -1,14 +1,19 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet race fuzz bench cover experiments examples clean
+.PHONY: all build test vet fmtcheck race fuzz bench cover experiments examples clean
 
 all: build vet test
 
 build:
 	go build ./...
 
-vet:
+vet: fmtcheck
 	go vet ./...
+
+# Fail when gofmt would reformat a tracked Go file; CI runs this too.
+fmtcheck:
+	@files=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$files" ]; then echo "gofmt -l lists:"; echo "$$files"; exit 1; fi
 
 test:
 	go test ./...
