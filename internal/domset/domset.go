@@ -12,6 +12,7 @@ package domset
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -57,20 +58,35 @@ func GreedyRestricted(g *graph.Graph, allowed, alive []bool) []int {
 // with at least k dominators in its closed neighborhood. Each step adds the
 // allowed, alive node that reduces the total residual demand the most, the
 // lowest ID on ties; dead nodes never join, since a dead member dominates
-// no one. Returns nil if infeasible (some alive node's closed neighborhood
-// has fewer than k allowed, alive members). The returned set is sorted.
+// no one. The returned set is sorted and freshly allocated.
+//
+// It returns nil, before its first pick, when the instance is infeasible:
+// some alive node u has fewer than k allowed, alive nodes in N+[u]. That is
+// the only way the pick loop could run dry — while u lacks a dominator, an
+// unpicked allowed, alive node of N+[u] still gains from covering it. The
+// check reads each adjacency only until it finds k such nodes, so it costs
+// O(n) when most nodes may serve and an infeasible call stops at the first
+// uncoverable node instead of running a full greedy.
 //
 // A candidate's gain (the alive nodes in its closed neighborhood that still
 // need a dominator) is kept current rather than recounted: it only drops,
 // once per neighbor whose demand reaches 0, so an extraction costs
 // O(n + m + |D|·n) — one scan of the gains per pick — instead of
-// O(|D|·(n + m)).
+// O(|D|·(n + m)). The demand and gain arrays come from a package pool, so
+// repeated calls allocate only their result.
 func GreedyK(g *graph.Graph, k int, allowed, alive []bool) []int {
 	if k < 1 {
 		panic("domset: k must be >= 1")
 	}
 	n := g.N()
-	demand := make([]int32, n)
+	for u := 0; u < n; u++ {
+		if (alive == nil || alive[u]) && !kSupplied(g, u, k, allowed, alive) {
+			return nil
+		}
+	}
+	arrays := greedyPool.Get().(*greedyArrays)
+	defer greedyPool.Put(arrays)
+	demand, gain := arrays.grow(n)
 	total := 0
 	for v := 0; v < n; v++ {
 		if alive == nil || alive[v] {
@@ -80,7 +96,6 @@ func GreedyK(g *graph.Graph, k int, allowed, alive []bool) []int {
 	}
 	// gain[v] = |{u ∈ N+[v] : demand[u] > 0}| for every candidate; nodes
 	// that may not join, or already have, sit at 0 or below and never win.
-	gain := make([]int32, n)
 	for v := 0; v < n; v++ {
 		if (allowed != nil && !allowed[v]) || (alive != nil && !alive[v]) {
 			continue
@@ -120,9 +135,6 @@ func GreedyK(g *graph.Graph, k int, allowed, alive []bool) []int {
 				best, bestGain = v, c
 			}
 		}
-		if best == -1 {
-			return nil
-		}
 		gain[best] = 0
 		set = append(set, best)
 		serve(best)
@@ -132,6 +144,45 @@ func GreedyK(g *graph.Graph, k int, allowed, alive []bool) []int {
 	}
 	sort.Ints(set)
 	return set
+}
+
+// kSupplied reports whether N+[u] holds at least k allowed, alive nodes,
+// reading only as much of u's adjacency as it takes to find them.
+func kSupplied(g *graph.Graph, u, k int, allowed, alive []bool) bool {
+	can := func(v int) bool {
+		return (allowed == nil || allowed[v]) && (alive == nil || alive[v])
+	}
+	c := 0
+	if can(u) {
+		c++
+	}
+	for _, w := range g.Neighbors(u) {
+		if c >= k {
+			break
+		}
+		if can(int(w)) {
+			c++
+		}
+	}
+	return c >= k
+}
+
+// greedyArrays is GreedyK's scratch: the per-node demand and gain. They
+// are pooled rather than allocated per call, since GreedyK runs once per
+// phase of every greedy schedule.
+type greedyArrays struct{ demand, gain []int32 }
+
+var greedyPool = sync.Pool{New: func() any { return new(greedyArrays) }}
+
+// grow returns the two arrays resized to n and zeroed.
+func (a *greedyArrays) grow(n int) (demand, gain []int32) {
+	if cap(a.demand) < n {
+		a.demand, a.gain = make([]int32, n), make([]int32, n)
+	}
+	a.demand, a.gain = a.demand[:n], a.gain[:n]
+	clear(a.demand)
+	clear(a.gain)
+	return a.demand, a.gain
 }
 
 // IsIndependent reports whether no two nodes of set are adjacent.

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/gen"
@@ -337,6 +338,104 @@ func TestGreedyKDifferential(t *testing.T) {
 	}
 }
 
+// TestGreedyKConcurrent calls GreedyK from several goroutines at once on
+// graphs of several sizes, so pooled demand and gain arrays come back at
+// another n than they were last used at, under nil, allowed and alive
+// masks, infeasible ones included. Every result must equal the one computed
+// sequentially before the goroutines start. Then every result of one
+// goroutine is overwritten, and the others' and a new call's must be as they
+// were: no result shares memory with the pool or with another result.
+func TestGreedyKConcurrent(t *testing.T) {
+	type call struct {
+		g              *graph.Graph
+		k              int
+		allowed, alive []bool
+		want           []int
+	}
+	src := rng.New(29)
+	var calls []call
+	for _, n := range []int{6, 60, 200, 500} {
+		g := gen.GNP(n, 5/float64(n), src.Split())
+		draw := func(p float64) []bool {
+			m := make([]bool, n)
+			for v := range m {
+				m[v] = src.Float64() < p
+			}
+			return m
+		}
+		// blocked disallows all of N+[0], so no allowed set covers node 0.
+		blocked := make([]bool, n)
+		for v := range blocked {
+			blocked[v] = v != 0 && !g.HasEdge(0, v)
+		}
+		allowed, alive := draw(0.8), draw(0.9)
+		masks := [][2][]bool{{nil, nil}, {allowed, nil}, {nil, alive}, {allowed, alive}, {blocked, nil}, {blocked, alive}}
+		for _, k := range []int{1, 2} {
+			for _, m := range masks {
+				calls = append(calls, call{g: g, k: k, allowed: m[0], alive: m[1]})
+			}
+		}
+	}
+	feasible := 0
+	for i := range calls {
+		c := &calls[i]
+		c.want = GreedyK(c.g, c.k, c.allowed, c.alive)
+		if c.want != nil {
+			feasible++
+		}
+	}
+	if feasible == 0 || feasible == len(calls) {
+		t.Fatalf("%d of %d calls feasible; the fixture must cover both outcomes", feasible, len(calls))
+	}
+
+	const workers, rounds = 4, 5
+	results := make([][][]int, workers)
+	var wg sync.WaitGroup
+	for w := range results {
+		results[w] = make([][]int, len(calls))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for j := range calls {
+					// Each worker walks the calls from its own offset, so
+					// different sizes run side by side.
+					i := (j + w*len(calls)/workers + r) % len(calls)
+					c := calls[i]
+					got := GreedyK(c.g, c.k, c.allowed, c.alive)
+					if !reflect.DeepEqual(got, c.want) {
+						t.Errorf("worker %d call %d (n=%d k=%d): GreedyK = %v, sequentially %v",
+							w, i, c.g.N(), c.k, got, c.want)
+						return
+					}
+					results[w][i] = got
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	for _, set := range results[0] {
+		for j := range set {
+			set[j] = -1
+		}
+	}
+	for i, c := range calls {
+		for w := 1; w < workers; w++ {
+			if !reflect.DeepEqual(results[w][i], c.want) {
+				t.Fatalf("call %d: worker %d's result became %v after worker 0's were overwritten, want %v",
+					i, w, results[w][i], c.want)
+			}
+		}
+		if got := GreedyK(c.g, c.k, c.allowed, c.alive); !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("call %d: GreedyK = %v after worker 0's results were overwritten, want %v", i, got, c.want)
+		}
+	}
+}
+
 func TestIsMaximalIndependent(t *testing.T) {
 	// Other packages' MIS protocols are checked against this oracle, so it
 	// must reject both ways a set can fail.
@@ -443,7 +542,12 @@ func TestIsIndependent(t *testing.T) {
 // disk graphs of the two shapes the service benchmark replans most: n = 512
 // at r = 0.09 (patch-churn's graphs) and n = 2048 at r = 0.115
 // (shard-large's). Graphs are redrawn until no node is isolated, so k = 2
-// is feasible.
+// is feasible. The gnp cases are solve-heavy's base shape, GNP n = 256 at
+// p = 0.13: unmasked; under an allowed mask that bars a random tenth of the
+// nodes, the shape of every sched.GreedyPhase call; and under one that bars
+// all of N+[u] for the last node u, the infeasible tail of the refiners'
+// extension step at its costliest for the feasibility check, which scans
+// the nodes in order.
 func BenchmarkGreedyK(b *testing.B) {
 	for _, c := range []struct {
 		n int
@@ -464,5 +568,27 @@ func BenchmarkGreedyK(b *testing.B) {
 				}
 			})
 		}
+	}
+	src := rng.New(256)
+	g := gen.GNP(256, 0.13, src.Split())
+	last := g.N() - 1
+	allowed, blocked := make([]bool, g.N()), make([]bool, g.N())
+	for v := range allowed {
+		allowed[v] = src.Intn(10) > 0
+		blocked[v] = v != last && !g.HasEdge(last, v)
+	}
+	for _, c := range []struct {
+		name     string
+		allowed  []bool
+		feasible bool
+	}{{"gnp/n=256/k=1", nil, true}, {"gnp/n=256/k=1/allowed", allowed, true}, {"gnp/n=256/k=1/infeasible", blocked, false}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if (GreedyK(g, 1, c.allowed, nil) != nil) != c.feasible {
+					b.Fatalf("GreedyK feasible = %v, want %v", !c.feasible, c.feasible)
+				}
+			}
+		})
 	}
 }

@@ -116,11 +116,14 @@ func TestRefineImprovesFixture(t *testing.T) {
 }
 
 // TestRefineMovesPreserveDomination is the white-box property test of the
-// move engine: after every accepted move the live session must still be
-// k-dominating, and its incremental state must agree with a from-scratch
-// count over the same member set — i.e. the probes and the flips applied
-// after them leave no residue. The observe hook fires inside refinePhase
-// after each accepted move.
+// move engine and of the per-phase sessions it keeps across passes. After
+// every accepted move the live session must still be k-dominating, and its
+// dominator counts must agree node by node with a from-scratch count over
+// the same member set — the probes and the flips applied after them leave
+// no residue. After every pass, each phase's session must hold exactly the
+// phase's set of record, with the counts a fresh Reset of that set gives,
+// since the next pass reuses it instead of reloading. The observe hook fires
+// inside refinePhase after each accepted move.
 func TestRefineMovesPreserveDomination(t *testing.T) {
 	for _, k := range []int{1, 2} {
 		in := hetInstance(t, 48, uint64(13+k)).WithK(k)
@@ -129,7 +132,7 @@ func TestRefineMovesPreserveDomination(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh := domset.NewSession(g) // independent of the refiner's session
+		fresh := domset.NewSession(g) // independent of the refiner's sessions
 		moves := 0
 		observe := func(sess *domset.Session) {
 			moves++
@@ -137,20 +140,63 @@ func TestRefineMovesPreserveDomination(t *testing.T) {
 				t.Fatalf("k=%d: accepted move %d left a non-dominating set", k, moves)
 			}
 			members := sess.AppendMembers(nil)
-			if !fresh.Reset(members, k, nil).IsKDominating() {
-				t.Fatalf("k=%d: session says k-dominating but a fresh count over %v disagrees",
-					k, members)
+			if diff := countDiff(sess, fresh.Reset(members, k, nil)); diff != "" {
+				t.Fatalf("k=%d: after accepted move %d over %v, %s", k, moves, members, diff)
 			}
 		}
 		rc := &refinement{Budget: 3000, Src: rng.New(3)}
-		out := refineSchedule(in, base, rc, NameTabu, newTabuPolicy(g.N(), 3000), observe)
+		st := newRefineState(in, base, rc, newTabuPolicy(g.N(), 3000), observe)
+		passes, checked := 0, 0
+		for !st.exhausted() {
+			st.pass()
+			passes++
+			if len(st.sessions) != len(st.sets) {
+				t.Fatalf("k=%d pass %d: %d sessions for %d phases", k, passes, len(st.sessions), len(st.sets))
+			}
+			for p, sess := range st.sessions {
+				if sess == nil {
+					continue
+				}
+				checked++
+				if got := sess.AppendMembers(nil); !reflect.DeepEqual(got, st.sets[p]) {
+					t.Fatalf("k=%d pass %d: phase %d's session holds %v, its set of record is %v",
+						k, passes, p, got, st.sets[p])
+				}
+				if diff := countDiff(sess, fresh.Reset(st.sets[p], k, nil)); diff != "" {
+					t.Fatalf("k=%d pass %d: in phase %d's session %s", k, passes, p, diff)
+				}
+			}
+		}
 		if moves == 0 {
 			t.Fatalf("k=%d: the property test observed no accepted moves; fixture too easy", k)
 		}
-		if err := out.Validate(g, budgets, k); err != nil {
+		// The fixture must reuse sessions, and visit a phase the extension
+		// appended, or the per-pass check has nothing to catch.
+		if passes < 2 || len(st.sets) <= len(base.Phases) || st.sessions[len(base.Phases)] == nil {
+			t.Fatalf("k=%d: %d passes extending %d phases to %d; fixture too small",
+				k, passes, len(base.Phases), len(st.sets))
+		}
+		if err := st.snapshot().Validate(g, budgets, k); err != nil {
 			t.Fatalf("k=%d: refined schedule invalid: %v", k, err)
 		}
+		t.Logf("k=%d: %d accepted moves, %d passes, %d session checks", k, moves, passes, checked)
 	}
+}
+
+// countDiff describes the first way session a disagrees with a fresh count
+// b — a node's dominator count, the coverage or the verdict — or returns ""
+// when they agree.
+func countDiff(a, b *domset.Session) string {
+	for v := 0; v < a.Graph().N(); v++ {
+		if a.Dominators(v) != b.Dominators(v) {
+			return fmt.Sprintf("node %d has %d dominators, a fresh count %d", v, a.Dominators(v), b.Dominators(v))
+		}
+	}
+	if a.CoveredCount() != b.CoveredCount() || a.IsKDominating() != b.IsKDominating() {
+		return fmt.Sprintf("%d nodes are covered (k-dominating: %v), in a fresh count %d (%v)",
+			a.CoveredCount(), a.IsKDominating(), b.CoveredCount(), b.IsKDominating())
+	}
+	return ""
 }
 
 // TestRefineCancelReturnsBestSoFar pins the anytime contract at the
@@ -339,21 +385,24 @@ func TestTabuGolden(t *testing.T) {
 var scheduleSink *core.Schedule
 
 // BenchmarkRefine times one greedy+refiner solve on the golden fixture's
-// instance and budget. The deadline is an hour ahead, so the per-move
-// deadline poll is on the timed path, as it is on the serve path.
+// instance, at the golden budget and at solve-heavy's budget of 100 000
+// moves, which runs about 19 passes. The deadline is an hour ahead, so the
+// per-move deadline poll is on the timed path, as it is on the serve path.
 func BenchmarkRefine(b *testing.B) {
 	in := hetInstance(b, 256, 13)
 	for _, name := range []string{NameTabu, NameAnneal} {
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				s, err := Solve(in, Spec{Name: name, Base: NameGreedy}, Options{
-					Tries: 1, Budget: 20000, Src: rng.New(13), Deadline: time.Now().Add(time.Hour)})
-				if err != nil {
-					b.Fatal(err)
+		for _, budget := range []int{20000, 100000} {
+			b.Run(fmt.Sprintf("%s/budget=%d", name, budget), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					s, err := Solve(in, Spec{Name: name, Base: NameGreedy}, Options{
+						Tries: 1, Budget: budget, Src: rng.New(13), Deadline: time.Now().Add(time.Hour)})
+					if err != nil {
+						b.Fatal(err)
+					}
+					scheduleSink = s
 				}
-				scheduleSink = s
-			}
-		})
+			})
+		}
 	}
 }

@@ -3,6 +3,7 @@ package solver_test
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domset"
+	"repro/internal/exact"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -401,4 +403,54 @@ func TestPruneAtLeastGreedy(t *testing.T) {
 			t.Fatalf("seed %d: prune lifetime %d < greedy %d", seed, pruned.Lifetime(), greedy.Lifetime())
 		}
 	}
+}
+
+// TestNoSolverExceedsExactOptimum holds every registry row to the exact
+// integral optimum on small instances: no feasible schedule outlives it, so
+// a lifetime above it is an infeasible schedule the driver's gates let
+// through. Every row runs on every instance its Validate accepts, the
+// refiners over greedy at a budget that makes several passes at this size.
+// The graphs stay at n <= 12, where exact.Integral is fast.
+func TestNoSolverExceedsExactOptimum(t *testing.T) {
+	refiners := solver.RefinerNames()
+	cases := 0
+	for _, n := range []int{8, 10, 12} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			src := rng.New(seed)
+			g := gen.GNP(n, 0.4, src.Split())
+			drawn := make([]int, n)
+			for v := range drawn {
+				drawn[v] = 1 + src.Intn(3)
+			}
+			for _, budgets := range [][]int{uniformBudgets(n, 2), drawn} {
+				for _, k := range []int{1, 2} {
+					in := inst(g, budgets).WithK(k)
+					opt, _, _ := exact.Integral(g, budgets, k)
+					for _, name := range solver.Names() {
+						spec := solver.Spec{Name: name}
+						if slices.Contains(refiners, name) {
+							spec.Base = solver.NameGreedy
+						}
+						sv, err := solver.Resolve(name)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if sv.Validate(in, spec) != nil {
+							continue
+						}
+						s, err := solver.Solve(in, spec, solver.Options{Tries: 3, Budget: 2000, Src: rng.New(seed)})
+						if err != nil {
+							t.Fatalf("%s on n=%d seed=%d budgets=%v k=%d: %v", name, n, seed, budgets, k, err)
+						}
+						if s.Lifetime() > opt {
+							t.Errorf("%s on n=%d seed=%d budgets=%v k=%d: lifetime %d exceeds the optimum %d",
+								name, n, seed, budgets, k, s.Lifetime(), opt)
+						}
+						cases++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d solver × instance cases", cases)
 }
