@@ -142,9 +142,8 @@ func (g *Graph) checkNode(v int) {
 func (g *Graph) HasEdge(u, v int) bool {
 	g.checkNode(u)
 	g.checkNode(v)
-	s := g.adj[u]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= int32(v) })
-	return i < len(s) && s[i] == int32(v)
+	_, found := slices.BinarySearch(g.adj[u], int32(v))
+	return found
 }
 
 // Neighbors returns the sorted open neighborhood N(v). The returned slice is

@@ -12,7 +12,10 @@
 // parent deterministically.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic pseudo-random source. The zero value is a valid
 // generator seeded with 0; prefer New so that distinct seeds are well mixed.
@@ -76,26 +79,11 @@ func (s *Source) Intn(n int) int {
 	// in the common case.
 	un := uint64(n)
 	for {
-		v := s.Uint64()
-		hi, lo := mul128(v, un)
+		hi, lo := bits.Mul64(s.Uint64(), un)
 		if lo >= un || lo >= (-un)%un {
 			return int(hi)
 		}
 	}
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask = 0xffffffff
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t & mask
-	w2 := t >> 32
-	w1 += a0 * b1
-	hi = a1*b1 + w2 + (w1 >> 32)
-	lo = a * b
-	return hi, lo
 }
 
 // Float64 returns a uniform float64 in [0, 1).

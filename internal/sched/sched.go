@@ -16,6 +16,7 @@ package sched
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/domset"
@@ -113,7 +114,12 @@ func appendGreedyPhases(g *graph.Graph, out *core.Schedule, residual []int, k in
 // is charged to residual in place. It returns a nil set when no alive node
 // is left to cover or the residual network admits no k-dominating set.
 func GreedyPhase(g *graph.Graph, residual []int, k int, alive []bool) (set []int, dur int) {
-	allowed := make([]bool, len(residual))
+	mask := maskPool.Get().(*[]bool)
+	defer maskPool.Put(mask)
+	if cap(*mask) < len(residual) {
+		*mask = make([]bool, len(residual))
+	}
+	allowed := (*mask)[:len(residual)]
 	for v, r := range residual {
 		allowed[v] = r > 0
 	}
@@ -130,6 +136,11 @@ func GreedyPhase(g *graph.Graph, residual []int, k int, alive []bool) (set []int
 	}
 	return set, dur
 }
+
+// maskPool holds GreedyPhase's allowed masks, which it rewrites whole on
+// every call. GreedyK keeps no reference to its mask, so a mask goes back
+// to the pool as soon as the call returns.
+var maskPool = sync.Pool{New: func() any { return new([]bool) }}
 
 // Replan builds a fresh schedule for a degraded network from scratch: greedy
 // k-dominating phases over the residual budgets, where only alive nodes may

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -238,4 +240,74 @@ func TestReplanGolden(t *testing.T) {
 				c.name, got, c.want, c.s.Lifetime(), len(c.s.Phases))
 		}
 	}
+}
+
+// TestGreedyPhaseConcurrent calls GreedyPhase from several goroutines at
+// once on graphs of several sizes, so a pooled allowed mask comes back at
+// another n than it was last used at, with and without an alive mask and
+// on residuals that leave some calls infeasible. Every phase, duration and
+// charged residual must equal the ones a sequential call computed before
+// the goroutines start.
+func TestGreedyPhaseConcurrent(t *testing.T) {
+	type call struct {
+		g               *graph.Graph
+		k               int
+		alive           []bool
+		residual, after []int // before and after the sequential call
+		set             []int
+		dur             int
+	}
+	src := rng.New(31)
+	var calls []call
+	for _, n := range []int{8, 90, 300} {
+		g := gen.GNP(n, 4/float64(n), src.Split())
+		residual := make([]int, n)
+		alive := make([]bool, n)
+		for v := range residual {
+			residual[v] = src.Intn(4) // a zero residual disallows the node
+			alive[v] = src.Intn(10) != 0
+		}
+		for _, k := range []int{1, 2} {
+			for _, a := range [][]bool{nil, alive} {
+				calls = append(calls, call{g: g, k: k, alive: a, residual: residual})
+			}
+		}
+	}
+	feasible := 0
+	for i := range calls {
+		c := &calls[i]
+		c.after = append([]int(nil), c.residual...)
+		c.set, c.dur = GreedyPhase(c.g, c.after, c.k, c.alive)
+		if c.set != nil {
+			feasible++
+		}
+	}
+	if feasible == 0 || feasible == len(calls) {
+		t.Fatalf("%d of %d calls feasible; the fixture must cover both outcomes", feasible, len(calls))
+	}
+
+	const workers, rounds = 4, 5
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for j := range calls {
+					// Each worker walks the calls from its own offset, so
+					// different sizes run side by side.
+					i := (j + w*len(calls)/workers + r) % len(calls)
+					c := calls[i]
+					res := append([]int(nil), c.residual...)
+					set, dur := GreedyPhase(c.g, res, c.k, c.alive)
+					if !slices.Equal(set, c.set) || dur != c.dur || !slices.Equal(res, c.after) {
+						t.Errorf("worker %d call %d (n=%d k=%d): GreedyPhase = %v×%d, sequentially %v×%d",
+							w, i, c.g.N(), c.k, set, dur, c.set, c.dur)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -5,7 +5,9 @@
 // domset.Session — one pass over the moved nodes' neighborhoods, stopping at
 // the first node the move would under-cover — and only accepted moves are
 // applied, by the self-inverse Flip. Each phase keeps its session from its
-// first visit on, so the full O(n + m) Reset is paid once per phase.
+// first visit on, so the full O(n + m) Reset is paid once per phase. It also
+// keeps a bit that says its set is minimal, so a removal sweep over a phase
+// no move has touched since its last complete sweep makes no probe.
 //
 // The move set, per phase of the schedule:
 //
@@ -117,18 +119,28 @@ func (p *annealPolicy) acceptSwap(d float64, it int, src *rng.Source) bool {
 // sessions[p] holds phase p's set on a domination session from the phase's
 // first visit on. Only refinePhase changes a set, and only through that
 // session's Flips, so a later visit reuses the session instead of paying a
-// Reset; sets[p] stays the schedule of record, written back after every
-// visit. The sessions are the search's memory: O(n) words each, for at most
-// min(phases, budget/8 + 1) phases, because every complete visit charges
-// at least 8 swap attempts, and at least one removal probe per member
-// (about 105 sessions, 140 KB, for a greedy+tabu solve at n = 256 and
-// budget 100 000).
+// Reset. sets[p] stays the schedule of record. It is written back after a
+// visit that accepted a move, and after the first visit, which normalizes
+// it to the session's sorted members; the write goes into a fresh slice,
+// so a slice a snapshot shares is never written. The sessions are the
+// search's memory: O(n) words each, for at most min(phases, budget/8 + 1)
+// phases, because every complete visit charges at least 8 swap attempts,
+// and at least one removal probe per member (about 105 sessions, 140 KB,
+// for a greedy+tabu solve at n = 256 and budget 100 000).
+//
+// minimal[p] records that no member of phase p passes DropKeeps. A complete
+// removal sweep sets it: a removal only lowers dominator counts, so a member
+// that fails its probe keeps failing for the rest of the sweep, and at the
+// end no member passes. An accepted swap clears it, and an appended phase
+// starts with it clear. Nothing else changes a set: the removal sweep only
+// removes from a set whose bit is clear.
 type refineState struct {
 	g        *graph.Graph
 	k        int
 	sets     [][]int
 	durs     []int
 	sessions []*domset.Session // per phase; nil until the phase's first visit
+	minimal  []bool            // per phase; see above
 	residual []int
 	it       int // candidate moves charged so far
 	budget   int
@@ -148,6 +160,7 @@ func newRefineState(inst *instance.Instance, start *core.Schedule, rc *refinemen
 		k:        inst.Tolerance(),
 		durs:     make([]int, 0, len(start.Phases)),
 		sessions: make([]*domset.Session, len(start.Phases)),
+		minimal:  make([]bool, len(start.Phases)),
 		residual: append([]int(nil), inst.Budgets...),
 		budget:   rc.Budget,
 		cancel:   rc.Cancel,
@@ -182,17 +195,16 @@ func (st *refineState) lifetime() int {
 	return total
 }
 
-// snapshot clones the working schedule (dropping zero-duration phases).
+// snapshot captures the working schedule (dropping zero-duration phases).
+// It shares each phase's set slice with the state, since refinePhase never
+// writes into a set of record in place.
 func (st *refineState) snapshot() *core.Schedule {
 	out := &core.Schedule{}
 	for p, set := range st.sets {
 		if st.durs[p] <= 0 || len(set) == 0 {
 			continue
 		}
-		out.Phases = append(out.Phases, core.Phase{
-			Set:      append([]int(nil), set...),
-			Duration: st.durs[p],
-		})
+		out.Phases = append(out.Phases, core.Phase{Set: set, Duration: st.durs[p]})
 	}
 	return out
 }
@@ -246,7 +258,8 @@ func (st *refineState) refinePhase(p int) {
 	}
 	g, src, pol := st.g, st.src, st.pol
 	sess := st.sessions[p]
-	if sess == nil {
+	first := sess == nil
+	if first {
 		sess = domset.NewSession(g).Reset(st.sets[p], st.k, nil)
 		st.sessions[p] = sess
 	}
@@ -254,25 +267,34 @@ func (st *refineState) refinePhase(p int) {
 		return // defensive: the driver only refines validated schedules
 	}
 	dur := st.durs[p]
+	moved := false
 
 	// Removal sweep: members in random order, so successive passes explore
 	// different minimal subsets (the fixed degree order of sched.Minimalize
-	// always lands on the same one).
+	// always lands on the same one). On a minimal set every probe would
+	// fail, so the sweep skips them, and still draws the shuffle and charges
+	// one move per member, as the probing sweep does.
 	order := sess.AppendMembers(st.members[:0])
 	src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	swept := true
 	for _, v := range order {
 		if st.exhausted() {
+			swept = false
 			break
 		}
 		st.it++
-		if sess.DropKeeps(v) {
+		if !st.minimal[p] && sess.DropKeeps(v) {
 			sess.Flip(v)
 			pol.noteLeave(v, st.it)
 			st.residual[v] += dur
+			moved = true
 			if st.observe != nil {
 				st.observe(sess)
 			}
 		}
+	}
+	if swept {
+		st.minimal[p] = true
 	}
 
 	// Swap sweep: move the slot's load off battery-scarce dominators onto
@@ -293,7 +315,8 @@ func (st *refineState) refinePhase(p int) {
 		vi := src.Intn(len(cur))
 		v := cur[vi]
 		u := src.Intn(g.N())
-		if u == v || sess.Contains(u) || st.residual[u] < dur || !pol.admitAdd(u, st.it) {
+		// The battery test comes first: it rejects most draws.
+		if st.residual[u] < dur || u == v || sess.Contains(u) || !pol.admitAdd(u, st.it) {
 			continue
 		}
 		// After the swap, u serves this slot at residual[u]-dur while v is
@@ -312,12 +335,16 @@ func (st *refineState) refinePhase(p int) {
 		st.residual[v] += dur
 		st.residual[u] -= dur
 		cur[vi] = u
+		moved = true
+		st.minimal[p] = false
 		if st.observe != nil {
 			st.observe(sess)
 		}
 	}
 
-	st.sets[p] = sess.AppendMembers(st.sets[p][:0])
+	if moved || first {
+		st.sets[p] = sess.AppendMembers(make([]int, 0, len(cur)))
+	}
 }
 
 // scarcity is the pressure of leaving a node at residual budget r: high
@@ -338,6 +365,7 @@ func (st *refineState) extend() {
 		st.sets = append(st.sets, set)
 		st.durs = append(st.durs, dur)
 		st.sessions = append(st.sessions, nil)
+		st.minimal = append(st.minimal, false)
 	}
 }
 
