@@ -1,8 +1,10 @@
 package graph
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // BudgetUpdate revises the duty budget of one surviving node, addressed in
@@ -67,13 +69,15 @@ func packEdge(u, v int) uint64 {
 // Apply validates d against g and the pre-delta budget vector and returns the
 // post-delta graph, the post-delta budget vector, and the old→new ID mapping
 // (mapping[v] is v's post-delta ID, or -1 when v was removed). g and budgets
-// are never mutated; on error all three results are nil.
+// are never mutated; on error all three results are nil. When several
+// add_edges entries repeat a carried edge or an earlier entry, the error
+// names the first of them in list order.
 //
-// The fingerprint contract: Apply builds the result through the same
-// canonical constructor a from-scratch build uses, so the post-delta graph's
-// Fingerprint equals that of a graph freshly constructed with the same node
-// count and edge set — the property the serving layer's cache invalidation
-// keys on, pinned by the randomized-sequence property test.
+// Apply relabels g instead of rebuilding it from an edge list (see
+// relabel). The result has the same sorted lists as a FromEdges build over
+// the same node count and edge set, so its Fingerprint equals that build's:
+// the property the serving layer's cache invalidation keys on, pinned by
+// TestDeltaFingerprintProperty and FuzzDeltaApply.
 func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 	if g == nil {
 		return nil, nil, nil, fmt.Errorf("graph: delta: nil graph")
@@ -95,18 +99,22 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 		}
 	}
 
-	removed := make([]bool, n)
+	// mapping marks removed nodes with -1 here; survivors are numbered below.
+	mapping := make([]int, n)
 	for _, v := range d.RemoveNodes {
 		if v < 0 || v >= n {
 			return nil, nil, nil, fmt.Errorf("graph: delta: remove_nodes: node %d out of range [0, %d)", v, n)
 		}
-		if removed[v] {
+		if mapping[v] < 0 {
 			return nil, nil, nil, fmt.Errorf("graph: delta: remove_nodes: node %d listed twice", v)
 		}
-		removed[v] = true
+		mapping[v] = -1
 	}
 
-	dropEdge := make(map[uint64]bool, len(d.RemoveEdges))
+	var dropEdge map[uint64]bool
+	if len(d.RemoveEdges) > 0 {
+		dropEdge = make(map[uint64]bool, len(d.RemoveEdges))
+	}
 	for i, e := range d.RemoveEdges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n || v < 0 || v >= n {
@@ -126,11 +134,9 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 	}
 
 	// Survivors keep their relative order; added nodes take the next IDs.
-	mapping := make([]int, n)
 	survivors := 0
-	for v := 0; v < n; v++ {
-		if removed[v] {
-			mapping[v] = -1
+	for v := range mapping {
+		if mapping[v] < 0 {
 			continue
 		}
 		mapping[v] = survivors
@@ -138,15 +144,6 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 	}
 	n2 := survivors + d.AddNodes
 
-	// Carry the surviving edges over, minus the explicit removals.
-	edges := make([][2]int, 0, g.M()+len(d.AddEdges))
-	g.Edges(func(u, v int) {
-		if removed[u] || removed[v] || dropEdge[packEdge(u, v)] {
-			return
-		}
-		edges = append(edges, [2]int{mapping[u], mapping[v]})
-	})
-	carried := len(edges)
 	for i, e := range d.AddEdges {
 		u, v := e[0], e[1]
 		if u < 0 || u >= n2 || v < 0 || v >= n2 {
@@ -156,19 +153,14 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 			return nil, nil, nil, fmt.Errorf("graph: delta: add_edges[%d]: self-loop at node %d", i, u)
 		}
 	}
-	// Building through the canonical constructor is what keeps Fingerprint
-	// consistent with a from-scratch construction. The carried edges form a
-	// simple graph and the additions passed the checks above, so the only
-	// error left is an added edge that is already present or listed twice;
-	// FromEdges names its second listing, which is therefore an addition.
-	g2, err := FromEdges(n2, append(edges, d.AddEdges...))
-	if err != nil {
-		var dup *edgeError
-		if !errors.As(err, &dup) || dup.index < carried {
-			return nil, nil, nil, fmt.Errorf("graph: delta: %w", err)
-		}
+	if err := checkNodeCount(n2); err != nil {
+		return nil, nil, nil, fmt.Errorf("graph: delta: %w", err)
+	}
+	g2, dup := d.relabel(g, mapping, dropEdge, n2)
+	if dup >= 0 {
+		e := d.AddEdges[dup]
 		return nil, nil, nil, fmt.Errorf("graph: delta: add_edges[%d]: edge {%d,%d} already present",
-			dup.index-carried, dup.u, dup.v)
+			dup, e[0], e[1])
 	}
 
 	budgets2 := make([]int, n2)
@@ -187,7 +179,7 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 		if up.Node < 0 || up.Node >= n {
 			return nil, nil, nil, fmt.Errorf("graph: delta: set_budgets[%d]: node %d out of range [0, %d)", i, up.Node, n)
 		}
-		if removed[up.Node] {
+		if mapping[up.Node] < 0 {
 			return nil, nil, nil, fmt.Errorf("graph: delta: set_budgets[%d]: node %d is removed by this delta", i, up.Node)
 		}
 		if seenUpdate[up.Node] {
@@ -201,6 +193,101 @@ func (d Delta) Apply(g *Graph, budgets []int) (*Graph, []int, []int, error) {
 	}
 
 	return g2, budgets2, mapping, nil
+}
+
+// half is one endpoint's side of an added edge: nbr joins at's list.
+type half struct {
+	at, nbr int32
+	idx     int // the edge's index in AddEdges
+}
+
+// relabel builds the post-delta graph on n2 nodes from g, the numbered
+// mapping and the validated removals and additions. Survivors keep their
+// order, so a survivor's list of g, with removed nodes and dropped edges
+// filtered out and IDs mapped, is still sorted. Each such list is merged
+// with the node's added neighbors (sorted per endpoint) and written in node
+// order into one shared neighbor array; every list is cut with its capacity
+// capped, as in FromEdges. relabel also returns the index of the first
+// add_edges entry that repeats a carried edge or an earlier entry, or -1;
+// the graph is then not simple and must be discarded.
+func (d Delta) relabel(g *Graph, mapping []int, dropEdge map[uint64]bool, n2 int) (*Graph, int) {
+	halves := make([]half, 0, 2*len(d.AddEdges))
+	for i, e := range d.AddEdges {
+		halves = append(halves, half{int32(e[0]), int32(e[1]), i}, half{int32(e[1]), int32(e[0]), i})
+	}
+	slices.SortFunc(halves, func(a, b half) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.nbr, b.nbr), cmp.Compare(a.idx, b.idx))
+	})
+	dup := -1
+	repeat := func(idx int) {
+		if dup < 0 || idx < dup {
+			dup = idx
+		}
+	}
+	for i := 1; i < len(halves); i++ {
+		if halves[i].at == halves[i-1].at && halves[i].nbr == halves[i-1].nbr {
+			repeat(halves[i].idx)
+		}
+	}
+
+	// The carried edges are g's minus those at a removed node (each counted
+	// once) and the listed removals between survivors.
+	carried := g.m
+	for _, r := range d.RemoveNodes {
+		for _, u := range g.adj[r] {
+			if mapping[u] >= 0 || int(u) > r {
+				carried--
+			}
+		}
+	}
+	for _, e := range d.RemoveEdges {
+		if mapping[e[0]] >= 0 && mapping[e[1]] >= 0 {
+			carried--
+		}
+	}
+
+	nbrs := make([]int32, 2*carried+len(halves))
+	g2 := &Graph{adj: make([][]int32, n2), m: carried + len(d.AddEdges)}
+	pos, h := 0, 0
+	// added writes nv's added neighbors below limit.
+	added := func(nv, limit int32) {
+		for ; h < len(halves) && halves[h].at == nv && halves[h].nbr < limit; h++ {
+			nbrs[pos] = halves[h].nbr
+			pos++
+		}
+	}
+	for v, list := range g.adj {
+		if mapping[v] < 0 {
+			continue
+		}
+		nv, start := int32(mapping[v]), pos
+		// Most survivors gain no edge; their lists are copied without the
+		// merge's checks (a fifth of Apply's time on patch-churn's shape).
+		merge := h < len(halves) && halves[h].at == nv
+		for _, u := range list {
+			mu := int32(mapping[u])
+			if mu < 0 || (dropEdge != nil && dropEdge[packEdge(v, int(u))]) {
+				continue
+			}
+			if merge {
+				added(nv, mu)
+				if h < len(halves) && halves[h].at == nv && halves[h].nbr == mu {
+					repeat(halves[h].idx)
+				}
+			}
+			nbrs[pos] = mu
+			pos++
+		}
+		added(nv, math.MaxInt32)
+		g2.adj[nv] = nbrs[start:pos:pos]
+	}
+	// Added nodes start isolated: their lists hold added edges only.
+	for nv := n2 - d.AddNodes; nv < n2; nv++ {
+		start := pos
+		added(int32(nv), math.MaxInt32)
+		g2.adj[nv] = nbrs[start:pos:pos]
+	}
+	return g2, dup
 }
 
 // HashInto mixes the delta into h as a canonical key component: every field

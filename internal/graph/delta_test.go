@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,7 +76,8 @@ func (s *shadow) graph() *Graph {
 }
 
 // randomDelta draws a valid delta against g: edge and node removals sampled
-// from the live structure, added nodes wired to random survivors.
+// from the live structure, added nodes wired to random survivors, and edges
+// between non-adjacent survivors, which land in the middle of carried lists.
 func randomDelta(g *Graph, src *rng.Source) Delta {
 	var d Delta
 	n := g.N()
@@ -116,6 +118,24 @@ func randomDelta(g *Graph, src *rng.Source) Delta {
 	for _, v := range d.RemoveNodes {
 		removed[v] = true
 	}
+	// Join up to three pairs of survivors that g does not join, in post-delta
+	// IDs, in random orientation and at random places in the list.
+	var kept []int // kept[i] is the survivor that gets post-delta ID i
+	for v := 0; v < n; v++ {
+		if !removed[v] {
+			kept = append(kept, v)
+		}
+	}
+	for tries, joined := 0, 0; tries < 20 && joined < 3 && len(kept) > 1; tries++ {
+		i, j := src.Intn(len(kept)), src.Intn(len(kept))
+		if i == j || g.HasEdge(kept[i], kept[j]) ||
+			slices.Contains(d.AddEdges, [2]int{i, j}) || slices.Contains(d.AddEdges, [2]int{j, i}) {
+			continue
+		}
+		d.AddEdges = slices.Insert(d.AddEdges, src.Intn(len(d.AddEdges)+1), [2]int{i, j})
+		joined++
+	}
+
 	for _, v := range src.Perm(n) {
 		if len(d.SetBudgets) >= 2 {
 			break
@@ -157,6 +177,7 @@ func TestDeltaFingerprintProperty(t *testing.T) {
 			if err := g2.Validate(); err != nil {
 				t.Fatalf("trial %d step %d: invalid result graph: %v", trial, step, err)
 			}
+			checkAppendIsolated(t, g2)
 			sh.apply(d)
 			rebuilt := sh.graph()
 			if g2.Fingerprint() != rebuilt.Fingerprint() {
@@ -256,6 +277,15 @@ var deltaErrorCases = []struct {
 	{"add edge loop", Delta{AddEdges: [][2]int{{3, 3}}}, "self-loop"},
 	{"add edge present", Delta{AddEdges: [][2]int{{0, 1}}}, "already present"},
 	{"add edge twice", Delta{AddEdges: [][2]int{{0, 3}, {3, 0}}}, "already present"},
+	// With several duplicates the first entry, in list order, that repeats a
+	// carried edge or an earlier entry is named.
+	{"add edges present twice", Delta{AddEdges: [][2]int{{1, 3}, {2, 1}, {0, 1}}},
+		"add_edges[1]: edge {2,1} already present"},
+	{"add edge repeated, then present", Delta{AddEdges: [][2]int{{3, 2}, {0, 3}, {2, 3}, {1, 0}}},
+		"add_edges[2]: edge {2,3} already present"},
+	// Range and self-loop checks cover the whole list before any duplicate.
+	{"add edge present, then out of range", Delta{AddEdges: [][2]int{{0, 1}, {0, 9}}},
+		"add_edges[1] {0,9}: endpoint out of post-delta range"},
 	{"set budget range", Delta{SetBudgets: []BudgetUpdate{{Node: 7}}}, "out of range"},
 	{"set budget removed", Delta{RemoveNodes: []int{2}, SetBudgets: []BudgetUpdate{{Node: 2}}}, "removed by this delta"},
 	{"set budget twice", Delta{SetBudgets: []BudgetUpdate{{Node: 1, Budget: 2}, {Node: 1, Budget: 3}}}, "updated twice"},

@@ -20,9 +20,10 @@ import (
 
 // Graph is an undirected simple graph over nodes 0..N()-1. It is immutable
 // once built: every edge enters through FromEdges (directly or via
-// NewFromEdges, Delta.Apply, ReadEdgeList and the generators of package gen)
-// or through InducedSubgraph, so one Graph is safe to share across
-// goroutines, cached instances and shards. The zero value is an empty graph.
+// NewFromEdges, ReadEdgeList and the generators of package gen), through
+// InducedSubgraph, or through Delta.Apply, which relabels an existing graph.
+// So one Graph is safe to share across goroutines, cached instances and
+// shards. The zero value is an empty graph.
 type Graph struct {
 	adj [][]int32 // sorted neighbor lists
 	m   int       // number of edges
@@ -44,11 +45,12 @@ func New(n int) *Graph {
 // in a sorted list. Every list is cut from the shared array with its capacity
 // capped, so a caller's append to a Neighbors slice reallocates instead of
 // overwriting the next node's list. It is the one constructor behind
-// NewFromEdges, Delta.Apply, ReadEdgeList, the generators and the service's
-// request decoding.
+// NewFromEdges, ReadEdgeList, the generators and the service's request
+// decoding. Delta.Apply does not go through it: it relabels the graph it is
+// applied to into the same sorted lists a FromEdges build would give.
 func FromEdges(n int, edges [][2]int) (*Graph, error) {
-	if n < 0 || n > math.MaxInt32 {
-		return nil, fmt.Errorf("graph: node count %d out of range [0, %d]", n, math.MaxInt32)
+	if err := checkNodeCount(n); err != nil {
+		return nil, err
 	}
 	// end[v] counts v's neighbors, then becomes the end of its list, then
 	// (after the fill decrements it) the start.
@@ -87,6 +89,14 @@ func FromEdges(n int, edges [][2]int) (*Graph, error) {
 		g.adj[v] = s
 	}
 	return g, nil
+}
+
+// checkNodeCount rejects a node count that int32 neighbor IDs cannot hold.
+func checkNodeCount(n int) error {
+	if n < 0 || n > math.MaxInt32 {
+		return fmt.Errorf("graph: node count %d out of range [0, %d]", n, math.MaxInt32)
+	}
+	return nil
 }
 
 // edgeError reports the first edge FromEdges rejected, by its index in the

@@ -47,16 +47,27 @@ func writeWords(w *bufio.Writer, vs ...uint64) {
 }
 
 // writeGraph writes the canonical structure words of g: N, M, then every edge
-// {u, v} with u < v as u, v, in adjacency order.
+// {u, v} with u < v as u, v, in adjacency order. The edge words are appended
+// straight into w's free buffer, which is handed back and flushed only when
+// the next edge does not fit.
 func writeGraph(w *bufio.Writer, g *Graph) {
 	writeWords(w, uint64(g.N()), uint64(g.M()))
+	b := w.AvailableBuffer()
 	for u, nbrs := range g.adj {
 		for _, v := range nbrs {
-			if int32(u) < v {
-				writeWords(w, uint64(u), uint64(v))
+			if int32(u) >= v {
+				continue
 			}
+			if cap(b)-len(b) < 16 {
+				w.Write(b)
+				w.Flush()
+				b = w.AvailableBuffer()
+			}
+			b = binary.LittleEndian.AppendUint64(b, uint64(u))
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
 		}
 	}
+	w.Write(b)
 }
 
 // Hasher accumulates a canonical request key: a graph structure plus labeled

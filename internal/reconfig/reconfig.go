@@ -16,10 +16,9 @@
 // that would lose domination is truncated and flagged as a violation rather
 // than handed out silently.
 //
-// This is the repo's answer to ROADMAP open item 4, in the spirit of
-// Censor-Hillel & Rabie's reconfiguration schedules (arXiv:1810.02106):
-// transitions that preserve the invariant at every intermediate step, not
-// just at the endpoints.
+// The transitions follow Censor-Hillel & Rabie's reconfiguration schedules
+// (arXiv:1810.02106): they preserve the invariant at every intermediate
+// step, not just at the endpoints.
 package reconfig
 
 import (
@@ -133,7 +132,8 @@ func (p *Plan) mode() string {
 	return "clean"
 }
 
-// Compute plans the transition. The algorithm:
+// Compute plans the transition: the request checks, then req.Delta.Apply on
+// inst's graph and budgets, then ComputeApplied's planner. The algorithm:
 //
 //  1. Apply the delta, producing the post-delta graph, residual budgets, and
 //     ID mapping; remap the alive mask (added nodes are alive).
@@ -161,35 +161,28 @@ func (p *Plan) mode() string {
 // domination requirement the transition must preserve. The delta's budget
 // updates revise those residuals.
 func Compute(inst *instance.Instance, req Request) (*Plan, error) {
-	if inst == nil {
-		return nil, fmt.Errorf("reconfig: nil instance")
+	if err := req.check(inst); err != nil {
+		return nil, err
 	}
-	if req.Old == nil {
-		return nil, fmt.Errorf("reconfig: nil old schedule")
-	}
-	if req.At < 0 {
-		return nil, fmt.Errorf("reconfig: at = %d must be >= 0", req.At)
-	}
-	if req.Overlap < 0 {
-		return nil, fmt.Errorf("reconfig: overlap = %d must be >= 0", req.Overlap)
-	}
-	g := inst.Graph
-	if g != nil && req.Alive != nil && len(req.Alive) != g.N() {
-		return nil, fmt.Errorf("reconfig: %d alive flags for %d nodes", len(req.Alive), g.N())
-	}
-	k := inst.Tolerance()
-	solverName := req.Solver
-	if solverName == "" {
-		solverName = solver.NameGreedy
-	}
-	if _, err := solver.Resolve(solverName); err != nil {
-		return nil, fmt.Errorf("reconfig: %w", err)
-	}
-
-	g2, budgets2, mapping, err := req.Delta.Apply(g, inst.Budgets)
+	g2, budgets2, mapping, err := req.Delta.Apply(inst.Graph, inst.Budgets)
 	if err != nil {
 		return nil, fmt.Errorf("reconfig: %w", err)
 	}
+	return ComputeApplied(inst, g2, budgets2, mapping, req)
+}
+
+// ComputeApplied is Compute for a caller that has already applied the
+// delta: g2, budgets2 and mapping are what req.Delta.Apply(inst.Graph,
+// inst.Budgets) returned, and req.Delta is not read. It runs the same
+// request checks and the rest of the planner, from the alive mask's remap
+// on, so it returns the same plan. The plan shares g2, budgets2 and
+// mapping; nothing writes them.
+func ComputeApplied(inst *instance.Instance, g2 *graph.Graph, budgets2, mapping []int, req Request) (*Plan, error) {
+	if err := req.check(inst); err != nil {
+		return nil, err
+	}
+	k := inst.Tolerance()
+	solverName := req.solverName()
 
 	var alive2 []bool
 	if req.Alive != nil {
@@ -289,6 +282,37 @@ func Compute(inst *instance.Instance, req Request) (*Plan, error) {
 
 	req.Hooks.Emit(obs.Reconfig(req.At, plan.Overlap, plan.OverlapEnergy, plan.mode()))
 	return plan, nil
+}
+
+// check runs the request checks Compute and ComputeApplied share.
+func (req *Request) check(inst *instance.Instance) error {
+	if inst == nil {
+		return fmt.Errorf("reconfig: nil instance")
+	}
+	if req.Old == nil {
+		return fmt.Errorf("reconfig: nil old schedule")
+	}
+	if req.At < 0 {
+		return fmt.Errorf("reconfig: at = %d must be >= 0", req.At)
+	}
+	if req.Overlap < 0 {
+		return fmt.Errorf("reconfig: overlap = %d must be >= 0", req.Overlap)
+	}
+	if g := inst.Graph; g != nil && req.Alive != nil && len(req.Alive) != g.N() {
+		return fmt.Errorf("reconfig: %d alive flags for %d nodes", len(req.Alive), g.N())
+	}
+	if _, err := solver.Resolve(req.solverName()); err != nil {
+		return fmt.Errorf("reconfig: %w", err)
+	}
+	return nil
+}
+
+// solverName is the incoming schedule's algorithm: Solver, or greedy.
+func (req *Request) solverName() string {
+	if req.Solver == "" {
+		return solver.NameGreedy
+	}
+	return req.Solver
 }
 
 // solveIncoming computes the incoming schedule against the charged residual

@@ -1,7 +1,9 @@
 package reconfig
 
 import (
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,6 +260,13 @@ func TestComputeRequestErrors(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
+		if tc.res != nil || req.Delta.RemoveNodes != nil {
+			continue // a delta error, which ComputeApplied's caller meets in Apply
+		}
+		_, err = ComputeApplied(instance.New(g, res), g, res, []int{0, 1}, req)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ComputeApplied err = %v, want substring %q", tc.name, err, tc.want)
+		}
 	}
 	if _, err := Compute(nil, ok); err == nil || !strings.Contains(err.Error(), "nil instance") {
 		t.Errorf("nil instance: err = %v, want substring %q", err, "nil instance")
@@ -351,6 +360,62 @@ func TestInvariantAcrossRandomTransitions(t *testing.T) {
 	}
 }
 
+// TestComputeAppliedMatchesCompute: over random graphs, schedules and
+// deltas, ComputeApplied on Apply's results returns Compute's plan: the
+// same phases, overlap, overlap energy, flags, mapping and graph.
+func TestComputeAppliedMatchesCompute(t *testing.T) {
+	src := rng.New(17)
+	solvers := []string{"", solver.NameUniform, solver.NameGeneral}
+	for trial := 0; trial < 30; trial++ {
+		n := 8 + src.Intn(24)
+		g := gen.GNP(n, 0.25, src.Split())
+		budgets := make([]int, n)
+		for v := range budgets {
+			budgets[v] = 1 + src.Intn(6)
+		}
+		s := sched.Replan(g, budgets, 1, nil)
+		at := src.Intn(s.Lifetime() + 2)
+		used := s.UsagePrefix(n, at)
+		for v := range budgets {
+			budgets[v] -= used[v]
+		}
+		var alive []bool
+		if trial%3 == 1 {
+			alive = make([]bool, n)
+			for v := range alive {
+				alive[v] = src.Float64() > 0.15
+			}
+		}
+		inst := instance.New(g, budgets)
+		req := Request{
+			Old: s, At: at, Alive: alive,
+			Delta:   randomValidDelta(g, src),
+			Overlap: src.Intn(4),
+			Solver:  solvers[trial%len(solvers)],
+			Seed:    uint64(trial), Tries: 5,
+		}
+		want, err := Compute(inst, req)
+		if err != nil {
+			t.Fatalf("trial %d: Compute: %v", trial, err)
+		}
+		g2, budgets2, mapping, err := req.Delta.Apply(g, budgets)
+		if err != nil {
+			t.Fatalf("trial %d: Apply: %v", trial, err)
+		}
+		got, err := ComputeApplied(inst, g2, budgets2, mapping, req)
+		if err != nil {
+			t.Fatalf("trial %d: ComputeApplied: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got.Phases, want.Phases) || got.Overlap != want.Overlap ||
+			got.OverlapEnergy != want.OverlapEnergy || got.Degraded != want.Degraded ||
+			got.Violation != want.Violation || !slices.Equal(got.Mapping, want.Mapping) ||
+			!slices.Equal(got.Budgets, want.Budgets) || !slices.Equal(got.Alive, want.Alive) ||
+			got.Graph.Fingerprint() != want.Graph.Fingerprint() {
+			t.Fatalf("trial %d: ComputeApplied's plan %+v differs from Compute's %+v", trial, got, want)
+		}
+	}
+}
+
 // TestComputeMemoryLinear pins the planner's memory to O(n + m): one
 // PATCH-shaped Compute on a sparse 16 384-node ring must allocate a few MB,
 // not the n²/64 words (34 MB) a packed coverage row per node costs. Not
@@ -387,5 +452,49 @@ func TestComputeMemoryLinear(t *testing.T) {
 	t.Logf("Compute on Ring(%d) allocated %.1f MiB", n, float64(grown)/(1<<20))
 	if grown >= 8<<20 {
 		t.Fatalf("Compute on Ring(%d) allocated %.1f MiB, want < 8 MiB", n, float64(grown)/(1<<20))
+	}
+}
+
+// BenchmarkCompute times one PATCH of the service benchmark's patch-churn
+// workload: on a unit-disk graph with n = 512 and r = 0.09 under a greedy
+// schedule at battery 10, cut over at slot 1 to a graph where one node is
+// replaced by a fresh one wired to its former neighbors.
+func BenchmarkCompute(b *testing.B) {
+	const battery, at = 10, 1
+	g, _ := gen.RandomUDG(512, 1, 0.09, rng.New(7))
+	n := g.N()
+	budgets := make([]int, n)
+	for v := range budgets {
+		budgets[v] = battery
+	}
+	old, err := solver.Solve(instance.New(g, budgets), solver.Spec{Name: solver.NameGreedy}, solver.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	used := old.UsagePrefix(n, at)
+	for v := range budgets {
+		budgets[v] -= used[v]
+	}
+	v := n / 2
+	d := graph.Delta{RemoveNodes: []int{v}, AddNodes: 1, NewBudgets: []int{battery}}
+	for _, u := range g.Neighbors(v) {
+		nu := int(u)
+		if nu > v {
+			nu-- // survivors renumber compactly
+		}
+		d.AddEdges = append(d.AddEdges, [2]int{nu, n - 1})
+	}
+	inst := instance.New(g, budgets)
+	req := Request{Old: old, At: at, Delta: d, Overlap: DefaultOverlap}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := Compute(inst, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if p.Violation {
+			b.Fatal("plan lost domination")
+		}
 	}
 }

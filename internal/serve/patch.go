@@ -179,9 +179,9 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			req.Delta.AddNodes, survivors, s.cfg.MaxNodes)
 		return
 	}
-	// Validate the delta up front so malformed requests are 400s at the door,
-	// not job failures. A sharded base rebases its partition on this result;
-	// reconfig.Compute re-applies the delta for the plan.
+	// Apply the delta once, up front, so malformed requests are 400s at the
+	// door, not job failures. The job plans on this result, and a sharded
+	// base rebases its partition on it; nothing writes it, so both share it.
 	g2, budgets2, mapping, err := req.Delta.Apply(ctx.inst.Graph, residual)
 	if err == nil {
 		// new_budgets and set_budgets can push the total past what a
@@ -219,10 +219,9 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		}
 		// The pre-delta instance at the cutover: residual budgets under the
 		// same graph, sharing the already-computed structure metadata.
-		p, err := reconfig.Compute(ctx.inst.WithBudgets(residual), reconfig.Request{
+		p, err := reconfig.ComputeApplied(ctx.inst.WithBudgets(residual), g2, budgets2, mapping, reconfig.Request{
 			Old:      ctx.sched,
 			At:       req.At,
-			Delta:    req.Delta,
 			Overlap:  overlap,
 			Solver:   req.Solver,
 			Seed:     req.seedOrDefault(),

@@ -122,11 +122,12 @@ func (p *annealPolicy) acceptSwap(d float64, it int, src *rng.Source) bool {
 // Reset. sets[p] stays the schedule of record. It is written back after a
 // visit that accepted a move, and after the first visit, which normalizes
 // it to the session's sorted members; the write goes into a fresh slice,
-// so a slice a snapshot shares is never written. The sessions are the
-// search's memory: O(n) words each, for at most min(phases, budget/8 + 1)
-// phases, because every complete visit charges at least 8 swap attempts,
-// and at least one removal probe per member (about 105 sessions, 140 KB,
-// for a greedy+tabu solve at n = 256 and budget 100 000).
+// so a slice a snapshot or the start schedule shares is never written.
+// The sessions are the search's memory: O(n) words each, for at most
+// min(phases, budget/8 + 1) phases, because every complete visit charges
+// at least 8 swap attempts, and at least one removal probe per member
+// (about 105 sessions, 140 KB, for a greedy+tabu solve at n = 256 and
+// budget 100 000).
 //
 // minimal[p] records that no member of phase p passes DropKeeps. A complete
 // removal sweep sets it: a removal only lowers dominator counts, so a member
@@ -152,12 +153,13 @@ type refineState struct {
 }
 
 // newRefineState loads start into a search state, or returns nil when the
-// start overdraws a battery.
+// start overdraws a battery. The state shares start's set slices.
 func newRefineState(inst *instance.Instance, start *core.Schedule, rc *refinement,
 	pol movePolicy, observe func(*domset.Session)) *refineState {
 	st := &refineState{
 		g:        inst.Graph,
 		k:        inst.Tolerance(),
+		sets:     make([][]int, 0, len(start.Phases)),
 		durs:     make([]int, 0, len(start.Phases)),
 		sessions: make([]*domset.Session, len(start.Phases)),
 		minimal:  make([]bool, len(start.Phases)),
@@ -169,7 +171,7 @@ func newRefineState(inst *instance.Instance, start *core.Schedule, rc *refinemen
 		observe:  observe,
 	}
 	for _, p := range start.Phases {
-		st.sets = append(st.sets, append([]int(nil), p.Set...))
+		st.sets = append(st.sets, p.Set)
 		st.durs = append(st.durs, p.Duration)
 		for _, v := range p.Set {
 			st.residual[v] -= p.Duration
@@ -199,7 +201,7 @@ func (st *refineState) lifetime() int {
 // It shares each phase's set slice with the state, since refinePhase never
 // writes into a set of record in place.
 func (st *refineState) snapshot() *core.Schedule {
-	out := &core.Schedule{}
+	out := &core.Schedule{Phases: make([]core.Phase, 0, len(st.sets))}
 	for p, set := range st.sets {
 		if st.durs[p] <= 0 || len(set) == 0 {
 			continue
