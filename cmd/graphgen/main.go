@@ -87,7 +87,7 @@ func run(w io.Writer, f params) error {
 		return err
 	}
 	if f.dot {
-		return graph.WriteDOT(w, g, f.family, nil)
+		return graph.WriteDOT(w, g, f.family)
 	}
 	if hint != "" {
 		if _, err := fmt.Fprintf(w, "%s %s\n", graph.HintPrefix, hint); err != nil {

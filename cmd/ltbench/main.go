@@ -7,8 +7,8 @@
 //
 //	ltbench [-run E1,E7] [-seed 42] [-trials 10] [-quick] [-trace e.jsonl]
 //	ltbench -run E25 -budget 50000          (refinement lifetime-vs-budget curve)
-//	ltbench -deadline 2m                    (stop between trials at the wall clock)
 //	ltbench -run E26 -cpuprofile cpu.pprof [-memprofile mem.pprof]
+//	timeout 2m ltbench                      (bound the wall clock; -deadline is rejected)
 package main
 
 import (
@@ -19,7 +19,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"repro/internal/budgetflag"
 	"repro/internal/experiments"
@@ -45,6 +44,10 @@ func run() int {
 	flag.Parse()
 	if err := bf.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "ltbench:", err)
+		return 1
+	}
+	if bf.Deadline > 0 {
+		fmt.Fprintln(os.Stderr, "ltbench: -deadline is not supported: experiments run to completion; bound the wall clock with timeout(1), e.g. timeout 2m ltbench ...")
 		return 1
 	}
 
@@ -85,12 +88,6 @@ func run() int {
 	}
 
 	cfg := experiments.Config{Seed: *seed, Trials: *trials, Quick: *quick, Budget: bf.Budget}
-	if bf.Deadline > 0 {
-		// The unified -deadline flag maps onto the experiments cancellation
-		// contract: a sticky wall-clock check polled between trials.
-		deadline := time.Now().Add(bf.Deadline)
-		cfg.Cancel = func() bool { return !time.Now().Before(deadline) }
-	}
 	var traceClose func() error
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)

@@ -162,7 +162,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("ltserve: listening on http://%s (healthz, metrics, v1/schedule, v1/schedule/{fp}, v1/experiment)\n", hs.Addr())
+	fmt.Printf("ltserve: listening on http://%s (healthz, metrics, v1/schedule, v1/schedule/{fp})\n", hs.Addr())
 	if f.readyFile != "" {
 		// Written after the listener is bound, so a watcher that sees the
 		// file can immediately connect — the CI smoke test relies on this.

@@ -436,6 +436,56 @@ func TestGreedyKConcurrent(t *testing.T) {
 	}
 }
 
+// TestGreedyKPoolCarriesNoState puts garbage into greedyPool before each
+// call: demand and gain arrays longer than n, with nonzero contents, gains
+// high enough to outbid any real one. Every result must equal a fresh
+// call's, made with a new greedyArrays in the pool. Each call first takes
+// out what the previous call put back, so without -race the next Get on
+// this goroutine returns the item just put; the race detector drops pooled
+// items at random, so there a call may miss its garbage.
+func TestGreedyKPoolCarriesNoState(t *testing.T) {
+	swapIn := func(a *greedyArrays) {
+		greedyPool.Get()
+		greedyPool.Put(a)
+	}
+	garbage := func(n int) *greedyArrays {
+		a := &greedyArrays{demand: make([]int32, n+17), gain: make([]int32, n+17)}
+		for i := range a.demand {
+			a.demand[i] = int32(i%3 + 1)
+			a.gain[i] = int32(n + 2 + i)
+		}
+		return a
+	}
+	src := rng.New(37)
+	calls := 0
+	for _, n := range []int{8, 40, 150} {
+		g := gen.GNP(n, 6/float64(n), src.Split())
+		allowed, alive := make([]bool, n), make([]bool, n)
+		for v := range allowed {
+			allowed[v] = src.Intn(6) != 0
+			alive[v] = src.Intn(8) != 0
+		}
+		for _, k := range []int{1, 2} {
+			for _, m := range [][2][]bool{{nil, nil}, {allowed, nil}, {nil, alive}, {allowed, alive}} {
+				if !kFeasible(g, k, m[0], m[1]) {
+					continue // GreedyK returns before it takes arrays
+				}
+				calls++
+				swapIn(new(greedyArrays))
+				want := GreedyK(g, k, m[0], m[1])
+				swapIn(garbage(n))
+				if got := GreedyK(g, k, m[0], m[1]); !reflect.DeepEqual(got, want) {
+					t.Errorf("n=%d k=%d masks %v/%v: after garbage GreedyK = %v, fresh %v",
+						n, k, m[0] != nil, m[1] != nil, got, want)
+				}
+			}
+		}
+	}
+	if calls < 8 {
+		t.Fatalf("only %d feasible calls; the fixture must exercise the pool", calls)
+	}
+}
+
 func TestIsMaximalIndependent(t *testing.T) {
 	// Other packages' MIS protocols are checked against this oracle, so it
 	// must reject both ways a set can fail.

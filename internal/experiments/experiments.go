@@ -3,15 +3,14 @@
 // quantity one of its theorems, lemmas, figures, or cited results bounds and
 // renders a table; EXPERIMENTS.md records the expected shapes. The
 // experiments are one ordered list in this file, each entry an ID, a title
-// and the function that builds the table. The same code backs cmd/ltbench,
-// the service's /v1/experiment and the root-level benchmarks.
+// and the function that builds the table. The same code backs cmd/ltbench
+// and the root-level benchmarks.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -21,13 +20,6 @@ import (
 	"repro/internal/rng"
 	"repro/internal/solver"
 )
-
-// ErrCanceled is returned by Run when Config.Cancel reported cancellation
-// before the experiment finished. The accompanying table, if any, holds only
-// the rows completed up to that point. It aliases solver.ErrCanceled so the
-// serve layer's errors.Is checks see one identity whether a deadline fired
-// inside the solver driver or between experiment trials.
-var ErrCanceled = solver.ErrCanceled
 
 // solve resolves an algorithm by its solver-registry name and runs the
 // shared WHP driver with the trial's randomness source — the one way every
@@ -70,11 +62,6 @@ type Config struct {
 	// (trials run in parallel), so single-writer sinks like obs.JSONL are
 	// safe to pass directly.
 	Trace obs.Tracer
-	// Cancel, when non-nil, is polled before and after Run and between
-	// trials. It must be sticky — once it returns true it keeps returning
-	// true, like a context's Done check. When it fires, remaining trials
-	// are skipped and Run returns ErrCanceled.
-	Cancel func() bool
 }
 
 func (c Config) trials() int {
@@ -87,28 +74,17 @@ func (c Config) trials() int {
 	return 10
 }
 
-func (c Config) canceled() bool { return c.Cancel != nil && c.Cancel() }
-
-// mapTrials runs fn for trials 0..n-1 in parallel (via par.Map) with the
-// config's escape hatches applied: Cancel is polled as each trial starts —
-// once it reports true the remaining trials return the zero T, which every
-// experiment already drops via its ok flag or zero guard — and Trace
-// receives trial_start/trial_end events labeled with the experiment ID.
-// With neither hatch set this is exactly par.Map.
+// mapTrials runs fn for trials 0..n-1 in parallel (via par.Map). When
+// cfg.Trace is set, it receives trial_start/trial_end events labeled with
+// the experiment ID; otherwise this is exactly par.Map.
 func mapTrials[T any](cfg Config, id string, n int, fn func(i int) T) []T {
-	if cfg.Cancel == nil && cfg.Trace == nil {
-		return par.Map(n, 0, fn)
+	if cfg.Trace == nil {
+		return par.Map(n, fn)
 	}
 	// Trials run in parallel; serialize the trial events so single-writer
 	// sinks (JSONL, Memory) can be handed in directly.
 	h := obs.Hooks{Trace: obs.Synchronized(cfg.Trace)}
-	var stop atomic.Bool
-	return par.Map(n, 0, func(i int) T {
-		if stop.Load() || cfg.canceled() {
-			stop.Store(true)
-			var zero T
-			return zero
-		}
+	return par.Map(n, func(i int) T {
 		h.Emit(obs.TrialStart(id, i))
 		v := fn(i)
 		h.Emit(obs.TrialEnd(id, i))
@@ -272,22 +248,14 @@ func Get(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Run executes the experiment with the given ID. When cfg.Cancel fires
-// before or during the run, Run returns ErrCanceled (alongside whatever
-// partial table the experiment produced).
+// Run executes the experiment with the given ID. An unknown ID is an error.
 func Run(id string, cfg Config) (*Table, error) {
 	e, ok := Get(id)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
-	if cfg.canceled() {
-		return nil, ErrCanceled
-	}
 	t := e.Run(cfg)
 	t.ID, t.Title = e.ID, e.Title
-	if cfg.canceled() {
-		return t, ErrCanceled
-	}
 	return t, nil
 }
 

@@ -60,7 +60,6 @@ func runE26(cfg Config) *Table {
 	type sample struct {
 		lifetime, repairs, replans float64
 		degraded                   bool
-		ok                         bool
 	}
 
 	// runArm solves one instance under one arm. Every arm runs greedy
@@ -107,7 +106,7 @@ func runE26(cfg Config) *Table {
 		samples := mapTrials(cfg, "E26", cfg.trials(), func(i int) sample {
 			g, pts, seed := buildInstance(i)
 			s, st := runArm(a, g, pts, uniformBudgets(g.N(), b), seed)
-			out := sample{lifetime: float64(s.Lifetime()), ok: true}
+			out := sample{lifetime: float64(s.Lifetime())}
 			if st != nil {
 				out.repairs = float64(st.Repairs)
 				out.replans = float64(st.Replans)
@@ -117,17 +116,12 @@ func runE26(cfg Config) *Table {
 		})
 		var lifetimes, repairs, replans []float64
 		for _, sm := range samples {
-			if sm.ok {
-				lifetimes = append(lifetimes, sm.lifetime)
-				repairs = append(repairs, sm.repairs)
-				replans = append(replans, sm.replans)
-				if sm.degraded {
-					degraded++
-				}
+			lifetimes = append(lifetimes, sm.lifetime)
+			repairs = append(repairs, sm.repairs)
+			replans = append(replans, sm.replans)
+			if sm.degraded {
+				degraded++
 			}
-		}
-		if len(lifetimes) == 0 {
-			continue
 		}
 		avg := mean(lifetimes)
 		if a.partitioner == "" {

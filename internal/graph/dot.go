@@ -7,9 +7,7 @@ import (
 )
 
 // WriteDOT emits the graph in Graphviz DOT format for visualization.
-// highlight, if non-nil, marks a node set (e.g. a dominating set) with a
-// filled style.
-func WriteDOT(w io.Writer, g *Graph, name string, highlight []int) error {
+func WriteDOT(w io.Writer, g *Graph, name string) error {
 	if name == "" {
 		name = "G"
 	}
@@ -17,16 +15,8 @@ func WriteDOT(w io.Writer, g *Graph, name string, highlight []int) error {
 	if _, err := fmt.Fprintf(bw, "graph %q {\n  node [shape=circle];\n", name); err != nil {
 		return err
 	}
-	marked := make(map[int]bool, len(highlight))
-	for _, v := range highlight {
-		marked[v] = true
-	}
 	for v := 0; v < g.N(); v++ {
-		if marked[v] {
-			if _, err := fmt.Fprintf(bw, "  %d [style=filled, fillcolor=gray];\n", v); err != nil {
-				return err
-			}
-		} else if g.Degree(v) == 0 {
+		if g.Degree(v) == 0 {
 			// Isolated nodes would otherwise not appear at all.
 			if _, err := fmt.Fprintf(bw, "  %d;\n", v); err != nil {
 				return err

@@ -8,7 +8,7 @@ import (
 func TestWriteDOT(t *testing.T) {
 	g := NewFromEdges(4, [][2]int{{0, 1}, {1, 2}})
 	var sb strings.Builder
-	if err := WriteDOT(&sb, g, "demo", []int{1}); err != nil {
+	if err := WriteDOT(&sb, g, "demo"); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -16,7 +16,6 @@ func TestWriteDOT(t *testing.T) {
 		"graph \"demo\" {",
 		"0 -- 1;",
 		"1 -- 2;",
-		"1 [style=filled",
 		"3;", // isolated node still rendered
 		"}",
 	} {
@@ -28,7 +27,7 @@ func TestWriteDOT(t *testing.T) {
 
 func TestWriteDOTDefaultName(t *testing.T) {
 	var sb strings.Builder
-	if err := WriteDOT(&sb, New(1), "", nil); err != nil {
+	if err := WriteDOT(&sb, New(1), ""); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "graph \"G\"") {

@@ -68,7 +68,7 @@ func AppendJSON(dst []byte, ev Event) []byte {
 		dst = appendInt(dst, "served", ev.A)
 		dst = appendInt(dst, "alive", ev.B)
 		dst = appendFloat(dst, "cov", ev.F)
-	case EvDeath, EvCrash, EvRecruit:
+	case EvCrash, EvRecruit:
 		dst = appendInt(dst, "t", ev.T)
 		dst = appendInt(dst, "node", ev.Node)
 	case EvLeak:

@@ -257,17 +257,17 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 }
 
 // MetricsSink is a Tracer that aggregates the event stream into a Registry:
-// counters for slots, deaths, crashes, leaks, rounds, messages, patches,
-// recruits, replans, degraded slots, and trials, plus a coverage histogram.
+// counters for slots, crashes, leaks, rounds, messages, patches, recruits,
+// replans, degraded slots, and trials, plus a coverage histogram.
 // Emit resolves every metric once at construction, so the per-event cost is
 // a switch and one or two atomic adds — zero allocations (pinned by tests).
 type MetricsSink struct {
-	slots, deaths, crashes, leaks *Counter
-	rounds, messages, dropped     *Counter
-	patches, recruits, replans    *Counter
-	degraded, trials, runs        *Counter
-	alive                         *Gauge
-	coverage                      *Histogram
+	slots, crashes, leaks      *Counter
+	rounds, messages, dropped  *Counter
+	patches, recruits, replans *Counter
+	degraded, trials, runs     *Counter
+	alive                      *Gauge
+	coverage                   *Histogram
 }
 
 // CoverageBounds is the bucket layout of the coverage histogram: full
@@ -280,7 +280,6 @@ var CoverageBounds = []float64{0, 0.25, 0.5, 0.75, 0.999}
 func NewMetricsSink(reg *Registry) *MetricsSink {
 	return &MetricsSink{
 		slots:    reg.Counter("sim.slots"),
-		deaths:   reg.Counter("sim.deaths"),
 		crashes:  reg.Counter("chaos.crashes"),
 		leaks:    reg.Counter("chaos.leaks"),
 		rounds:   reg.Counter("net.rounds"),
@@ -306,8 +305,6 @@ func (m *MetricsSink) Emit(ev Event) {
 		m.slots.Inc()
 		m.alive.Set(int64(ev.B))
 		m.coverage.Observe(ev.F)
-	case EvDeath:
-		m.deaths.Inc()
 	case EvCrash:
 		m.crashes.Inc()
 	case EvLeak:

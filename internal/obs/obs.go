@@ -1,7 +1,7 @@
 // Package obs is the observability layer shared by every runtime in the
 // repository: a lightweight metrics surface (counters, gauges, fixed-bucket
 // histograms with an allocation-free hot path) plus a Tracer interface that
-// receives typed per-round events — slot start/end, coverage, deaths,
+// receives typed per-round events — slot start/end, coverage, crashes,
 // messages sent/dropped, heal patches, chaos injections — and fans them out
 // to pluggable sinks (a JSONL file sink for offline analysis, an in-memory
 // sink for tests, a metrics sink that aggregates events into a Registry).
@@ -52,9 +52,6 @@ const (
 	// EvSlotEnd closes slot T: A = serving nodes, B = alive nodes,
 	// F = coverage fraction.
 	EvSlotEnd
-	// EvDeath reports a battery death of Node at slot T (emitted only by
-	// sensim.RunRealisticObs; chaos-plan crashes are EvCrash).
-	EvDeath
 	// EvCrash reports a chaos-plan crash of Node applied at slot T.
 	EvCrash
 	// EvLeak reports a chaos battery leak at slot T: Node, A = amount.
@@ -108,7 +105,6 @@ var eventNames = [...]string{
 	EvRunEnd:     "run_end",
 	EvSlotStart:  "slot_start",
 	EvSlotEnd:    "slot_end",
-	EvDeath:      "death",
 	EvCrash:      "crash",
 	EvLeak:       "leak",
 	EvRound:      "round",
@@ -165,9 +161,6 @@ func SlotStart(t int) Event { return Event{Type: EvSlotStart, T: t, Node: -1} }
 func SlotEnd(t, served, alive int, coverage float64) Event {
 	return Event{Type: EvSlotEnd, T: t, Node: -1, A: served, B: alive, F: coverage}
 }
-
-// Death records a battery death.
-func Death(t, node int) Event { return Event{Type: EvDeath, T: t, Node: node} }
 
 // Crash records a chaos-plan crash.
 func Crash(t, node int) Event { return Event{Type: EvCrash, T: t, Node: node} }

@@ -118,7 +118,6 @@ func TestMetricsSinkAggregates(t *testing.T) {
 	h.Emit(RunStart("sensim", 4))
 	h.Emit(SlotEnd(0, 2, 4, 1))
 	h.Emit(SlotEnd(1, 2, 3, 0.5))
-	h.Emit(Death(1, 3))
 	h.Emit(Crash(1, 2))
 	h.Emit(Leak(1, 0, 2))
 	h.Emit(Round(0, 12, 3))
@@ -128,7 +127,7 @@ func TestMetricsSinkAggregates(t *testing.T) {
 	h.Emit(Degraded(2, 1))
 	h.Emit(TrialEnd("E1", 0))
 	checks := map[string]uint64{
-		"sim.runs": 1, "sim.slots": 2, "sim.deaths": 1,
+		"sim.runs": 1, "sim.slots": 2,
 		"chaos.crashes": 1, "chaos.leaks": 1,
 		"net.rounds": 1, "net.messages": 12, "net.dropped": 3,
 		"heal.patch_attempts": 1, "heal.recruits": 1, "heal.replans": 1,
@@ -156,7 +155,6 @@ func TestJSONLEncoding(t *testing.T) {
 		{RunEnd("heal", 10, 8, 2), `{"e":"run_end","name":"heal","slots":10,"achieved":8,"deaths":2}`},
 		{SlotStart(3), `{"e":"slot_start","t":3}`},
 		{SlotEnd(3, 2, 7, 6.0/7), `{"e":"slot_end","t":3,"served":2,"alive":7,"cov":0.8571428571428571}`},
-		{Death(4, 12), `{"e":"death","t":4,"node":12}`},
 		{Crash(4, 12), `{"e":"crash","t":4,"node":12}`},
 		{Leak(4, 2, 3), `{"e":"leak","t":4,"node":2,"amount":3}`},
 		{Round(1, 24, 5), `{"e":"round","round":1,"sent":24,"dropped":5}`},
@@ -252,7 +250,7 @@ func TestMemoryCount(t *testing.T) {
 	m.Emit(SlotStart(0))
 	m.Emit(SlotEnd(0, 1, 1, 1))
 	m.Emit(SlotStart(1))
-	if m.Count(EvSlotStart) != 2 || m.Count(EvSlotEnd) != 1 || m.Count(EvDeath) != 0 {
+	if m.Count(EvSlotStart) != 2 || m.Count(EvSlotEnd) != 1 || m.Count(EvCrash) != 0 {
 		t.Fatalf("counts wrong: %+v", m.Events)
 	}
 }

@@ -1,10 +1,9 @@
 // Package par holds the deterministic-parallelism primitives: ForEach and
-// Map, data-parallel loops over independent tasks with bounded workers
-// (experiment trials, raced solver attempts, concurrent shard solves), and
-// Pool, the serving layer's long-lived job queue. Determinism is preserved
-// by the caller pre-splitting per-task randomness (rng.Source.SplitN)
-// before fanning out, so results are identical to the sequential execution
-// regardless of scheduling.
+// Map, data-parallel loops over independent tasks (experiment trials, raced
+// solver attempts, concurrent shard solves), and Pool, the serving layer's
+// long-lived job queue. Determinism is preserved by the caller pre-splitting
+// per-task randomness (rng.Source.SplitN) before fanning out, so results are
+// identical to the sequential execution regardless of scheduling.
 package par
 
 import (
@@ -12,20 +11,14 @@ import (
 	"sync"
 )
 
-// ForEach runs fn(i) for every i in [0, n), using up to workers goroutines
-// (workers <= 0 means GOMAXPROCS). It returns when all calls complete.
-// fn must not panic; a panic in fn propagates and crashes the process, as
-// with any goroutine.
-func ForEach(n, workers int, fn func(i int)) {
+// ForEach runs fn(i) for every i in [0, n) on min(GOMAXPROCS, n)
+// goroutines. It returns when all calls complete. fn must not panic; a
+// panic in fn propagates and crashes the process, as with any goroutine.
+func ForEach(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -55,9 +48,9 @@ func ForEach(n, workers int, fn func(i int)) {
 }
 
 // Map runs fn over [0, n) in parallel and collects the results in order.
-func Map[T any](n, workers int, fn func(i int) T) []T {
+func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(n, workers, func(i int) {
+	ForEach(n, func(i int) {
 		out[i] = fn(i)
 	})
 	return out

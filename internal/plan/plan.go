@@ -36,8 +36,6 @@ type Spec struct {
 	// Tolerance is the required number of clusterheads per neighborhood
 	// (>= 1). Values above 1 demand uniform batteries.
 	Tolerance int
-	// K is the color-range constant (0 = the paper's 3).
-	K float64
 	// Seed makes the plan reproducible.
 	Seed uint64
 	// Squeeze applies the centralized Minimalize+Extend post-pass,
@@ -91,7 +89,7 @@ func Build(spec Spec) (*Plan, error) {
 	// Pick the paper algorithm by registry name; the solver driver owns the
 	// retry/truncate/keep-best loop and the w.h.p. guarantee computation.
 	in := instance.New(g, batteries)
-	sspec := solver.Spec{Name: solver.NameGeneral, KConst: spec.K}
+	sspec := solver.Spec{Name: solver.NameGeneral}
 	switch {
 	case spec.Tolerance > 1:
 		p.Algorithm = "Algorithm 3 (k-tolerant uniform)"

@@ -311,3 +311,52 @@ func TestGreedyPhaseConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestGreedyPhaseMaskPoolCarriesNoState puts an all-true mask, longer than
+// n, into maskPool before each call, on residuals where a zero disallows a
+// node. Every phase, duration and charged residual must equal a fresh
+// call's, made with a new mask in the pool. Each call first takes out what
+// the previous call put back, so without -race the next Get on this
+// goroutine returns the mask just put; the race detector drops pooled items
+// at random, so there a call may miss its garbage.
+func TestGreedyPhaseMaskPoolCarriesNoState(t *testing.T) {
+	swapIn := func(mask []bool) {
+		maskPool.Get()
+		maskPool.Put(&mask)
+	}
+	src := rng.New(41)
+	feasible := 0
+	for _, n := range []int{8, 60, 200} {
+		g := gen.GNP(n, 5/float64(n), src.Split())
+		residual := make([]int, n)
+		alive := make([]bool, n)
+		for v := range residual {
+			residual[v] = src.Intn(4)
+			alive[v] = src.Intn(10) != 0
+		}
+		for _, k := range []int{1, 2} {
+			for _, a := range [][]bool{nil, alive} {
+				swapIn(nil)
+				want := slices.Clone(residual)
+				wantSet, wantDur := GreedyPhase(g, want, k, a)
+				if wantSet != nil {
+					feasible++
+				}
+				garbage := make([]bool, n+13)
+				for i := range garbage {
+					garbage[i] = true
+				}
+				swapIn(garbage)
+				got := slices.Clone(residual)
+				set, dur := GreedyPhase(g, got, k, a)
+				if !slices.Equal(set, wantSet) || dur != wantDur || !slices.Equal(got, want) {
+					t.Errorf("n=%d k=%d alive %v: after garbage GreedyPhase = %v×%d, fresh %v×%d",
+						n, k, a != nil, set, dur, wantSet, wantDur)
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible call; the fixture must reach GreedyK with the mask")
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/domset"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Model is a realistic per-slot energy model, generalizing the paper's
@@ -48,13 +47,6 @@ type RealisticResult struct {
 // As in Run, a fully dead network is a terminal coverage violation: the slot
 // that finds no node alive sets FirstViolation (if unset) and ends the run.
 func RunRealistic(g *graph.Graph, s *core.Schedule, batteries []int, m Model, tree *agg.Tree) RealisticResult {
-	return RunRealisticObs(g, s, batteries, m, tree, obs.Hooks{})
-}
-
-// RunRealisticObs is RunRealistic with observability attached: slot, death,
-// and run events flow to h exactly as in Run (battery exhaustion emits
-// death events). The zero Hooks makes it identical to RunRealistic.
-func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model, tree *agg.Tree, h obs.Hooks) RealisticResult {
 	if len(batteries) != g.N() {
 		panic(fmt.Sprintf("sensim: %d batteries for %d nodes", len(batteries), g.N()))
 	}
@@ -73,10 +65,6 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 		}
 	}
 
-	// Hoisted so the hot loop skips Event construction entirely when tracing
-	// is off (see sensim.Run).
-	traced := h.Enabled()
-	curT := 0
 	charge := func(v, amount int) {
 		if amount <= 0 || !alive[v] {
 			return
@@ -90,9 +78,6 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 			alive[v] = false
 			aliveCount--
 			res.Deaths++
-			if traced {
-				h.Emit(obs.Death(curT, v))
-			}
 		}
 	}
 
@@ -101,26 +86,16 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 	sent := bitset.New(g.N())
 	serving := make([]int, 0, g.N())
 
-	h.Emit(obs.RunStart("sensim.realistic", g.N()))
-	finish := func() RealisticResult {
-		h.Emit(obs.RunEnd("sensim.realistic", res.SlotsExecuted, res.AchievedLifetime, res.Deaths))
-		return res
-	}
 	t := 0
 	for _, phase := range s.Phases {
 		for dt := 0; dt < phase.Duration; dt++ {
-			curT = t
-			if traced {
-				h.Emit(obs.SlotStart(t))
-			}
 			if aliveCount == 0 && g.N() > 0 {
 				// Dead network: terminal violation, stop the run.
 				if res.FirstViolation == -1 {
 					res.FirstViolation = t
 				}
 				res.SlotsExecuted++
-				h.Emit(obs.SlotEnd(t, 0, 0, 0))
-				return finish()
+				return res
 			}
 			// Serving set: scheduled, alive, able to pay a full active slot.
 			serving = serving[:0]
@@ -134,13 +109,6 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 			// Coverage check before charging (the slot's service happens
 			// while the energy is still there).
 			covered := sess.Reset(serving, 1, alive).CoveredCount()
-			cov := 1.0
-			if aliveCount > 0 {
-				cov = float64(covered) / float64(aliveCount)
-			}
-			if traced {
-				h.Emit(obs.SlotEnd(t, len(serving), aliveCount, cov))
-			}
 			if covered == aliveCount {
 				if res.FirstViolation == -1 {
 					res.AchievedLifetime = t + 1
@@ -167,7 +135,7 @@ func RunRealisticObs(g *graph.Graph, s *core.Schedule, batteries []int, m Model,
 			res.SlotsExecuted++
 		}
 	}
-	return finish()
+	return res
 }
 
 // chargeDelivery charges TxCost to every distinct transmitting node on the

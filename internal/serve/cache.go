@@ -16,7 +16,7 @@ type lruCache struct {
 	ll       *list.List // front = most recently used
 	items    map[string]*list.Element
 	// byFP indexes cached entry keys by Result.Fingerprint. Results without
-	// a fingerprint (experiments) are not indexed.
+	// a fingerprint (shard entries) are not indexed.
 	byFP map[string]map[string]bool
 	// aliases maps the SHA-256 of a POST /v1/schedule body to the entry its
 	// request resolved to. An entry holds at most one digest and takes it

@@ -13,8 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/obs"
+	"repro/internal/solver"
 )
 
 // maxBodyBytes bounds request bodies before JSON decoding: a graph of
@@ -32,7 +32,6 @@ const maxBodyBytes = 64 << 20
 //	                             schedule for graph fingerprint fp: plans a
 //	                             verified overlap transition and invalidates
 //	                             the superseded entries
-//	POST  /v1/experiment         run a registered experiment
 //	GET   /v1/jobs/{key}         poll an async job
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -40,7 +39,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /metrics", s.cfg.Registry)
 	mux.HandleFunc("POST /v1/schedule", s.handleSchedule)
 	mux.HandleFunc("PATCH /v1/schedule/{fp}", s.handlePatch)
-	mux.HandleFunc("POST /v1/experiment", s.handleExperiment)
 	mux.HandleFunc("GET /v1/jobs/{key}", s.handleJob)
 	return mux
 }
@@ -118,9 +116,8 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-// decodeRequest reads and strictly decodes the body of a PATCH or
-// experiment request into v. On failure it has answered the error and
-// returns false.
+// decodeRequest reads and strictly decodes the body of a PATCH request
+// into v. On failure it has answered the error and returns false.
 func decodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
 	body := readBody(w, r)
 	if body == nil {
@@ -215,33 +212,6 @@ func (s *Server) aliasHit(digest [32]byte) *Result {
 	return res
 }
 
-func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	var req ExperimentRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	id, err := req.resolve()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	key := req.key(id)
-	run := func(cancel func() bool) (*Result, error) {
-		table, err := experiments.Run(id, experiments.Config{
-			Seed:   req.Seed,
-			Trials: req.Trials,
-			Quick:  req.Quick,
-			Cancel: cancel,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return experimentResult(key, id, table)
-	}
-	s.dispatch(w, r, key, "experiment",
-		timeoutFromMS(req.TimeoutMS, s.cfg.DefaultTimeout), req.Async, run)
-}
-
 // dispatch is the shared tail of the body endpoints: admission, then either
 // the async 202 or a bounded wait for the (possibly coalesced) job. It
 // reports whether it answered 200 with a result: a cache hit, or a
@@ -298,11 +268,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request,
 }
 
 // writeJobError maps a failed job onto HTTP: cancellation (the
-// experiments.ErrCanceled contract) is the caller's deadline → 504;
-// everything else — including injected chaos worker faults — is a server
-// failure → 500.
+// solver.ErrCanceled contract) is the caller's deadline → 504; everything
+// else — including injected chaos worker faults — is a server failure → 500.
 func (s *Server) writeJobError(w http.ResponseWriter, err error) {
-	if errors.Is(err, experiments.ErrCanceled) {
+	if errors.Is(err, solver.ErrCanceled) {
 		writeError(w, http.StatusGatewayTimeout, "%v", err)
 		return
 	}

@@ -3,8 +3,8 @@ package serve
 import "repro/internal/obs"
 
 // LatencyBounds is the bucket layout (milliseconds) of the service latency
-// histograms: sub-millisecond cache hits through multi-second experiment
-// runs.
+// histograms: sub-millisecond cache hits through multi-second solves of
+// large or sharded graphs.
 var LatencyBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000}
 
 // metrics is the service's obs surface, resolved once at construction so the

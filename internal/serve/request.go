@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/instance"
 	"repro/internal/shard"
@@ -55,6 +54,12 @@ type errTooLarge struct{ msg string }
 
 func (e errTooLarge) Error() string { return e.msg }
 
+// maxShards caps a schedule request's shards. shard.BFS seeds each shard
+// with a full BFS and polls no deadline, so its cost grows as
+// shards·(n+m) and a large count would hold a worker long past the
+// request's timeout.
+const maxShards = 64
+
 // Request is a schedule request: a graph, per-node duty budgets, and
 // algorithm parameters. Delivery options (TimeoutMS, Async) are not part of
 // the canonical cache key — two clients asking for the same schedule with
@@ -82,10 +87,11 @@ type Request struct {
 	TimeBudgetMS int    `json:"time_budget_ms,omitempty"`
 	// Shards > 1 partitions the graph (internal/shard), solves every shard
 	// independently against the server's compositional shard cache, and
-	// stitches the results with boundary repair. 0 or 1 solves whole.
-	// Partitioner names the strategy; service graphs arrive as edge lists
-	// with no coordinates, so only "bfs" (the default) is accepted. Both
-	// change the response, so both are part of the cache key.
+	// stitches the results with boundary repair. 0 or 1 solves whole; more
+	// than maxShards is rejected. Partitioner names the strategy; service
+	// graphs arrive as edge lists with no coordinates, so only "bfs" (the
+	// default) is accepted. Both change the response, so both are part of
+	// the cache key.
 	Shards      int    `json:"shards,omitempty"`
 	Partitioner string `json:"partitioner,omitempty"`
 	TimeoutMS   int    `json:"timeout_ms,omitempty"` // per-request deadline; default server-side
@@ -211,6 +217,9 @@ func (r *Request) resolve(maxNodes int) (*instance.Instance, error) {
 	if r.Shards < 0 {
 		return nil, fmt.Errorf("shards = %d must be >= 0", r.Shards)
 	}
+	if r.Shards > maxShards {
+		return nil, fmt.Errorf("shards = %d exceeds the service cap of %d", r.Shards, maxShards)
+	}
 	switch r.Partitioner {
 	case "", "bfs":
 	case "geom":
@@ -307,68 +316,24 @@ func (r *Request) key(inst *instance.Instance) string {
 		Sum()
 }
 
-// ExperimentRequest asks the service to run one registered experiment
-// (internal/experiments) with the given configuration. The per-request
-// deadline is wired into experiments.Config.Cancel, so a run past its
-// deadline stops between trials and surfaces experiments.ErrCanceled.
-type ExperimentRequest struct {
-	ID        string `json:"id"`
-	Seed      uint64 `json:"seed,omitempty"`
-	Trials    int    `json:"trials,omitempty"`
-	Quick     bool   `json:"quick,omitempty"`
-	TimeoutMS int    `json:"timeout_ms,omitempty"`
-	Async     bool   `json:"async,omitempty"`
-}
-
-func (r *ExperimentRequest) resolve() (string, error) {
-	id := strings.ToUpper(strings.TrimSpace(r.ID))
-	if _, ok := experiments.Get(id); !ok {
-		return "", fmt.Errorf("unknown experiment %q (have %v)", r.ID, experiments.IDs())
-	}
-	if r.Trials < 0 {
-		return "", fmt.Errorf("trials = %d must be >= 0", r.Trials)
-	}
-	if r.TimeoutMS < 0 {
-		return "", fmt.Errorf("timeout_ms = %d must be >= 0", r.TimeoutMS)
-	}
-	return id, nil
-}
-
-func (r *ExperimentRequest) key(id string) string {
-	quick := 0
-	if r.Quick {
-		quick = 1
-	}
-	return graph.NewHasher().
-		String("kind", "experiment").
-		String("id", id).
-		Uint64("seed", r.Seed).
-		Int("trials", r.Trials).
-		Int("quick", quick).
-		Sum()
-}
-
 // Result is the cached, immutable outcome of one computation. Schedule
-// results carry the schedule in the cmd/ltsched interchange format;
-// experiment results carry the rendered table; reconfig results carry the
-// transition schedule plus the delta bookkeeping (fingerprints, mapping,
-// overlap cost). Per-response metadata (cached, coalesced) lives in the HTTP
-// envelope, not here, so one Result can serve many responses.
+// results carry the schedule in the cmd/ltsched interchange format; reconfig
+// results carry the transition schedule plus the delta bookkeeping
+// (fingerprints, mapping, overlap cost). Per-response metadata (cached,
+// coalesced) lives in the HTTP envelope, not here, so one Result can serve
+// many responses.
 type Result struct {
-	Key        string          `json:"key"`
-	Kind       string          `json:"kind"` // "schedule" | "experiment" | "reconfig"
-	Algorithm  string          `json:"algorithm,omitempty"`
-	Lifetime   int             `json:"lifetime,omitempty"`
-	Phases     int             `json:"phases,omitempty"`
-	Schedule   json.RawMessage `json:"schedule,omitempty"`
-	Experiment string          `json:"experiment,omitempty"`
-	Table      string          `json:"table,omitempty"`
-	SolveMS    float64         `json:"solve_ms"`
+	Key       string          `json:"key"`
+	Kind      string          `json:"kind"` // "schedule" | "reconfig"
+	Algorithm string          `json:"algorithm,omitempty"`
+	Lifetime  int             `json:"lifetime,omitempty"`
+	Phases    int             `json:"phases,omitempty"`
+	Schedule  json.RawMessage `json:"schedule,omitempty"`
+	SolveMS   float64         `json:"solve_ms"`
 
 	// Fingerprint is the hex graph fingerprint the schedule was computed
 	// for — the address PATCH /v1/schedule/{fingerprint} patches against and
-	// the key the cache's invalidation index groups by. Empty on experiment
-	// results.
+	// the key the cache's invalidation index groups by.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// The reconfig fields below are set only on Kind == "reconfig" results.
 	// PriorFingerprint is the fingerprint the delta was applied to;

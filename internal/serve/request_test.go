@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -36,10 +38,6 @@ func TestTrailingBytesRejected(t *testing.T) {
 	h := s.Handler()
 	base := solveRing(t, h, 8, Request{Algorithm: AlgUniform, Battery: 3})
 
-	experiment, err := json.Marshal(ExperimentRequest{ID: "e1", Quick: true, Trials: 1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
 	endpoints := []struct {
 		name string
 		body []byte
@@ -49,8 +47,6 @@ func TestTrailingBytesRejected(t *testing.T) {
 			func(b []byte) *httptest.ResponseRecorder { return post(h, "/v1/schedule", b) }},
 		{"PATCH /v1/schedule/{fp}", patchBody(t, PatchRequest{Delta: growDelta(8, 3), At: 1}),
 			func(b []byte) *httptest.ResponseRecorder { return patch(h, base.Fingerprint, b) }},
-		{"POST /v1/experiment", experiment,
-			func(b []byte) *httptest.ResponseRecorder { return post(h, "/v1/experiment", b) }},
 	}
 	for _, ep := range endpoints {
 		for _, tail := range trailingJunk {
@@ -64,6 +60,58 @@ func TestTrailingBytesRejected(t *testing.T) {
 			if w.Code != http.StatusOK {
 				t.Errorf("%s with %q appended: status %d, want 200 (%s)", ep.name, tail, w.Code, w.Body.String())
 			}
+		}
+	}
+}
+
+// TestBodyPoolCarriesNoState puts a non-empty buffer into bodyPool before
+// each request: a schedule miss, its alias hit, a full-path hit of the same
+// request with members reordered, a PATCH, and a malformed body. Every
+// response must carry the same status and bytes (solve_ms aside) as on a
+// server whose requests each found a new buffer in the pool. Each request
+// first takes out what the previous one put back, so without -race the next
+// Get on this goroutine returns the buffer just put; the race detector drops
+// pooled items at random, so there a request may miss its garbage.
+func TestBodyPoolCarriesNoState(t *testing.T) {
+	solveMS := regexp.MustCompile(`"solve_ms": [^,\n]+`)
+	req := scheduleBody(t, Request{Graph: ring(8), Algorithm: AlgUniform, Battery: 3, Seed: 4})
+	reordered := []byte(`{"seed":4,"battery":3,"algorithm":"uniform","graph":{"edges":[[0,1],[1,2],[2,3],[3,4],[4,5],[5,6],[6,7],[7,0]],"n":8}}`)
+	malformed := []byte(`{"graph":{"n":4,"edges":[[0,1],[1]]},"algorithm":"uniform","battery":2}`)
+	run := func(garbage func() *bytes.Buffer) []string {
+		s := New(Config{Workers: 1})
+		defer s.Shutdown(context.Background())
+		h := s.Handler()
+		var out []string
+		send := func(do func() *httptest.ResponseRecorder) *httptest.ResponseRecorder {
+			bodyPool.Get()
+			bodyPool.Put(garbage())
+			w := do()
+			out = append(out, fmt.Sprintf("%d %s", w.Code, solveMS.ReplaceAll(w.Body.Bytes(), []byte(`"solve_ms": 0`))))
+			return w
+		}
+		miss := send(func() *httptest.ResponseRecorder { return post(h, "/v1/schedule", req) })
+		var base Result
+		if err := json.Unmarshal(miss.Body.Bytes(), &base); err != nil || base.Fingerprint == "" {
+			t.Fatalf("schedule miss: %v: %s", err, miss.Body.String())
+		}
+		send(func() *httptest.ResponseRecorder { return post(h, "/v1/schedule", req) })
+		send(func() *httptest.ResponseRecorder { return post(h, "/v1/schedule", reordered) })
+		send(func() *httptest.ResponseRecorder {
+			return patch(h, base.Fingerprint, patchBody(t, PatchRequest{Delta: growDelta(8, 3), At: 1}))
+		})
+		send(func() *httptest.ResponseRecorder { return post(h, "/v1/schedule", malformed) })
+		return out
+	}
+	fresh := run(func() *bytes.Buffer { return new(bytes.Buffer) })
+	poisoned := run(func() *bytes.Buffer { return bytes.NewBufferString(`{"graph":{"n":2},"algorithm":"greedy"}`) })
+	for i := range fresh {
+		if fresh[i] != poisoned[i] {
+			t.Errorf("request %d: after garbage\n%s\nfresh\n%s", i, poisoned[i], fresh[i])
+		}
+	}
+	for i, want := range []string{"200", "200", "200", "200", "400"} {
+		if !strings.HasPrefix(fresh[i], want+" ") {
+			t.Errorf("request %d: %s, want status %s", i, fresh[i], want)
 		}
 	}
 }

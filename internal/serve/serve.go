@@ -1,5 +1,5 @@
 // Package serve is the lifetime-scheduling service: a long-running HTTP/JSON
-// layer that admits schedule and experiment requests, deduplicates and caches
+// layer that admits schedule and PATCH requests, deduplicates and caches
 // them, and computes them on a bounded worker pool. The paper's algorithms
 // are cheap randomized routines (two message exchanges per node), so the
 // engineering problem at serving scale is not the solver but the request
@@ -16,7 +16,7 @@
 //     admission fails with 429 + Retry-After instead of queueing unboundedly;
 //   - per-request deadlines wired into the repository's cancellation
 //     convention (a sticky cancel func polled by the solver, surfacing
-//     experiments.ErrCanceled), so an in-flight request past its deadline
+//     solver.ErrCanceled), so an in-flight request past its deadline
 //     stops burning a worker;
 //   - graceful drain: Shutdown stops admission (503) and waits until every
 //     accepted job has finished — accepted work is never dropped;
@@ -36,8 +36,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/chaos"
-	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/reconfig"
@@ -149,7 +147,7 @@ type Server struct {
 // enqueueing a new one.
 type job struct {
 	key      string
-	kind     string // "schedule" | "experiment"
+	kind     string // "schedule" | "reconfig"
 	enqueued time.Time
 	deadline time.Time
 	run      func(cancel func() bool) (*Result, error)
@@ -256,7 +254,7 @@ func (s *Server) execute(j *job) {
 	switch {
 	case expired():
 		// Expired while queued: don't start at all.
-		err = experiments.ErrCanceled
+		err = solver.ErrCanceled
 	default:
 		if s.cfg.Fault != nil {
 			if ferr := s.cfg.Fault.Invoke(j.key); ferr != nil {
@@ -266,10 +264,10 @@ func (s *Server) execute(j *job) {
 		}
 		if err == nil && expired() {
 			// A slow-worker fault may have eaten the whole budget.
-			err = experiments.ErrCanceled
+			err = solver.ErrCanceled
 		}
 		if err == nil {
-			// The sticky cancel contract of experiments.Config.Cancel, polled
+			// The sticky cancel contract of solver.Options.Cancel, polled
 			// before every retry and refinement move: timer-backed, so a poll
 			// reads no clock.
 			cancel, stop := solver.DeadlinePoll(j.deadline)
@@ -286,7 +284,7 @@ func (s *Server) execute(j *job) {
 	switch {
 	case err == nil:
 		s.met.completed.Inc()
-	case errors.Is(err, experiments.ErrCanceled):
+	case errors.Is(err, solver.ErrCanceled):
 		s.met.canceled.Inc()
 	default:
 		s.met.failed.Inc()
@@ -355,7 +353,3 @@ func (s *Server) jobStatus(key string) (state, kind string, res *Result, ok bool
 func msSince(t time.Time) float64 {
 	return float64(time.Since(t)) / float64(time.Millisecond)
 }
-
-// ErrWorkerFault re-exports the chaos sentinel so HTTP mapping and clients
-// of this package don't need to import chaos directly.
-var ErrWorkerFault = chaos.ErrWorkerFault

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -268,7 +267,7 @@ func TestDeadlineCancelsInFlightJob(t *testing.T) {
 	}
 	// The worker is still stuck in the fault; once it proceeds, the solver's
 	// first cancel poll must fire and the job must count as canceled — the
-	// experiments.ErrCanceled contract.
+	// solver.ErrCanceled contract.
 	close(gate.release)
 	waitCounter(t, s, "serve.canceled", 1)
 	if got := counter(s, "serve.completed"); got != 0 {
@@ -311,7 +310,7 @@ func TestDeadlineDuringRefinementCachesNothing(t *testing.T) {
 }
 
 // TestCancellationErrorSurfaces pins, white box, that a job past its
-// deadline finishes with experiments.ErrCanceled — not a timeout wrapper,
+// deadline finishes with solver.ErrCanceled — not a timeout wrapper,
 // not a success.
 func TestCancellationErrorSurfaces(t *testing.T) {
 	s := New(Config{Workers: 1})
@@ -326,8 +325,8 @@ func TestCancellationErrorSurfaces(t *testing.T) {
 		t.Fatalf("admit failed: status %d", status)
 	}
 	<-j.done
-	if !errors.Is(j.err, experiments.ErrCanceled) {
-		t.Fatalf("job error = %v, want experiments.ErrCanceled", j.err)
+	if !errors.Is(j.err, solver.ErrCanceled) {
+		t.Fatalf("job error = %v, want solver.ErrCanceled", j.err)
 	}
 	if ran {
 		t.Fatal("expired job still ran the computation")
@@ -441,33 +440,6 @@ func TestWorkerFaultFailsJob(t *testing.T) {
 	}
 }
 
-func TestExperimentEndpoint(t *testing.T) {
-	s := New(Config{Workers: 1})
-	defer s.Shutdown(context.Background())
-	h := s.Handler()
-
-	body, _ := json.Marshal(ExperimentRequest{ID: "e1", Quick: true, Trials: 1, Seed: 11})
-	w := post(h, "/v1/experiment", body)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	m := decodeResponse(t, w)
-	if m["kind"] != "experiment" || m["experiment"] != "E1" {
-		t.Fatalf("response %v", m)
-	}
-	if table, _ := m["table"].(string); table == "" {
-		t.Fatal("empty rendered table")
-	}
-	if w2 := post(h, "/v1/experiment", body); decodeResponse(t, w2)["cached"] != true {
-		t.Fatal("repeated experiment not cached")
-	}
-
-	bad, _ := json.Marshal(ExperimentRequest{ID: "E999"})
-	if w := post(h, "/v1/experiment", bad); w.Code != http.StatusBadRequest {
-		t.Fatalf("unknown experiment status %d, want 400", w.Code)
-	}
-}
-
 func TestRequestValidation(t *testing.T) {
 	s := New(Config{Workers: 1, MaxNodes: 100})
 	defer s.Shutdown(context.Background())
@@ -494,11 +466,16 @@ func TestRequestValidation(t *testing.T) {
 		{"budget total past MaxInt", Request{Graph: ring(6), Algorithm: solver.NameGreedy, Battery: 9_000_000_000_000_000_000}, 400},
 		{"batteries total past MaxInt", Request{Graph: GraphSpec{N: 2}, Algorithm: AlgGeneral, Batteries: []int{math.MaxInt, 1}}, 400},
 		{"too many nodes", Request{Graph: GraphSpec{N: 101}, Algorithm: AlgUniform, Battery: 1}, 413},
+		{"shards over the cap", Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, Shards: maxShards + 1}, 400},
 	}
 	for _, c := range cases {
 		if w := post(h, "/v1/schedule", scheduleBody(t, c.req)); w.Code != c.want {
 			t.Errorf("%s: status %d, want %d (%s)", c.name, w.Code, c.want, w.Body.String())
 		}
+	}
+	over := Request{Graph: ring(4), Algorithm: AlgUniform, Battery: 2, Shards: maxShards + 1}
+	if w := post(h, "/v1/schedule", scheduleBody(t, over)); !strings.Contains(w.Body.String(), "cap of 64") {
+		t.Errorf("shards over the cap: the 400 does not name the cap: %s", w.Body.String())
 	}
 	if w := post(h, "/v1/schedule", []byte("{not json")); w.Code != http.StatusBadRequest {
 		t.Errorf("malformed JSON: status %d, want 400", w.Code)

@@ -5,11 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/rng"
@@ -31,8 +29,8 @@ type SolveDefaults struct {
 // algorithm itself, or a refiner stacked on it when the request asks for
 // refinement — and the generic driver runs the retry/truncate/keep-best/
 // early-stop loop with the service's cancellation contract threaded through.
-// cancel is the sticky deadline check of experiments.Config.Cancel, polled
-// before every retry, and a fired cancel surfaces experiments.ErrCanceled;
+// cancel is the sticky deadline check of solver.Options.Cancel, polled
+// before every retry, and a fired cancel surfaces solver.ErrCanceled;
 // a time budget (request time_budget_ms, or the server default) instead
 // becomes a solver deadline, which truncates refinement to the best schedule
 // found so far rather than failing. Options.RaceWidth > 1 races that many
@@ -192,19 +190,5 @@ func scheduleResult(key string, req *Request, inst *instance.Instance,
 			budget:    req.budget(defs.Budget),
 			part:      part,
 		},
-	}, nil
-}
-
-// experimentResult renders a finished experiment table into a Result.
-func experimentResult(key, id string, t *experiments.Table) (*Result, error) {
-	var buf strings.Builder
-	if err := t.Render(&buf); err != nil {
-		return nil, fmt.Errorf("serve: rendering table: %w", err)
-	}
-	return &Result{
-		Key:        key,
-		Kind:       "experiment",
-		Experiment: id,
-		Table:      buf.String(),
 	}, nil
 }

@@ -158,7 +158,7 @@ func SolveShards(parent *instance.Instance, p *Partition, opt Options) ([]*Shard
 	}
 
 	if opt.TransientPool {
-		par.ForEach(len(p.Shards), 0, solveOne)
+		par.ForEach(len(p.Shards), solveOne)
 	} else {
 		for pos := range p.Shards {
 			solveOne(pos)

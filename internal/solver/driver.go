@@ -15,11 +15,9 @@ import (
 )
 
 // ErrCanceled reports that the cancel contract (Options.Cancel or
-// Options.Deadline) fired before the driver produced a schedule.
-// experiments.ErrCanceled aliases this value, so the serve layer's
-// errors.Is checks (and its 504 mapping) see one identity across the
-// solver driver and the experiment runner.
-var ErrCanceled = errors.New("experiments: run canceled")
+// Options.Deadline) fired before the driver produced a schedule. The serve
+// layer maps it to 504.
+var ErrCanceled = errors.New("solver: canceled")
 
 // Options configures the Solve driver. It replaces the positional
 // parameters the Best/Race signatures used to accumulate: every budget
@@ -223,7 +221,7 @@ func race(sv *Solver, inst *instance.Instance, spec Spec, opt Options) (*core.Sc
 
 	results := make([]*core.Schedule, width)
 	errs := make([]error, width)
-	par.ForEach(width, 0, func(i int) {
+	par.ForEach(width, func(i int) {
 		o := opt
 		o.Src = children[i]
 		o.Hooks = hooks

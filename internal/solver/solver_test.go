@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/domset"
 	"repro/internal/exact"
-	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/instance"
@@ -205,8 +204,7 @@ func TestRaceBeatsOrMatchesBest(t *testing.T) {
 }
 
 // TestBestCanceled pins the serve cancellation contract end to end: a fired
-// cancel func surfaces as ErrCanceled, which is the same sentinel the
-// experiments package re-exports (serve's writeJobError matches on it).
+// cancel func surfaces as ErrCanceled (serve's writeJobError matches on it).
 func TestBestCanceled(t *testing.T) {
 	g := testGraph(t)
 	budgets := uniformBudgets(g.N(), 3)
@@ -214,9 +212,6 @@ func TestBestCanceled(t *testing.T) {
 		solver.Options{Tries: 5, Cancel: func() bool { return true }, Src: rng.New(1)})
 	if !errors.Is(err, solver.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if !errors.Is(err, experiments.ErrCanceled) {
-		t.Fatal("experiments.ErrCanceled no longer aliases solver.ErrCanceled")
 	}
 }
 
