@@ -13,6 +13,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -20,7 +21,6 @@ import (
 	"runtime/pprof"
 	"strings"
 
-	"repro/internal/budgetflag"
 	"repro/internal/experiments"
 	"repro/internal/obs"
 )
@@ -40,14 +40,13 @@ func run() int {
 	traceOut := flag.String("trace", "", "write experiment trial/reconfig events as JSONL to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	bf := budgetflag.Register(flag.CommandLine)
+	budget := flag.Int("budget", 0, "refinement iteration budget for tabu/anneal solvers (0 = solver default)")
+	flag.Func("deadline", "not supported; bound the wall clock with timeout(1)", func(string) error {
+		return errors.New("experiments run to completion; bound the wall clock with timeout(1), e.g. timeout 2m ltbench ...")
+	})
 	flag.Parse()
-	if err := bf.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "ltbench:", err)
-		return 1
-	}
-	if bf.Deadline > 0 {
-		fmt.Fprintln(os.Stderr, "ltbench: -deadline is not supported: experiments run to completion; bound the wall clock with timeout(1), e.g. timeout 2m ltbench ...")
+	if *budget < 0 {
+		fmt.Fprintf(os.Stderr, "ltbench: -budget %d must be >= 0 (0 = solver default)\n", *budget)
 		return 1
 	}
 
@@ -87,7 +86,7 @@ func run() int {
 		return 0
 	}
 
-	cfg := experiments.Config{Seed: *seed, Trials: *trials, Quick: *quick, Budget: bf.Budget}
+	cfg := experiments.Config{Seed: *seed, Trials: *trials, Quick: *quick, Budget: *budget}
 	var traceClose func() error
 	if *traceOut != "" {
 		tf, err := os.Create(*traceOut)

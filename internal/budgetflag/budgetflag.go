@@ -1,13 +1,12 @@
 // Package budgetflag is the single parser of the solver budget contract
-// across the cmds: ltsched, ltsim, ltserve, and ltbench all register the
-// same two flags — -budget (refinement candidate-move budget, in
-// iterations) and -deadline (wall-clock budget, as a Go duration) — through
-// one helper, so the spelling, defaults, and help text can never drift
-// apart again. ltbench's experiments run to completion, so it rejects a
-// non-zero -deadline and points to timeout(1). The ad-hoc spellings older tools in this space use (-iters,
-// -iterations, -time-budget, -time-limit, -budget-ms, -deadline-ms) are
-// registered as rejection stubs that fail parsing with a pointer to the
-// canonical flag instead of being silently unknown.
+// across the cmds: ltsched, ltsim and ltserve all register the same two
+// flags — -budget (refinement candidate-move budget, in iterations) and
+// -deadline (wall-clock budget, as a Go duration) — through one helper, so
+// the spelling, defaults, and help text can never drift apart again. The
+// ad-hoc spellings older tools in this space use (-iters, -iterations,
+// -time-budget, -time-limit, -budget-ms, -deadline-ms) are registered as
+// rejection stubs that fail parsing with a pointer to the canonical flag
+// instead of being silently unknown.
 package budgetflag
 
 import (

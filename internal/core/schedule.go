@@ -14,7 +14,7 @@
 //
 // The color-class guarantee is probabilistic, so raw schedules may contain
 // non-dominating phases; TruncateInvalid extracts the valid prefix (what a
-// deployment would actually run) and the WHP wrappers retry until the
+// deployment would actually run), and solver.Solve retries until the
 // guaranteed prefix materializes.
 package core
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/solver"
 )
 
@@ -170,20 +171,27 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.met.solverSequential.Inc()
 		}
-		hooks := obs.Hooks{Trace: attemptTracer{s.met.solverAttempts}}
 		defs := SolveDefaults{Budget: s.cfg.DefaultBudget, TimeBudget: s.cfg.DefaultTimeBudget}
+		ctx := &scheduleCtx{inst: inst}
+		var err error
 		if req.Shards > 1 {
-			sched, part, err := s.solveSharded(inst, req, defs, hooks, cancel)
-			if err != nil {
+			// resolve admits no partitioner but bfs.
+			if ctx.part, err = shard.BFS(inst.Graph, req.Shards, req.seed()); err != nil {
 				return nil, err
 			}
-			return scheduleResult(key, req, inst, sched, part, defs)
+			opt := shard.Options{Spec: req.spec(), Solver: req.options(width, defs, s.hooks, cancel),
+				Seed: req.seed(), TransientPool: true, Cache: shardCache{s}}
+			ctx.sched, err = s.solveShards(inst, ctx.part, opt)
+			// A PATCH replays the options under its own cancel.
+			opt.Solver.Cancel, opt.Solver.Deadline, opt.Solver.Src = nil, time.Time{}, nil
+			ctx.shards = opt
+		} else {
+			ctx.sched, err = Solve(inst, req, width, defs, s.hooks, cancel)
 		}
-		sched, err := Solve(inst, req, width, defs, hooks, cancel)
 		if err != nil {
 			return nil, err
 		}
-		return scheduleResult(key, req, inst, sched, nil, defs)
+		return newResult(key, "schedule", req.Algorithm, ctx)
 	}
 	if s.dispatch(w, r, key, "schedule",
 		timeoutFromMS(req.TimeoutMS, s.cfg.DefaultTimeout), req.Async, run) {

@@ -20,11 +20,12 @@ var LatencyBounds = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 50
 // serve.alias_hits counts the cache hits answered by a body-digest alias,
 // before the body was decoded; they are part of serve.cache_hits.
 //
-// The serve.solver_* group observes the solver driver under each schedule
-// job: serve.solver_attempts counts WHP retries across all jobs and race
-// attempts (via the driver's obs.EvAttempt hook), while exactly one of
-// serve.solver_sequential / serve.solver_raced increments per executed
-// schedule job, keyed on whether the configured race width exceeds 1.
+// The serve.solver_* group observes the solver driver: serve.solver_attempts
+// counts the WHP retries of every job's solves — whole, per-shard and raced,
+// PATCH re-solves included — via the driver's obs.EvAttempt hook
+// (Server.hooks), while exactly one of serve.solver_sequential /
+// serve.solver_raced increments per executed schedule job, keyed on whether
+// the configured race width exceeds 1.
 type metrics struct {
 	requests          *obs.Counter
 	admitted          *obs.Counter
@@ -114,9 +115,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// attemptTracer is the obs hook handed to the solver driver: it counts
-// every WHP retry into serve.solver_attempts. The racing driver serializes
-// emissions, and obs.Counter is atomic anyway.
+// attemptTracer is the tracer of Server.hooks: it counts every WHP retry
+// into serve.solver_attempts. The racing driver and shard.SolveShards
+// serialize emissions, and obs.Counter is atomic anyway.
 type attemptTracer struct{ c *obs.Counter }
 
 func (a attemptTracer) Emit(ev obs.Event) {

@@ -1,17 +1,14 @@
 package serve
 
 import (
-	"encoding/hex"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/instance"
-	"repro/internal/obs"
 	"repro/internal/reconfig"
 	"repro/internal/shard"
 	"repro/internal/solver"
@@ -26,20 +23,15 @@ import (
 type scheduleCtx struct {
 	// inst is the typed solve instance the schedule was computed for (graph,
 	// budgets, tolerance, structure metadata).
-	inst      *instance.Instance
-	algorithm string
-	seed      uint64
-	tries     int
-	sched     *core.Schedule
-	// spec and budget are the resolved solver spec and refinement budget the
-	// schedule was computed with — what a sharded re-solve must replay for
-	// untouched shards to hit the compositional cache.
-	spec   solver.Spec
-	budget int
+	inst  *instance.Instance
+	sched *core.Schedule
 	// part, when non-nil, is the partition the schedule was stitched from;
 	// PATCH rebases it through the delta mapping and re-solves only the
-	// shards the delta touched.
-	part *shard.Partition
+	// shards the delta touched, under shards: the base's shard.Options with
+	// no cancel, deadline or source, whose replay is what keeps untouched
+	// shards hitting the compositional cache.
+	part   *shard.Partition
+	shards shard.Options
 }
 
 // PatchRequest is the body of PATCH /v1/schedule/{fingerprint}: a live graph
@@ -203,19 +195,14 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		var part2 *shard.Partition
 		if ctx.part != nil {
 			part2 = ctx.part.Rebase(g2, mapping)
+			opt := ctx.shards
+			opt.Solver.Cancel = cancel
+			var err error
 			// The post-delta parent instance keeps the tolerance.
-			parent2 := instance.New(g2, budgets2).WithK(ctx.inst.Tolerance())
-			opt := s.shardOptions(ctx.spec, ctx.seed, ctx.tries, ctx.budget,
-				time.Time{}, obs.Hooks{}, cancel)
-			solved, err := shard.SolveShards(parent2, part2, opt)
+			incoming, err = s.solveShards(instance.New(g2, budgets2).WithK(ctx.inst.Tolerance()), part2, opt)
 			if err != nil {
 				return nil, err
 			}
-			st, err := s.stitchCounted(parent2, part2, solved, obs.Hooks{})
-			if err != nil {
-				return nil, err
-			}
-			incoming = st.Schedule
 		}
 		// The pre-delta instance at the cutover: residual budgets under the
 		// same graph, sharing the already-computed structure metadata.
@@ -227,6 +214,7 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 			Seed:     req.seedOrDefault(),
 			Tries:    req.triesOrDefault(),
 			Cancel:   cancel,
+			Hooks:    s.hooks,
 			Incoming: incoming,
 		})
 		if err != nil {
@@ -246,7 +234,28 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		// fingerprint.
 		dropped := s.invalidateFingerprint(fp)
 		s.met.invalidated.Add(uint64(dropped))
-		return patchResult(key, fp, &req, overlap, ctx, p, dropped, part2)
+		algorithm := req.Solver
+		if ctx.part != nil {
+			// A sharded base stays sharded under its own algorithm: the next
+			// PATCH rebases part2 in turn and replays the same options.
+			algorithm = base.Algorithm
+		} else if algorithm == "" {
+			algorithm = solver.NameGreedy
+		}
+		res, err := newResult(key, "reconfig", algorithm, &scheduleCtx{
+			inst:   instance.New(p.Graph, p.Budgets).WithK(ctx.inst.Tolerance()),
+			sched:  p.Schedule(),
+			part:   part2,
+			shards: ctx.shards,
+		})
+		if err != nil {
+			return nil, err
+		}
+		res.PriorFingerprint = fp
+		res.Overlap, res.OverlapEnergy = p.Overlap, p.OverlapEnergy
+		res.Degraded, res.Violation = p.Degraded, p.Violation
+		res.Invalidated, res.Mapping = dropped, p.Mapping
+		return res, nil
 	}
 	s.dispatch(w, r, key, "reconfig",
 		timeoutFromMS(req.TimeoutMS, s.cfg.DefaultTimeout), req.Async, run)
@@ -260,9 +269,6 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 func selectBase(candidates []*Result, fp, algorithm string) (*Result, int, string) {
 	var matches []*Result
 	for _, res := range candidates {
-		if res.ctx == nil {
-			continue
-		}
 		if algorithm != "" && res.Algorithm != algorithm {
 			continue
 		}
@@ -287,57 +293,4 @@ func selectBase(candidates []*Result, fp, algorithm string) (*Result, int, strin
 	return nil, http.StatusConflict,
 		fmt.Sprintf("fingerprint %s has %d cached schedules (algorithms: %s); disambiguate with \"algorithm\" or distinct request parameters",
 			fp, len(matches), strings.Join(algs, ", "))
-}
-
-// patchResult renders a computed transition plan into the cached Result,
-// carrying a fresh scheduleCtx for the post-delta instance so subsequent
-// PATCHes can chain onto the new fingerprint.
-func patchResult(key, priorFP string, req *PatchRequest, overlap int,
-	base *scheduleCtx, p *reconfig.Plan, invalidated int, part *shard.Partition) (*Result, error) {
-	sched := p.Schedule()
-	res, err := scheduleJSON(sched)
-	if err != nil {
-		return nil, err
-	}
-	algorithm := req.Solver
-	if algorithm == "" {
-		algorithm = solver.NameGreedy
-	}
-	ctx := &scheduleCtx{
-		inst:      instance.New(p.Graph, p.Budgets).WithK(base.inst.Tolerance()),
-		algorithm: algorithm,
-		seed:      req.seedOrDefault(),
-		tries:     req.triesOrDefault(),
-		sched:     sched,
-	}
-	if part != nil {
-		// A sharded base stays sharded: the next PATCH rebases this
-		// partition in turn, and replaying the base's solver parameters is
-		// what keeps untouched shards hitting the compositional cache.
-		ctx.part = part
-		ctx.spec = base.spec
-		ctx.budget = base.budget
-		ctx.seed = base.seed
-		ctx.tries = base.tries
-		ctx.algorithm = base.algorithm
-		algorithm = base.algorithm
-	}
-	newFP := p.Graph.Fingerprint()
-	return &Result{
-		Key:              key,
-		Kind:             "reconfig",
-		Algorithm:        algorithm,
-		Lifetime:         sched.Lifetime(),
-		Phases:           len(sched.Phases),
-		Schedule:         res,
-		Fingerprint:      hex.EncodeToString(newFP[:]),
-		PriorFingerprint: priorFP,
-		Overlap:          p.Overlap,
-		OverlapEnergy:    p.OverlapEnergy,
-		Degraded:         p.Degraded,
-		Violation:        p.Violation,
-		Invalidated:      invalidated,
-		Mapping:          p.Mapping,
-		ctx:              ctx,
-	}, nil
 }

@@ -4,12 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/instance"
+	"repro/internal/obs"
+	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/solver"
 )
@@ -146,6 +149,27 @@ func (r *Request) spec() solver.Spec {
 	return s
 }
 
+// options is the one builder of a schedule job's solver.Options, whole or
+// sharded: the request's tries and budget (defs.Budget when it has none) and
+// a source seeded from its seed, the race width, hooks and cancel, and the
+// time budget (the request's time_budget_ms, else defs.TimeBudget) as a
+// deadline from now. A sharded solve ignores Src: shard.SolveShards derives
+// the per-shard sources from the seed.
+func (r *Request) options(width int, defs SolveDefaults, hooks obs.Hooks, cancel func() bool) solver.Options {
+	opt := solver.Options{
+		Tries:     r.tries(),
+		Budget:    r.budget(defs.Budget),
+		Cancel:    cancel,
+		Hooks:     hooks,
+		Src:       rng.New(r.seed()),
+		RaceWidth: width,
+	}
+	if tb := timeoutFromMS(r.TimeBudgetMS, defs.TimeBudget); tb > 0 {
+		opt.Deadline = time.Now().Add(tb)
+	}
+	return opt
+}
+
 // timeoutFromMS converts a request's millisecond field to a duration:
 // fallback when unset, and the largest time.Duration for values too large
 // to convert, which would otherwise wrap around.
@@ -191,7 +215,7 @@ func (r *Request) resolve(maxNodes int) (*instance.Instance, error) {
 		return nil, fmt.Errorf("unknown algorithm %q (have %s)",
 			r.Algorithm, strings.Join(solver.Names(), ", "))
 	}
-	if r.Refine != "" && !isRefiner(r.Refine) {
+	if r.Refine != "" && !slices.Contains(solver.RefinerNames(), r.Refine) {
 		return nil, fmt.Errorf("refine = %q is not a refinement solver (have %s)",
 			r.Refine, strings.Join(solver.RefinerNames(), ", "))
 	}
@@ -279,16 +303,6 @@ func checkBudgetTotal(budgets []int) error {
 		total += b
 	}
 	return nil
-}
-
-// isRefiner reports whether name is a registered refinement solver.
-func isRefiner(name string) bool {
-	for _, n := range solver.RefinerNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
 }
 
 // key returns the canonical cache/coalescing key of the request: the

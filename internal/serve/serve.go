@@ -71,9 +71,10 @@ type Config struct {
 	// 413 before any work happens. <= 0 means 1<<20.
 	MaxNodes int
 	// RaceWidth is the number of independently seeded solver attempts each
-	// schedule job races concurrently (solver.Options.RaceWidth); the winner
-	// is deterministic, so responses and cache keys are unaffected. <= 1 runs
-	// the sequential driver.
+	// schedule job races concurrently (solver.Options.RaceWidth), per shard
+	// when the job is sharded; the winner is a pure function of (seed,
+	// width), so the server answers a request deterministically and cache
+	// keys omit the width. <= 1 runs the sequential driver.
 	RaceWidth int
 	// DefaultOverlap is the overlap window (in slots) a PATCH request gets
 	// when it does not specify one. <= 0 means reconfig.DefaultOverlap; a
@@ -131,10 +132,13 @@ func (c Config) withDefaults() Config {
 // Server is the scheduling service. Create one with New, expose
 // Server.Handler over HTTP (StartHTTP), and Shutdown to drain.
 type Server struct {
-	cfg      Config
-	met      *metrics
-	pool     *par.Pool
-	cache    *lruCache
+	cfg   Config
+	met   *metrics
+	pool  *par.Pool
+	cache *lruCache
+	// hooks is every job's solver hook: it counts the attempts of whole,
+	// sharded and PATCH solves into serve.solver_attempts.
+	hooks    obs.Hooks
 	draining atomic.Bool
 
 	mu      sync.Mutex
@@ -163,14 +167,15 @@ type job struct {
 // New builds a Server from cfg and starts its worker pool.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	met := newMetrics(cfg.Registry)
+	return &Server{
 		cfg:     cfg,
-		met:     newMetrics(cfg.Registry),
+		met:     met,
 		pool:    par.NewPool(cfg.Workers, cfg.QueueDepth),
 		cache:   newLRUCache(cfg.CacheSize),
+		hooks:   obs.Hooks{Trace: attemptTracer{met.solverAttempts}},
 		pending: make(map[string]*job),
 	}
-	return s
 }
 
 // Registry returns the metrics registry the server reports into (the one

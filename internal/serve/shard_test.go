@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/shard"
 	"repro/internal/solver"
 )
 
@@ -207,4 +210,102 @@ func TestPatchShardedResolvesOneShard(t *testing.T) {
 	if !ok || res2.ctx == nil || res2.ctx.part == nil {
 		t.Fatal("patch result did not retain a rebased partition")
 	}
+}
+
+// complete returns the complete graph K_n as a wire spec.
+func complete(n int) GraphSpec {
+	var edges [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			edges = append(edges, [2]int{u, v})
+		}
+	}
+	return GraphSpec{N: n, Edges: edges}
+}
+
+// TestShardedJobRacesShards pins that a sharded job races every shard's
+// solve at the server's width and counts each raced attempt: greedy accepts
+// its first try, so a 4-shard job makes 4 attempts per unit of width.
+func TestShardedJobRacesShards(t *testing.T) {
+	req := Request{Graph: gridSpec(8, 8), Algorithm: solver.NameGreedy, Battery: 4, Shards: 4}
+	for _, c := range []struct {
+		width           int
+		attempts, raced uint64
+	}{{1, 4, 0}, {4, 16, 1}} {
+		s := New(Config{Workers: 1, RaceWidth: c.width})
+		if w := post(s.Handler(), "/v1/schedule", scheduleBody(t, req)); w.Code != http.StatusOK {
+			t.Fatalf("width %d: status %d: %s", c.width, w.Code, w.Body.String())
+		}
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if got := counter(s, "serve.solver_attempts"); got != c.attempts {
+			t.Errorf("width %d: serve.solver_attempts = %d, want %d", c.width, got, c.attempts)
+		}
+		if got := counter(s, "serve.solver_raced"); got != c.raced {
+			t.Errorf("width %d: serve.solver_raced = %d, want %d", c.width, got, c.raced)
+		}
+	}
+
+	// The served schedule is the one shard.SolveShards and shard.Stitch give
+	// at the same width, partition and seed. The instance is K_32 at
+	// kconst 1: every shard's local instance is the whole clique, which
+	// uniform colors into several classes, so the raced attempts draw
+	// different schedules and width 4 answers differently from width 1.
+	// (A tiny grid shard gets one class, the whole shard, at any width.)
+	req = Request{Graph: complete(32), Algorithm: AlgUniform, Battery: 2, KConst: 1, Shards: 4, Seed: 3}
+	inst, err := req.resolve(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := shard.BFS(inst.Graph, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := func(width int) []byte {
+		solved, err := shard.SolveShards(inst, p, shard.Options{
+			Spec:   solver.Spec{Name: AlgUniform, KConst: 1},
+			Solver: solver.Options{Tries: 30, RaceWidth: width},
+			Seed:   3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := shard.Stitch(inst, p, solved, obs.Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := st.Schedule.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return compact(t, buf.Bytes())
+	}
+	want := direct(4)
+	if bytes.Equal(want, direct(1)) {
+		t.Fatal("K_32 gives one sharded schedule at widths 1 and 4; pick an instance that tells them apart")
+	}
+	s := New(Config{Workers: 1, RaceWidth: 4})
+	defer s.Shutdown(context.Background())
+	w := post(s.Handler(), "/v1/schedule", scheduleBody(t, req))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	var resp response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if got := compact(t, resp.Schedule); !bytes.Equal(got, want) {
+		t.Fatalf("served sharded schedule at width 4\n%s\nwant the directly raced shards'\n%s", got, want)
+	}
+}
+
+// compact returns the JSON text b without insignificant whitespace.
+func compact(t *testing.T, b []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := json.Compact(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/instance"
 	"repro/internal/obs"
-	"repro/internal/rng"
 	"repro/internal/shard"
 	"repro/internal/solver"
 )
@@ -28,15 +27,15 @@ type SolveDefaults struct {
 // registry: the request's spec resolves to a registered solver — the
 // algorithm itself, or a refiner stacked on it when the request asks for
 // refinement — and the generic driver runs the retry/truncate/keep-best/
-// early-stop loop with the service's cancellation contract threaded through.
-// cancel is the sticky deadline check of solver.Options.Cancel, polled
-// before every retry, and a fired cancel surfaces solver.ErrCanceled;
-// a time budget (request time_budget_ms, or the server default) instead
-// becomes a solver deadline, which truncates refinement to the best schedule
-// found so far rather than failing. Options.RaceWidth > 1 races that many
-// independently seeded attempts concurrently with a deterministic winner;
-// <= 1 is the sequential driver. The driver validates the final schedule
-// before returning, so the service never hands out an infeasible one.
+// early-stop loop under the options Request.options builds. cancel is the
+// sticky deadline check of solver.Options.Cancel, polled before every retry,
+// and a fired cancel surfaces solver.ErrCanceled; a time budget (request
+// time_budget_ms, or the server default) instead becomes a solver deadline,
+// which truncates refinement to the best schedule found so far rather than
+// failing. width > 1 races that many independently seeded attempts
+// concurrently with a deterministic winner; <= 1 is the sequential driver.
+// The driver validates the final schedule before returning, so the service
+// never hands out an infeasible one.
 //
 // Race attempts run on goroutines of their own (solver.Solve's par.ForEach),
 // never on the service's worker pool: Solve itself executes on a pool
@@ -45,18 +44,7 @@ type SolveDefaults struct {
 // blocked workers.
 func Solve(inst *instance.Instance, req *Request, width int,
 	defs SolveDefaults, hooks obs.Hooks, cancel func() bool) (*core.Schedule, error) {
-	opt := solver.Options{
-		Tries:     req.tries(),
-		Budget:    req.budget(defs.Budget),
-		Cancel:    cancel,
-		Hooks:     hooks,
-		Src:       rng.New(req.seed()),
-		RaceWidth: width,
-	}
-	if tb := timeoutFromMS(req.TimeBudgetMS, defs.TimeBudget); tb > 0 {
-		opt.Deadline = time.Now().Add(tb)
-	}
-	return solver.Solve(inst, req.spec(), opt)
+	return solver.Solve(inst, req.spec(), req.options(width, defs, hooks, cancel))
 }
 
 // shardCache adapts the server's LRU to shard.Cache. Entries are Kind
@@ -84,59 +72,15 @@ func (c shardCache) Put(key string, sched *core.Schedule) {
 	c.s.cache.add(key, &Result{Key: key, Kind: "shard", shardSched: sched})
 }
 
-// shardOptions assembles the shard.Options of a server-side sharded solve:
-// the per-shard solves run concurrently on goroutines of their own (the job
-// itself occupies a serve worker; see Solve on why re-entering the service
-// pool is off the table), consult the server's compositional cache, and
-// count into the serve.shard_* metrics via the solve/hit events they emit.
-func (s *Server) shardOptions(spec solver.Spec, seed uint64, tries, budget int,
-	deadline time.Time, hooks obs.Hooks, cancel func() bool) shard.Options {
-	return shard.Options{
-		Spec: spec,
-		Solver: solver.Options{
-			Tries:    tries,
-			Budget:   budget,
-			Deadline: deadline,
-			Cancel:   cancel,
-		},
-		Seed:          seed,
-		TransientPool: true,
-		Cache:         shardCache{s},
-		Hooks:         hooks,
-	}
-}
-
-// solveSharded is the sharded counterpart of Solve: partition, per-shard
-// solve against the compositional cache, stitch with boundary repair. It
-// returns the partition alongside the schedule so the result's ctx can
-// rebase it when a PATCH arrives.
-func (s *Server) solveSharded(inst *instance.Instance, req *Request,
-	defs SolveDefaults, hooks obs.Hooks, cancel func() bool) (*core.Schedule, *shard.Partition, error) {
-	p, err := shard.ByName(req.Partitioner, inst.Graph, nil, req.Shards, req.seed())
-	if err != nil {
-		return nil, nil, err
-	}
-	var deadline time.Time
-	if tb := timeoutFromMS(req.TimeBudgetMS, defs.TimeBudget); tb > 0 {
-		deadline = time.Now().Add(tb)
-	}
-	opt := s.shardOptions(req.spec(), req.seed(), req.tries(), req.budget(defs.Budget),
-		deadline, hooks, cancel)
+// solveShards runs a sharded job's per-shard solves and stitch, for POST
+// and PATCH alike, and folds the outcome into the serve.shard_* metrics.
+// The shards solve on goroutines of their own (opt.TransientPool; see Solve
+// on why re-entering the service pool is off the table).
+func (s *Server) solveShards(inst *instance.Instance, p *shard.Partition, opt shard.Options) (*core.Schedule, error) {
 	solved, err := shard.SolveShards(inst, p, opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	st, err := s.stitchCounted(inst, p, solved, hooks)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.Schedule, p, nil
-}
-
-// stitchCounted runs shard.Stitch and folds the outcome into the
-// serve.shard_* metrics.
-func (s *Server) stitchCounted(inst *instance.Instance, p *shard.Partition,
-	solved []*shard.ShardResult, hooks obs.Hooks) (*shard.Stitched, error) {
 	for _, sr := range solved {
 		if sr.Cached {
 			s.met.shardCacheHits.Inc()
@@ -144,13 +88,13 @@ func (s *Server) stitchCounted(inst *instance.Instance, p *shard.Partition,
 			s.met.shardSolves.Inc()
 		}
 	}
-	st, err := shard.Stitch(inst, p, solved, hooks)
+	st, err := shard.Stitch(inst, p, solved, opt.Solver.Hooks)
 	if err != nil {
 		return nil, err
 	}
 	s.met.shardRepairs.Add(uint64(st.Repairs))
 	s.met.shardReplans.Add(uint64(st.Replans))
-	return st, nil
+	return st.Schedule, nil
 }
 
 // scheduleJSON renders a schedule into the cmd/ltsched interchange format.
@@ -162,33 +106,24 @@ func scheduleJSON(s *core.Schedule) (json.RawMessage, error) {
 	return json.RawMessage(bytes.TrimSpace(buf.Bytes())), nil
 }
 
-// scheduleResult renders a solved schedule into the immutable cached Result,
-// stamping the graph fingerprint and retaining the solved instance (ctx) so
-// the result is addressable — and patchable — by PATCH /v1/schedule/{fp}.
-func scheduleResult(key string, req *Request, inst *instance.Instance,
-	s *core.Schedule, part *shard.Partition, defs SolveDefaults) (*Result, error) {
-	raw, err := scheduleJSON(s)
+// newResult renders the schedule of ctx into the immutable cached Result of
+// a job of the given kind ("schedule" or "reconfig"), stamping the
+// fingerprint of ctx's graph and retaining ctx, so the result is
+// addressable — and patchable — by PATCH /v1/schedule/{fp}.
+func newResult(key, kind, algorithm string, ctx *scheduleCtx) (*Result, error) {
+	raw, err := scheduleJSON(ctx.sched)
 	if err != nil {
 		return nil, err
 	}
-	fp := inst.Graph.Fingerprint()
+	fp := ctx.inst.Graph.Fingerprint()
 	return &Result{
 		Key:         key,
-		Kind:        "schedule",
-		Algorithm:   req.Algorithm,
-		Lifetime:    s.Lifetime(),
-		Phases:      len(s.Phases),
+		Kind:        kind,
+		Algorithm:   algorithm,
+		Lifetime:    ctx.sched.Lifetime(),
+		Phases:      len(ctx.sched.Phases),
 		Schedule:    raw,
 		Fingerprint: hex.EncodeToString(fp[:]),
-		ctx: &scheduleCtx{
-			inst:      inst,
-			algorithm: req.Algorithm,
-			seed:      req.seed(),
-			tries:     req.tries(),
-			sched:     s,
-			spec:      req.spec(),
-			budget:    req.budget(defs.Budget),
-			part:      part,
-		},
+		ctx:         ctx,
 	}, nil
 }

@@ -34,8 +34,11 @@ type Options struct {
 	// specs with a Base).
 	Spec solver.Spec
 	// Solver carries the per-shard driver knobs — Tries, Budget, Deadline,
-	// Cancel, RaceWidth — shared by every shard. Src is ignored: per-shard
-	// sources derive from Seed so cache keys can name them.
+	// Cancel, Hooks, RaceWidth — shared by every shard. Src is ignored:
+	// per-shard sources derive from Seed so cache keys can name them. Hooks
+	// also receives one obs "shard" event per shard: stage "hit" for a cache
+	// hit, "solve" for a fresh solve. The shards emit concurrently, so
+	// SolveShards synchronizes the tracer.
 	Solver solver.Options
 	// Seed is the root seed. Shard i solves with the i-th split child (by
 	// stable Shard.Index), so results are deterministic in (partition,
@@ -49,10 +52,6 @@ type Options struct {
 	// Cache, when non-nil, is consulted before and updated after every
 	// per-shard solve.
 	Cache Cache
-	// Hooks receives one obs "shard" event per shard: stage "hit" for a
-	// cache hit, "solve" for a fresh solve. Forwarded (synchronized) to
-	// the per-shard solver drivers as well.
-	Hooks obs.Hooks
 }
 
 // ShardResult is one shard's solved schedule, in the shard's local IDs.
@@ -115,7 +114,7 @@ func SolveShards(parent *instance.Instance, p *Partition, opt Options) ([]*Shard
 		}
 	}
 	children := rng.New(opt.Seed).SplitN(maxIndex + 1)
-	hooks := obs.Hooks{Trace: obs.Synchronized(opt.Hooks.Trace)}
+	hooks := obs.Hooks{Trace: obs.Synchronized(opt.Solver.Hooks.Trace)}
 
 	results := make([]*ShardResult, len(p.Shards))
 	errs := make([]error, len(p.Shards))
