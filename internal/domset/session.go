@@ -2,6 +2,7 @@ package domset
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/graph"
@@ -14,10 +15,13 @@ import (
 //
 // Reset loads a set in O(n + Σ deg) and returns the session, so a one-shot
 // query is Reset plus a read. From then on Flip and SetAlive maintain the
-// state under single-node deltas in O(deg(v)). That is the shape of every
-// hot single-delta caller: heal's recruit loop (enlist one node, recheck),
-// reconfig's slot-by-slot verification (consecutive phases differ in a few
-// members), and the local-search refiners (try dropping or swapping one
+// state under single-node deltas in O(deg(v)), and SetMembers moves it to
+// another set by flipping only the nodes whose membership differs. Those
+// are the shapes of every hot caller: heal's recruit loop (enlist one node,
+// recheck); shard.Stitch, reconfig.Compute's plan check and
+// reconfig.Simulate, which move one session with SetMembers from segment
+// to segment, phase to phase and slot to slot (neighbors differ in a few
+// members); and the local-search refiners (try dropping or swapping one
 // dominator, keep the move only if the set stays covered). For the last,
 // DropKeeps and SwapKeeps answer "would this move keep the set
 // k-dominating?" with one read-only pass over the moved nodes'
@@ -30,7 +34,7 @@ import (
 //	undom     = { v : alive[v] && counts[v] < k }
 //
 // Dead members contribute nothing (a dead dominator dominates no one);
-// dead nodes need no coverage. Duplicate members in Reset's set collapse.
+// dead nodes need no coverage. Duplicate members collapse.
 //
 // The state is O(n) words whatever the graph's density, and a Reset reuses
 // it, so steady-state reuse allocates nothing (the property tests pin
@@ -44,6 +48,7 @@ type Session struct {
 	member *bitset.Set // declared membership (kept even for dead members)
 	alive  *bitset.Set // alive mask snapshot, maintained by SetAlive
 	undom  *bitset.Set // alive nodes with counts < k
+	next   *bitset.Set // SetMembers' target membership; nil until its first call
 	undomN int
 	aliveN int
 }
@@ -137,6 +142,33 @@ func (s *Session) Reset(set []int, k int, alive []bool) *Session {
 		}
 	}
 	return s
+}
+
+// SetMembers makes set the candidate set, keeping k and the alive mask. It
+// flips exactly the nodes whose membership differs, the XOR of the member
+// bitset with set's, so moving between two sets that share most members
+// costs one O(n/64) word sweep plus O(deg) per changed node, where Reset
+// would recount every neighborhood. Duplicate members collapse; a member
+// out of range panics before anything changes. Like Reset, it records dead
+// members without counting them. The scratch bitset is allocated on the
+// first call, so a steady-state call allocates nothing.
+func (s *Session) SetMembers(set []int) {
+	for _, v := range set {
+		s.checkNode(v)
+	}
+	if s.next == nil {
+		s.next = bitset.New(s.n)
+	}
+	nw, mw := s.next.Words(), s.member.Words()
+	for _, v := range set {
+		nw[v>>6] |= 1 << uint(v&63)
+	}
+	for i, w := range nw {
+		for d := w ^ mw[i]; d != 0; d &= d - 1 {
+			s.Flip(i<<6 + bits.TrailingZeros64(d))
+		}
+		nw[i] = 0
+	}
 }
 
 // Contains reports whether v is currently a member of the candidate set.

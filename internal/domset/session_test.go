@@ -564,3 +564,83 @@ func BenchmarkSessionFlip(b *testing.B) {
 		}
 	}
 }
+
+// TestSetMembersMatchesReset drives one session through sequences of sets
+// with SetMembers, between alive-mask changes made with SetAlive, and
+// requires every query to equal a fresh session's after Reset with the same
+// set, k and mask. The sets are unsorted and carry duplicates. SetMembers of
+// the current set must change nothing, an out-of-range member must panic
+// and leave the session as it was, and a steady-state call must allocate
+// nothing.
+func TestSetMembersMatchesReset(t *testing.T) {
+	src := rng.New(21)
+	same := func(label string, got, want *Session) {
+		t.Helper()
+		for v := 0; v < got.n; v++ {
+			if g, w := got.Dominators(v), want.Dominators(v); g != w {
+				t.Fatalf("%s: Dominators(%d) = %d, Reset gives %d", label, v, g, w)
+			}
+		}
+		if g, w := got.IsKDominating(), want.IsKDominating(); g != w {
+			t.Fatalf("%s: IsKDominating = %v, Reset gives %v", label, g, w)
+		}
+		if g, w := got.CoveredCount(), want.CoveredCount(); g != w {
+			t.Fatalf("%s: CoveredCount = %d, Reset gives %d", label, g, w)
+		}
+		if g, w := got.AppendUndominated(nil), want.AppendUndominated(nil); !slices.Equal(g, w) {
+			t.Fatalf("%s: undominated %v, Reset gives %v", label, g, w)
+		}
+		if g, w := got.AppendMembers(nil), want.AppendMembers(nil); !slices.Equal(g, w) {
+			t.Fatalf("%s: members %v, Reset gives %v", label, g, w)
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		n := 1 + src.Intn(80)
+		g := gen.GNP(n, 0.1, src)
+		for k := 1; k <= 3; k++ {
+			s := NewSession(g).Reset(nil, k, nil)
+			alive := make([]bool, n)
+			for v := range alive {
+				alive[v] = true
+			}
+			for step := 0; step < 20; step++ {
+				label := fmt.Sprintf("trial %d n=%d k=%d step %d", trial, n, k, step)
+				for range src.Intn(3) {
+					v, up := src.Intn(n), src.Intn(4) == 0
+					s.SetAlive(v, up)
+					alive[v] = up
+				}
+				set := make([]int, src.Intn(n+1))
+				for i := range set {
+					set[i] = src.Intn(n) // unsorted, with repeats
+				}
+				s.SetMembers(set)
+				want := NewSession(g).Reset(set, k, alive)
+				same(label, s, want)
+				s.SetMembers(s.AppendMembers(nil))
+				same(label+", current set again", s, want)
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatalf("%s: SetMembers with node %d did not panic", label, n)
+						}
+					}()
+					s.SetMembers([]int{0, n})
+				}()
+				same(label+", after an out-of-range panic", s, want)
+			}
+		}
+	}
+
+	// Once its scratch exists, SetMembers allocates nothing.
+	g := gen.GNP(300, 0.05, rng.New(9))
+	a := Greedy(g)
+	b := append(slices.Clone(a[len(a)/2:]), 2, 1, 0, 2)
+	s := NewSession(g).Reset(nil, 1, nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		s.SetMembers(a)
+		s.SetMembers(b)
+	}); allocs != 0 {
+		t.Fatalf("SetMembers: %.1f allocations per run, want 0", allocs)
+	}
+}

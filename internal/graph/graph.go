@@ -311,18 +311,26 @@ func (g *Graph) BFS(src int) []int {
 	return dist
 }
 
-// Connected reports whether g is connected. The empty graph and the
-// single-node graph are connected.
+// Connected reports whether g is connected: one breadth-first sweep from
+// node 0 reaches every node. The empty graph and the single-node graph are
+// connected.
 func (g *Graph) Connected() bool {
-	if len(g.adj) <= 1 {
+	n := len(g.adj)
+	if n <= 1 {
 		return true
 	}
-	for _, d := range g.BFS(0) {
-		if d == -1 {
-			return false
+	seen := make([]bool, n)
+	seen[0] = true
+	queue := make([]int32, 1, n) // starts at node 0
+	for i := 0; i < len(queue); i++ {
+		for _, u := range g.adj[queue[i]] {
+			if !seen[u] {
+				seen[u] = true
+				queue = append(queue, u)
+			}
 		}
 	}
-	return true
+	return len(queue) == n
 }
 
 // Components returns the connected components as slices of node IDs, each

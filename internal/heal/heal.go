@@ -243,16 +243,8 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 		res.EnergySpent += len(served) * net.ActiveCost
 		if len(served) != len(serving) {
 			// A serving node could no longer pay for the slot (defensive:
-			// nothing mid-slot drains today). DrainServiceable preserves input
-			// order, so one merge walk flips the unpaid nodes back out.
-			j := 0
-			for _, v := range serving {
-				if j < len(served) && served[j] == v {
-					j++
-				} else {
-					sess.Flip(v)
-				}
-			}
+			// nothing mid-slot drains today): only the paid nodes serve.
+			sess.SetMembers(served)
 		}
 
 		alive := sess.AliveCount()

@@ -14,7 +14,7 @@ import (
 func Classify(g *graph.Graph, hint Hint) *Meta {
 	n := g.N()
 	m := &Meta{}
-	connected := componentCount(g) <= 1
+	connected := g.Connected()
 
 	if rows, cols, coords := detectGrid(g, hint, connected); coords != nil {
 		m.Class, m.Rows, m.Cols, m.Coords = Grid, rows, cols, coords
@@ -29,34 +29,6 @@ func Classify(g *graph.Graph, hint Hint) *Meta {
 		m.Class = Tree
 	}
 	return m
-}
-
-// componentCount counts connected components with one unsorted BFS sweep —
-// Classify needs only the count (connectivity), never the component
-// contents, so the per-component slices and sorting of graph.Components
-// would be pure overhead here.
-func componentCount(g *graph.Graph) int {
-	n := g.N()
-	seen := make([]bool, n)
-	queue := make([]int, 0, n)
-	comps := 0
-	for s := 0; s < n; s++ {
-		if seen[s] {
-			continue
-		}
-		comps++
-		seen[s] = true
-		queue = append(queue[:0], s)
-		for i := 0; i < len(queue); i++ {
-			for _, u := range g.Neighbors(queue[i]) {
-				if !seen[u] {
-					seen[u] = true
-					queue = append(queue, int(u))
-				}
-			}
-		}
-	}
-	return comps
 }
 
 // dims is one (rows, cols) candidate for an embedding trial.
@@ -124,7 +96,7 @@ func detectGrid(g *graph.Graph, hint Hint, connected bool) (int, int, []int32) {
 			if swap == 1 {
 				a, b = b, a
 			}
-			if coords := fillGrid(g, t.rows, t.cols, corner, a, b); coords != nil {
+			if coords := fill(g, t.rows, t.cols, corner, a, b, false); coords != nil {
 				return t.rows, t.cols, coords
 			}
 		}
@@ -156,75 +128,6 @@ func isqrt(x int) int {
 	return r - 1
 }
 
-// fillGrid attempts the coordinate embedding with corner at (0,0),
-// a at (0,1), b at (1,0): rows 0 and 1 are filled left to right in
-// lockstep (each new top cell pins the cell below it via a unique-common-
-// neighbor constraint), then rows 2.. fill row-major with the generic
-// rule (r,c) = the unique unassigned common neighbor of (r-1,c) and
-// (r,c-1). Any ambiguity or miss fails the trial; success is certified by
-// verifyEmbedding.
-func fillGrid(g *graph.Graph, rows, cols, corner, a, b int) []int32 {
-	n := g.N()
-	if rows < 2 || cols < 2 || rows*cols != n {
-		return nil
-	}
-	coords := make([]int32, n)
-	for i := range coords {
-		coords[i] = -1
-	}
-	cell := make([]int32, n) // row*cols+col -> node
-	for i := range cell {
-		cell[i] = -1
-	}
-	assign := func(r, c, v int) bool {
-		if coords[v] != -1 || cell[r*cols+c] != -1 {
-			return false
-		}
-		coords[v] = int32(r*cols + c)
-		cell[r*cols+c] = int32(v)
-		return true
-	}
-	assigned := func(v int) bool { return coords[v] != -1 }
-	if !assign(0, 0, corner) || !assign(0, 1, a) || !assign(1, 0, b) {
-		return nil
-	}
-	// (1,1): unique common neighbor of a and b besides the corner.
-	d, ok := uniqueCommon(g, a, b, assigned)
-	if !ok || !assign(1, 1, d) {
-		return nil
-	}
-	// Rows 0 and 1 in lockstep.
-	for c := 2; c < cols; c++ {
-		top, ok := uniqueUnassignedNeighbor(g, int(cell[0*cols+c-1]), assigned)
-		if !ok || !assign(0, c, top) {
-			return nil
-		}
-		if rows > 1 {
-			bot, ok := uniqueCommon(g, int(cell[1*cols+c-1]), top, assigned)
-			if !ok || !assign(1, c, bot) {
-				return nil
-			}
-		}
-	}
-	// Rows 2.. row-major.
-	for r := 2; r < rows; r++ {
-		first, ok := uniqueUnassignedNeighbor(g, int(cell[(r-1)*cols]), assigned)
-		if !ok || !assign(r, 0, first) {
-			return nil
-		}
-		for c := 1; c < cols; c++ {
-			v, ok := uniqueCommon(g, int(cell[(r-1)*cols+c]), int(cell[r*cols+c-1]), assigned)
-			if !ok || !assign(r, c, v) {
-				return nil
-			}
-		}
-	}
-	if !verifyEmbedding(g, rows, cols, coords, false) {
-		return nil
-	}
-	return coords
-}
-
 // uniqueCommon returns the unique unassigned common neighbor of u and v,
 // or ok=false when there is none or more than one.
 func uniqueCommon(g *graph.Graph, u, v int, assigned func(int) bool) (int, bool) {
@@ -245,19 +148,6 @@ func uniqueCommon(g *graph.Graph, u, v int, assigned func(int) bool) (int, bool)
 			}
 			i++
 			j++
-		}
-	}
-	return found, count == 1
-}
-
-// uniqueUnassignedNeighbor returns the unique unassigned neighbor of v.
-func uniqueUnassignedNeighbor(g *graph.Graph, v int, assigned func(int) bool) (int, bool) {
-	found, count := -1, 0
-	for _, w32 := range g.Neighbors(v) {
-		w := int(w32)
-		if !assigned(w) {
-			found = w
-			count++
 		}
 	}
 	return found, count == 1
@@ -328,10 +218,10 @@ func verifyEmbedding(g *graph.Graph, rows, cols int, coords []int32, wrap bool) 
 // m == 2n — and then each factorization n = rows*cols (rows <= cols,
 // rows >= 3, hinted factorization first) is tried with each ordered pair
 // of node 0's neighbors as ((0,1), (1,0)). Unlike the grid there is no
-// degree gradient to steer the fill, so fillTorus runs a small
-// backtracking search bounded by a global step budget; wrong branches die
-// on the unique-common-neighbor constraints within a row, and the final
-// verifyEmbedding certificate keeps false positives impossible.
+// degree gradient to steer the fill, so here fill's backtracking does
+// branch; wrong branches die on the unique-common-neighbor constraints
+// within a row, and the final verifyEmbedding certificate keeps false
+// positives impossible.
 func detectTorus(g *graph.Graph, hint Hint, connected bool) (int, int, []int32) {
 	n := g.N()
 	if n < 9 || !connected || g.M() != 2*n {
@@ -366,7 +256,7 @@ func detectTorus(g *graph.Graph, hint Hint, connected bool) (int, int, []int32) 
 				if a == b {
 					continue
 				}
-				if coords := fillTorus(g, t.rows, t.cols, a, b); coords != nil {
+				if coords := fill(g, t.rows, t.cols, 0, a, b, true); coords != nil {
 					return t.rows, t.cols, coords
 				}
 			}
@@ -375,96 +265,102 @@ func detectTorus(g *graph.Graph, hint Hint, connected bool) (int, int, []int32) 
 	return 0, 0, nil
 }
 
-// torusFill carries the backtracking state of one torus embedding trial.
-type torusFill struct {
+// filler carries the backtracking state of one embedding trial.
+type filler struct {
 	g          *graph.Graph
 	rows, cols int
 	coords     []int32
 	cell       []int32
-	steps      int // global budget: a non-torus must fail fast, not wander
+	steps      int // per-trial budget: a non-lattice must fail fast, not wander
 }
 
-const torusStepFactor = 64
+// fillStepFactor bounds one embedding trial at fillStepFactor·n steps.
+const fillStepFactor = 64
 
-func (tf *torusFill) assigned(v int) bool { return tf.coords[v] != -1 }
+func (f *filler) assigned(v int) bool { return f.coords[v] != -1 }
 
-func (tf *torusFill) assign(r, c, v int) bool {
-	p := r*tf.cols + c
-	if tf.coords[v] != -1 || tf.cell[p] != -1 {
+func (f *filler) assign(r, c, v int) bool {
+	p := r*f.cols + c
+	if f.coords[v] != -1 || f.cell[p] != -1 {
 		return false
 	}
-	tf.coords[v] = int32(p)
-	tf.cell[p] = int32(v)
+	f.coords[v] = int32(p)
+	f.cell[p] = int32(v)
 	return true
 }
 
-func (tf *torusFill) unassign(r, c, v int) {
-	tf.coords[v] = -1
-	tf.cell[r*tf.cols+c] = -1
+func (f *filler) unassign(r, c, v int) {
+	f.coords[v] = -1
+	f.cell[r*f.cols+c] = -1
 }
 
-// fillTorus embeds node 0 at (0,0), a at (0,1), b at (1,0) and fills rows
-// 0 and 1 left to right in lockstep (backtracking over the <= 2 candidate
-// continuations of row 0; the paired row-1 cell must be a unique common
-// neighbor, which kills wrong branches within a step or two), then rows
-// 2.. row-major with the same generic rule as the grid, backtracking over
-// the <= 2 candidates for each row's first cell.
-func fillTorus(g *graph.Graph, rows, cols, a, b int) []int32 {
+// fill is the one embedding fill for grids (wrap false) and tori (wrap
+// true). It puts origin at (0,0), a at (0,1), b at (1,0), and (1,1) at the
+// unique unassigned common neighbor of a and b. It then fills rows 0 and 1
+// left to right in lockstep, backtracking over the candidate continuations
+// of row 0; the paired row-1 cell must be a unique common neighbor, which
+// kills wrong branches within a step or two. Rows 2.. follow row-major,
+// backtracking over the candidates for each row's first cell; every other
+// cell is the unique unassigned common neighbor of the cells above and to
+// its left. On a grid every step of the fill is forced: each branch point
+// has exactly one unassigned candidate, so a trial that can verify never
+// backtracks. verifyEmbedding certifies the result.
+func fill(g *graph.Graph, rows, cols, origin, a, b int, wrap bool) []int32 {
 	n := g.N()
-	tf := &torusFill{g: g, rows: rows, cols: cols,
+	f := &filler{g: g, rows: rows, cols: cols,
 		coords: make([]int32, n), cell: make([]int32, rows*cols),
-		steps: torusStepFactor * n}
-	for i := range tf.coords {
-		tf.coords[i] = -1
+		steps: fillStepFactor * n}
+	for i := range f.coords {
+		f.coords[i] = -1
 	}
-	for i := range tf.cell {
-		tf.cell[i] = -1
+	for i := range f.cell {
+		f.cell[i] = -1
 	}
-	if !tf.assign(0, 0, 0) || !tf.assign(0, 1, a) || !tf.assign(1, 0, b) {
+	if !f.assign(0, 0, origin) || !f.assign(0, 1, a) || !f.assign(1, 0, b) {
 		return nil
 	}
-	d, ok := uniqueCommon(g, a, b, tf.assigned)
-	if !ok || !tf.assign(1, 1, d) {
+	d, ok := uniqueCommon(g, a, b, f.assigned)
+	if !ok || !f.assign(1, 1, d) {
 		return nil
 	}
-	if !tf.fillTopPair(2) {
+	if !f.fillTopPair(2) {
 		return nil
 	}
-	if !verifyEmbedding(g, rows, cols, tf.coords, true) {
+	if !verifyEmbedding(g, rows, cols, f.coords, wrap) {
 		return nil
 	}
-	return tf.coords
+	return f.coords
 }
 
 // fillTopPair fills columns c.. of rows 0 and 1, then hands off to
 // fillRows. For each column, the candidates for (0,c) are the unassigned
 // neighbors of (0,c-1); the paired (1,c) must then be the unique
 // unassigned common neighbor of (1,c-1) and the chosen (0,c).
-func (tf *torusFill) fillTopPair(c int) bool {
-	if tf.steps--; tf.steps < 0 {
+func (f *filler) fillTopPair(c int) bool {
+	if f.steps--; f.steps < 0 {
 		return false
 	}
-	if c == tf.cols {
-		return tf.fillRows(2)
+	if c == f.cols {
+		return f.fillRows(2)
 	}
-	prevTop := int(tf.cell[c-1])
-	prevBot := int(tf.cell[tf.cols+c-1])
-	for _, w32 := range tf.g.Neighbors(prevTop) {
+	prevTop := int(f.cell[c-1])
+	prevBot := int(f.cell[f.cols+c-1])
+	for _, w32 := range f.g.Neighbors(prevTop) {
 		top := int(w32)
-		if tf.assigned(top) {
+		if f.assigned(top) {
 			continue
 		}
-		if !tf.assign(0, c, top) {
+		if !f.assign(0, c, top) {
 			continue
 		}
-		bot, ok := uniqueCommon(tf.g, prevBot, top, tf.assigned)
-		if ok && tf.assign(1, c, bot) {
-			if tf.fillTopPair(c + 1) {
+		bot, ok := uniqueCommon(f.g, prevBot, top, f.assigned)
+		if ok && f.assign(1, c, bot) {
+			if f.fillTopPair(c + 1) {
 				return true
 			}
-			tf.unassign(1, c, bot)
+			f.unassign(1, c, bot)
 		}
-		tf.unassign(0, c, top)
+		f.unassign(0, c, top)
 	}
 	return false
 }
@@ -472,39 +368,39 @@ func (tf *torusFill) fillTopPair(c int) bool {
 // fillRows fills rows r.. row-major. The first cell of each row
 // backtracks over the unassigned neighbors of the cell above; the rest of
 // the row is forced by unique common neighbors.
-func (tf *torusFill) fillRows(r int) bool {
-	if tf.steps--; tf.steps < 0 {
+func (f *filler) fillRows(r int) bool {
+	if f.steps--; f.steps < 0 {
 		return false
 	}
-	if r == tf.rows {
+	if r == f.rows {
 		return true
 	}
-	above := int(tf.cell[(r-1)*tf.cols])
-	for _, w32 := range tf.g.Neighbors(above) {
+	above := int(f.cell[(r-1)*f.cols])
+	for _, w32 := range f.g.Neighbors(above) {
 		first := int(w32)
-		if tf.assigned(first) {
+		if f.assigned(first) {
 			continue
 		}
-		if !tf.assign(r, 0, first) {
+		if !f.assign(r, 0, first) {
 			continue
 		}
-		if tf.fillRowRest(r, 1) && tf.fillRows(r+1) {
+		if f.fillRowRest(r, 1) && f.fillRows(r+1) {
 			return true
 		}
-		tf.unassignRow(r)
+		f.unassignRow(r)
 	}
 	return false
 }
 
 // fillRowRest forces cells (r,1).. from unique common neighbors of the
 // cell above and the cell to the left.
-func (tf *torusFill) fillRowRest(r, c int) bool {
-	for ; c < tf.cols; c++ {
-		if tf.steps--; tf.steps < 0 {
+func (f *filler) fillRowRest(r, c int) bool {
+	for ; c < f.cols; c++ {
+		if f.steps--; f.steps < 0 {
 			return false
 		}
-		v, ok := uniqueCommon(tf.g, int(tf.cell[(r-1)*tf.cols+c]), int(tf.cell[r*tf.cols+c-1]), tf.assigned)
-		if !ok || !tf.assign(r, c, v) {
+		v, ok := uniqueCommon(f.g, int(f.cell[(r-1)*f.cols+c]), int(f.cell[r*f.cols+c-1]), f.assigned)
+		if !ok || !f.assign(r, c, v) {
 			return false
 		}
 	}
@@ -513,10 +409,10 @@ func (tf *torusFill) fillRowRest(r, c int) bool {
 
 // unassignRow clears every assigned cell of row r (partial fills
 // included) so the caller can try the next branch.
-func (tf *torusFill) unassignRow(r int) {
-	for c := 0; c < tf.cols; c++ {
-		if v := tf.cell[r*tf.cols+c]; v != -1 {
-			tf.unassign(r, c, int(v))
+func (f *filler) unassignRow(r int) {
+	for c := 0; c < f.cols; c++ {
+		if v := f.cell[r*f.cols+c]; v != -1 {
+			f.unassign(r, c, int(v))
 		}
 	}
 }

@@ -192,3 +192,28 @@ func ExampleClassify() {
 	fmt.Printf("%v %dx%d\n", m.Class, m.Rows, m.Cols)
 	// Output: grid 8x12
 }
+
+// BenchmarkClassify times the classifier on relabeled lattices, where the
+// embedding fill and its certificate run in full, and on a UDG, which the
+// degree gate turns away after the connectivity pass.
+func BenchmarkClassify(b *testing.B) {
+	src := rng.New(13)
+	lattice := func(g *graph.Graph) *graph.Graph { return relabel(g, src.Perm(g.N())) }
+	udg, _ := gen.RandomUDG(1024, 1, 0.08, src.Split())
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid50x50", lattice(gen.Grid(50, 50))},
+		{"grid40x90", lattice(gen.Grid(40, 90))},
+		{"torus30x40", lattice(gen.Torus(30, 40))},
+		{"udg1024", udg},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Classify(c.g, Hint{})
+			}
+		})
+	}
+}

@@ -6,11 +6,11 @@
 // dispatch on what kind of instance they are looking at instead of
 // re-deriving it per call.
 //
-// Classification never trusts its inputs: generator hints (a graphgen
-// edge-list comment, a parent shard's class) only steer which embeddings
-// Classify tries first — every grid/torus claim is verified edge-for-edge
-// before it lands in Meta, so a hinted lie degrades to Generic instead of
-// a wrong fast path.
+// Classification never trusts its inputs: a generator hint (a graphgen
+// edge-list comment, which Derive passes on from a parent instance to its
+// shards) only steers which embeddings Classify tries first — every
+// grid/torus claim is verified edge-for-edge before it lands in Meta, so a
+// hinted lie degrades to Generic instead of a wrong fast path.
 package instance
 
 import (
@@ -81,8 +81,8 @@ func (m *Meta) String() string {
 }
 
 // Hint is unverified structural advice handed to the classifier — from a
-// generator (graphgen tags its edge lists), or from a parent instance when
-// a shard derives a child. Classify uses it only to order its trials.
+// generator (graphgen tags its edge lists), or passed on by Derive from a
+// parent instance to a child. Classify uses it only to order its trials.
 type Hint struct {
 	// Family is the advised family: "grid", "torus", or "".
 	Family string
@@ -199,21 +199,10 @@ func (in *Instance) WithBudgets(budgets []int) *Instance {
 }
 
 // Derive builds a child instance (a shard's local subgraph, a post-delta
-// graph) from a parent: the child inherits the parent's tolerance and a
-// downgraded structural hint — a parent verified as Grid/Torus advises the
-// child to try that family first — but the child is classified from
-// scratch on its own graph, so a rectangular shard of a grid re-verifies as
-// a grid while an irregular one honestly lands on Generic.
+// graph) from a parent: the child inherits the parent's tolerance and its
+// hint, unchanged, but is classified from scratch on its own graph, so a
+// rectangular shard of a grid re-verifies as a grid while an irregular one
+// honestly lands on Generic.
 func Derive(parent *Instance, sub *graph.Graph, budgets []int) *Instance {
-	child := New(sub, budgets).WithK(parent.K)
-	h := parent.hint
-	if parent.meta != nil {
-		switch {
-		case parent.meta.Class == Grid:
-			h.Family, h.Rows, h.Cols = "grid", 0, 0
-		case parent.meta.Class == Torus:
-			h.Family, h.Rows, h.Cols = "torus", 0, 0
-		}
-	}
-	return child.WithHint(h)
+	return New(sub, budgets).WithK(parent.K).WithHint(parent.hint)
 }

@@ -64,9 +64,6 @@ func TestDerive(t *testing.T) {
 	if child.K != 2 {
 		t.Fatalf("child K = %d, want inherited 2", child.K)
 	}
-	if child.Hint().Family != "grid" {
-		t.Fatalf("child hint family = %q, want grid", child.Hint().Family)
-	}
 	if child.Meta().Class != Grid {
 		t.Fatalf("3x3 tile classified as %v", child.Meta().Class)
 	}

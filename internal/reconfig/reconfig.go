@@ -403,13 +403,11 @@ func unionSet(set, contributors []int) ([]int, int) {
 //
 // Consecutive phases of an overlap ladder differ only in the contributor
 // tail, so instead of a full recount per phase the check keeps one
-// incremental session and flips the symmetric difference between phases —
-// O(changed nodes · deg) per step.
+// incremental session and moves it with SetMembers — O(changed nodes · deg)
+// per step.
 func verifyIndex(g *graph.Graph, phases []core.Phase, budgets []int, k int, alive []bool) int {
 	usage := make([]int, len(budgets))
-	inNext := make([]bool, len(budgets))
 	sess := domset.NewSession(g).Reset(nil, k, alive)
-	var members []int
 	for i, p := range phases {
 		if p.Duration < 0 {
 			return i
@@ -417,7 +415,7 @@ func verifyIndex(g *graph.Graph, phases []core.Phase, budgets []int, k int, aliv
 		if p.Duration == 0 {
 			continue
 		}
-		// Range-check before touching inNext/session with these IDs.
+		// Range-check before handing these IDs to the session.
 		for _, v := range p.Set {
 			if v < 0 || v >= len(budgets) {
 				return i
@@ -427,21 +425,7 @@ func verifyIndex(g *graph.Graph, phases []core.Phase, budgets []int, k int, aliv
 				return i
 			}
 		}
-		for _, v := range p.Set {
-			inNext[v] = true
-		}
-		members = sess.AppendMembers(members[:0])
-		for _, v := range members {
-			if !inNext[v] {
-				sess.Flip(v)
-			}
-		}
-		for _, v := range p.Set {
-			inNext[v] = false
-			if !sess.Contains(v) {
-				sess.Flip(v)
-			}
-		}
+		sess.SetMembers(p.Set)
 		if !sess.IsKDominating() {
 			return i
 		}

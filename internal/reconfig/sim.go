@@ -108,13 +108,11 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 	residual := append([]int(nil), budgets...)
 	var alive []bool // nil until the first death
 	// The coverage session lives across slots: consecutive slots usually run
-	// the same phase set, so membership is synced by flipping the symmetric
-	// difference against the previous slot (O(changed · deg)) instead of
-	// recounting every node. Deaths stream in through SetAlive.
+	// the same phase set, so SetMembers moves it to each slot's serving set
+	// (O(changed · deg)) instead of recounting every node. Deaths stream in
+	// through SetAlive.
 	sess := domset.NewSession(curG).Reset(nil, k, nil)
-	serving := make([]int, 0, curG.N())     // reused slot buffer
-	prevServing := make([]int, 0, curG.N()) // members currently in sess
-	inNew := make([]bool, curG.N())         // scratch for the set diff
+	serving := make([]int, 0, curG.N()) // reused slot buffer
 
 	// origIdx maps original node IDs (the chaos plan's space) to current
 	// IDs, composed through every delta; -1 = removed.
@@ -238,10 +236,8 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 			cur = p.Schedule()
 			pos = 0
 			// New graph, new node space: restart the session (one Reset per
-			// reconfig, not per slot) and reset the diff scratch.
+			// reconfig, not per slot).
 			sess = domset.NewSession(curG).Reset(nil, k, alive)
-			prevServing = prevServing[:0]
-			inNew = make([]bool, curG.N())
 		}
 
 		intended := cur.ActiveAt(pos)
@@ -278,23 +274,8 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 			serving = append(serving, v)
 		}
 
-		// Sync the session to this slot's serving set by symmetric
-		// difference — usually empty when the phase carries over.
-		for _, v := range serving {
-			inNew[v] = true
-		}
-		for _, v := range prevServing {
-			if !inNew[v] {
-				sess.Flip(v)
-			}
-		}
-		for _, v := range serving {
-			inNew[v] = false
-			if !sess.Contains(v) {
-				sess.Flip(v)
-			}
-		}
-		prevServing = append(prevServing[:0], serving...)
+		// Usually nothing flips: the phase carries over.
+		sess.SetMembers(serving)
 
 		na := sess.AliveCount()
 		covered := sess.CoveredCount()

@@ -50,7 +50,8 @@ type PatchRequest struct {
 	Algorithm string `json:"algorithm,omitempty"`
 	// Solver names the registry algorithm for the incoming schedule; empty
 	// means greedy recruitment (the only solver that understands per-node
-	// residual budgets natively).
+	// residual budgets natively). A sharded base rejects Solver, Seed and
+	// Tries: its shards re-solve with the base request's options.
 	Solver    string `json:"solver,omitempty"`
 	Seed      uint64 `json:"seed,omitempty"`
 	Tries     int    `json:"tries,omitempty"`
@@ -150,6 +151,14 @@ func (s *Server) handlePatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := base.ctx
+	// A sharded base re-solves through its stored shard options, and the
+	// planner then skips its solver ladder: these fields would change
+	// nothing but the patch key.
+	if ctx.part != nil && (req.Solver != "" || req.Seed != 0 || req.Tries != 0) {
+		writeError(w, http.StatusBadRequest,
+			"solver, seed and tries do not apply to a sharded schedule: it re-solves its shards with the base request's algorithm, seed and tries")
+		return
+	}
 	n := ctx.inst.N()
 	if req.At > ctx.sched.Lifetime() {
 		writeError(w, http.StatusBadRequest,

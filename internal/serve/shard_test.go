@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -308,4 +309,57 @@ func compact(t *testing.T, b []byte) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestPatchShardedRejectsSolverFields pins that a PATCH on a sharded base
+// answers 400 to solver, seed or tries: the base's shard options re-solve
+// the shards, so those fields would change nothing but the patch key. The
+// same PATCH without them plans a transition.
+func TestPatchShardedRejectsSolverFields(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+
+	req := Request{Graph: gridSpec(8, 8), Algorithm: solver.NameGreedy, Battery: 4, Shards: 2}
+	w := post(h, "/v1/schedule", scheduleBody(t, req))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	var base response
+	if err := json.Unmarshal(w.Body.Bytes(), &base); err != nil {
+		t.Fatal(err)
+	}
+	delta := graph.Delta{SetBudgets: []graph.BudgetUpdate{{Node: 1, Budget: 5}}}
+	for _, tc := range []struct {
+		field string
+		mut   func(*PatchRequest)
+	}{
+		{"solver", func(r *PatchRequest) { r.Solver = solver.NameUniform }},
+		{"seed", func(r *PatchRequest) { r.Seed = 3 }},
+		{"tries", func(r *PatchRequest) { r.Tries = 5 }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			preq := PatchRequest{Delta: delta}
+			tc.mut(&preq)
+			w := patch(h, base.Fingerprint, patchBody(t, preq))
+			if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "sharded schedule") {
+				t.Fatalf("status %d, want 400 naming the sharded schedule: %s", w.Code, w.Body.String())
+			}
+		})
+	}
+	if got := counter(s, "serve.reconfigs"); got != 0 {
+		t.Fatalf("rejected patches planned %d transitions", got)
+	}
+
+	w = patch(h, base.Fingerprint, patchBody(t, PatchRequest{Delta: delta}))
+	if w.Code != http.StatusOK {
+		t.Fatalf("patch without solver fields: status %d: %s", w.Code, w.Body.String())
+	}
+	var resp response
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Kind != "reconfig" {
+		t.Fatalf("kind = %q, want reconfig", resp.Kind)
+	}
 }

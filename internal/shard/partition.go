@@ -28,9 +28,7 @@ func Geometric(g *graph.Graph, pts []geom.Point, shards int) (*Partition, error)
 	// path and gets the whole partition, which has no shards.
 	shards = min(shards, max(n, 1))
 	if shards == 1 {
-		p := Whole(g)
-		p.Method = "geom"
-		return p, nil
+		return Whole(g), nil
 	}
 	cols := int(math.Ceil(math.Sqrt(float64(shards))))
 	rows := (shards + cols - 1) / cols
@@ -66,7 +64,7 @@ func Geometric(g *graph.Graph, pts []geom.Point, shards int) (*Partition, error)
 	for i := range ids {
 		ids[i] = i
 	}
-	return assemble(g, assign, ids, "geom", 0), nil
+	return assemble(g, assign, ids), nil
 }
 
 // BFS partitions a general graph into the requested number of regions with
@@ -86,9 +84,7 @@ func BFS(g *graph.Graph, shards int, seed uint64) (*Partition, error) {
 	// path and gets the whole partition, which has no shards.
 	shards = min(shards, max(n, 1))
 	if shards == 1 {
-		p := Whole(g)
-		p.Method, p.Seed = "bfs", seed
-		return p, nil
+		return Whole(g), nil
 	}
 
 	src := rng.New(seed)
@@ -230,7 +226,7 @@ func BFS(g *graph.Graph, shards int, seed uint64) (*Partition, error) {
 	for i := range ids {
 		ids[i] = i
 	}
-	return assemble(g, assign, ids, "bfs", seed), nil
+	return assemble(g, assign, ids), nil
 }
 
 // Partitioners lists the partitioner names accepted by ByName.

@@ -98,17 +98,12 @@ type Partition struct {
 	// Assign maps every global node to its owning shard's position in
 	// Shards.
 	Assign []int
-	// Method names the partitioner that produced the assignment ("geom",
-	// "bfs", or "whole").
-	Method string
-	// Seed is the partitioner seed (BFS partitioner only; 0 otherwise).
-	Seed uint64
 }
 
 // assemble builds a Partition from a node→label assignment. ids[label] is
 // the stable Index for that label; labels with no nodes are dropped and the
 // remaining shards keep their ids. assign is retargeted to positions.
-func assemble(g *graph.Graph, assign []int, ids []int, method string, seed uint64) *Partition {
+func assemble(g *graph.Graph, assign []int, ids []int) *Partition {
 	n := g.N()
 	nodesOf := make([][]int, len(ids))
 	for v := 0; v < n; v++ {
@@ -118,7 +113,7 @@ func assemble(g *graph.Graph, assign []int, ids []int, method string, seed uint6
 		}
 		nodesOf[l] = append(nodesOf[l], v) // ascending v ⇒ sorted
 	}
-	p := &Partition{Assign: make([]int, n), Method: method, Seed: seed}
+	p := &Partition{Assign: make([]int, n)}
 	inShard := make([]bool, n)
 	inHalo := make([]bool, n)
 	for l, nodes := range nodesOf {
@@ -160,7 +155,7 @@ func assemble(g *graph.Graph, assign []int, ids []int, method string, seed uint6
 // whole-graph solve through the same pipeline.
 func Whole(g *graph.Graph) *Partition {
 	assign := make([]int, g.N())
-	return assemble(g, assign, []int{0}, "whole", 0)
+	return assemble(g, assign, []int{0})
 }
 
 // Rebase maps p through a graph.Delta's old→new node mapping onto the
@@ -217,7 +212,7 @@ func (p *Partition) Rebase(g2 *graph.Graph, mapping []int) *Partition {
 	for i, sh := range p.Shards {
 		ids[i] = sh.Index
 	}
-	return assemble(g2, assign, ids, p.Method, p.Seed)
+	return assemble(g2, assign, ids)
 }
 
 // smallest returns the index of the minimum size, ties to the lower index.

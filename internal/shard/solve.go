@@ -93,9 +93,9 @@ func Key(sh *Shard, parent *instance.Instance, opt Options) string {
 // partition position order. Shard i's typed instance derives from the
 // parent via instance.Derive: its local subgraph (owned nodes plus halo, so
 // boundary nodes keep full closed neighborhoods) under the local slice of
-// the parent's budgets, inheriting the parent's tolerance and a downgraded
-// structure hint (a tile of a certified grid re-verifies as a grid in its
-// own right, so per-shard auto dispatch stays honest). Shard i's source is
+// the parent's budgets, inheriting the parent's tolerance and structure
+// hint (a tile of a certified grid re-verifies as a grid in its own right,
+// so per-shard auto dispatch stays honest). Shard i's source is
 // the Index-th split child of the root seed, making the outcome
 // deterministic and each shard's result a pure function of its cache key.
 //

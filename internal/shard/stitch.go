@@ -44,8 +44,9 @@ type scursor struct {
 // Stitch merges per-shard schedules into one whole-graph schedule,
 // phase-aligned on the union of all shard phase boundaries. For every
 // segment it scores the union of the shards' owned active sets against the
-// full graph with an incremental domset.Session (halo members are dropped —
-// that is where cross-boundary holes come from) and climbs a repair ladder:
+// full graph with one domset.Session, which SetMembers moves from segment to
+// segment (halo members are dropped — that is where cross-boundary holes
+// come from), and climbs a repair ladder:
 //
 //  1. recruitment — heal.RecruitCover enlists the highest-residual idle
 //     closed neighbors of each under-covered node for the segment, where
@@ -89,46 +90,24 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 	cursors := make([]scursor, len(p.Shards))
 
 	sess := domset.NewSession(g).Reset(nil, k, nil)
-	cur := make([]bool, n)  // membership of the session's current set
-	want := make([]bool, n) // scratch: desired membership for the segment
 	uncovBuf := make([]int, 0, n)
 	res := &Stitched{Schedule: &core.Schedule{}}
 	residual := func(v int) int { return budgets[v] - committed[v] - reserved[v] }
-
-	// syncSession drives the session (and cur) to exactly members, one
-	// O(deg) flip per node that changed.
-	syncSession := func(members []int) {
-		for i := range want {
-			want[i] = false
+	// finish compacts the merged schedule and belt-checks it: every return
+	// with a schedule goes through here.
+	finish := func() (*Stitched, error) {
+		res.Schedule = res.Schedule.Compact()
+		if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
+			return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
 		}
-		for _, v := range members {
-			want[v] = true
-		}
-		for v := 0; v < n; v++ {
-			if cur[v] != want[v] {
-				sess.Flip(v)
-				cur[v] = want[v]
-			}
-		}
+		return res, nil
 	}
 
 	t := 0
 	for {
-		// Segment bounds: the earliest next phase boundary over all shards
-		// with plan remaining.
-		segDur := -1
-		members := members0(phases, cursors)
-		for pos := range p.Shards {
-			c := cursors[pos]
-			if c.idx >= len(phases[pos]) {
-				continue
-			}
-			if remain := phases[pos][c.idx].dur - c.off; segDur == -1 || remain < segDur {
-				segDur = remain
-			}
-		}
+		members, segDur := segment(phases, cursors)
 		if segDur == -1 {
-			break // every shard plan exhausted: the stitched schedule ends
+			return finish() // every shard plan exhausted: the stitched schedule ends
 		}
 
 		// Repair ladder for this segment. Each shard may be replanned at
@@ -136,7 +115,9 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 		replanned := make(map[int]bool)
 		var recruits []int
 		for {
-			syncSession(members)
+			// This also drops the previous pass's recruits, which the
+			// session holds but members does not.
+			sess.SetMembers(members)
 			uncovBuf = sess.AppendUndominated(uncovBuf[:0])
 			if len(uncovBuf) == 0 {
 				break
@@ -144,9 +125,6 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 			got, ok := heal.RecruitCover(g, sess, uncovBuf, k, segDur, residual, func(r, u int) {
 				hooks.Emit(obs.Shard("repair", p.Shards[p.Assign[u]].Index, t, r, u))
 			})
-			for _, r := range got {
-				cur[r] = true
-			}
 			recruits = append(recruits, got...)
 			res.Repairs += len(got)
 			if ok {
@@ -158,36 +136,17 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 				// Rung 3: nothing left to try — truncate here.
 				hooks.Emit(obs.Shard("truncate", -1, t, len(uncovBuf), 0))
 				res.Degraded = true
-				res.Schedule = res.Schedule.Compact()
-				if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
-					return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
-				}
-				return res, nil
+				return finish()
 			}
 			replanned[pos] = true
 			res.Replans++
 			replanTail(g, p, pos, budgets, committed, reserved, phases, cursors, k, t, hooks)
 			// The shard's plan changed: recompute the segment from scratch.
 			recruits = recruits[:0]
-			members = members0(phases, cursors)
-			segDur = -1
-			for q := range p.Shards {
-				c := cursors[q]
-				if c.idx >= len(phases[q]) {
-					continue
-				}
-				if remain := phases[q][c.idx].dur - c.off; segDur == -1 || remain < segDur {
-					segDur = remain
-				}
-			}
-			if segDur == -1 {
+			if members, segDur = segment(phases, cursors); segDur == -1 {
 				// The replan emptied the last remaining plan (no residual
 				// energy): the schedule ends cleanly here.
-				res.Schedule = res.Schedule.Compact()
-				if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
-					return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
-				}
-				return res, nil
+				return finish()
 			}
 		}
 
@@ -219,24 +178,26 @@ func Stitch(parent *instance.Instance, p *Partition, solved []*ShardResult, hook
 		res.Schedule.Phases = append(res.Schedule.Phases, core.Phase{Set: final, Duration: segDur})
 		t += segDur
 	}
-
-	res.Schedule = res.Schedule.Compact()
-	if err := res.Schedule.ValidateWith(sess, budgets, k); err != nil {
-		return nil, fmt.Errorf("shard: stitched schedule invalid: %w", err)
-	}
-	return res, nil
 }
 
-// members0 returns the union of the shards' active owned sets at the
-// current cursors. Shards own disjoint nodes, so concatenation is a union.
-func members0(phases [][]sphase, cursors []scursor) []int {
-	var out []int
+// segment returns the union of the shards' active owned sets at the current
+// cursors and the segment's duration: the slots to the earliest next phase
+// boundary over all shards with plan remaining, or -1 when every plan is
+// exhausted. Shards own disjoint nodes, so concatenation is a union.
+func segment(phases [][]sphase, cursors []scursor) ([]int, int) {
+	var members []int
+	dur := -1
 	for pos, c := range cursors {
-		if c.idx < len(phases[pos]) {
-			out = append(out, phases[pos][c.idx].set...)
+		if c.idx >= len(phases[pos]) {
+			continue
+		}
+		ph := phases[pos][c.idx]
+		members = append(members, ph.set...)
+		if remain := ph.dur - c.off; dur == -1 || remain < dur {
+			dur = remain
 		}
 	}
-	return out
+	return members, dur
 }
 
 // projectPhases maps a shard schedule from local IDs to global owned
