@@ -256,7 +256,7 @@ func run() error {
 		}
 	}
 
-	horizon := maxInt(1, s.Lifetime())
+	horizon := max(1, s.Lifetime())
 	plan := chaos.Plan{Crashes: energy.RandomFailures(g, f.failures, horizon, src.Split())}
 	if f.chaos != "" {
 		spec, err := chaos.ParseSpec(f.chaos, g, horizon, src.Split())
@@ -334,6 +334,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
+		coverage = res.Coverage
 		report(res.Deaths, res.AchievedLifetime, res.FirstViolation)
 		fmt.Printf("reconfig: nominal lifetime %d across %d transitions (%d degraded, %d violated)\n",
 			res.ScheduleLifetime, res.Reconfigs, res.DegradedTransitions, res.ViolatedTransitions)
@@ -420,13 +421,6 @@ func report(deaths, achieved, firstViolation int) {
 	} else {
 		fmt.Printf("first coverage violation: none\n")
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // uniformBudgets broadcasts the scalar battery b over n nodes for the

@@ -226,10 +226,3 @@ func (in *Injector) Inject(net *energy.Network, t int) int {
 	}
 	return deaths
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -147,20 +147,13 @@ func General(g *graph.Graph, b []int, opt Options) *Schedule {
 func GeneralColorRange(tau2, bhat2, n int, k float64) int {
 	arg := float64(bhat2) * float64(n)
 	if arg < math.E {
-		return maxInt(1, tau2) // degenerate tiny instance: ln ≤ 1
+		return max(1, tau2) // degenerate tiny instance: ln ≤ 1
 	}
 	r := int(float64(tau2) / (k * math.Log(arg)))
 	if r < 1 {
 		return 1
 	}
 	return r
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // GeneralGuaranteedSlots returns the number of leading slots of a General

@@ -86,7 +86,7 @@ func GreedyExtractor(g *graph.Graph, allowed []bool) []int {
 // Exponential; use on small graphs only. This is the "pick a minimum
 // dominating set each round" greedy the Fujita lower bound defeats.
 func MinimumExtractor(g *graph.Graph, allowed []bool) []int {
-	return domset.MinimumExact(g, allowed, nil)
+	return domset.MinimumExact(g, allowed)
 }
 
 // ConstrainedExtractor is a scarcity-aware dominating-set extractor in the

@@ -3,11 +3,13 @@
 // plain and fault-tolerant (k-)domination query from O(n) words of state,
 // with the one-shot verifiers IsDominating and IsKDominating on top; the
 // classical greedy set-cover approximation for minimum dominating sets, its
-// greedy k-dominating extension, and an exact branch-and-bound minimum
-// dominating set for small graphs. IsIndependent and IsMaximalIndependent
-// check the maximal independent sets other packages build (every MIS is a
-// dominating set; in unit disk graphs it is a constant-factor
-// approximation, as the paper's related-work section recounts).
+// greedy k-dominating extension, and Enumerate, the exact branch-and-bound
+// over k-dominating sets of small graphs behind MinimumExact,
+// MinimumWeightExact and exact.MinimalDominatingSets. IsIndependent and
+// IsMaximalIndependent check the maximal independent sets other packages
+// build (every MIS is a dominating set; in unit disk graphs it is a
+// constant-factor approximation, as the paper's related-work section
+// recounts).
 package domset
 
 import (

@@ -515,7 +515,7 @@ func TestMinimumExactSmallCases(t *testing.T) {
 		{"grid3x3", gen.Grid(3, 3), 3},
 	}
 	for _, c := range cases {
-		set := MinimumExact(c.g, nil, nil)
+		set := MinimumExact(c.g, nil)
 		if set == nil {
 			t.Fatalf("%s: no set found", c.name)
 		}
@@ -532,7 +532,7 @@ func TestMinimumExactNeverBeatenByGreedy(t *testing.T) {
 	src := rng.New(6)
 	for trial := 0; trial < 20; trial++ {
 		g := gen.GNP(18, 0.2, src)
-		exact := MinimumExact(g, nil, nil)
+		exact := MinimumExact(g, nil)
 		greedy := Greedy(g)
 		if exact == nil {
 			t.Fatal("exact failed on unrestricted instance")
@@ -546,17 +546,8 @@ func TestMinimumExactNeverBeatenByGreedy(t *testing.T) {
 func TestMinimumExactInfeasibleRestriction(t *testing.T) {
 	g := gen.Path(3)
 	allowed := []bool{true, false, false}
-	if set := MinimumExact(g, allowed, nil); set != nil {
+	if set := MinimumExact(g, allowed); set != nil {
 		t.Fatalf("expected nil, got %v", set)
-	}
-}
-
-func TestMinimumExactWithAliveSubset(t *testing.T) {
-	g := gen.Path(5)
-	alive := []bool{true, true, true, false, false}
-	set := MinimumExact(g, nil, alive)
-	if set == nil || len(set) != 1 || set[0] != 1 {
-		t.Fatalf("MDS of alive prefix = %v, want [1]", set)
 	}
 }
 
@@ -564,7 +555,7 @@ func TestMinimumExactFujitaTrapSize(t *testing.T) {
 	// The trap's minimum dominating set is exactly the k a-nodes.
 	k := 3
 	g, _ := gen.FujitaTrap(k)
-	set := MinimumExact(g, nil, nil)
+	set := MinimumExact(g, nil)
 	if len(set) != k {
 		t.Fatalf("|MDS| = %d, want %d", len(set), k)
 	}
@@ -572,6 +563,47 @@ func TestMinimumExactFujitaTrapSize(t *testing.T) {
 		if v != 1+i {
 			t.Fatalf("MDS = %v, want the a-nodes [1..%d]", set, k)
 		}
+	}
+}
+
+// BenchmarkMinimumExact times one minimum dominating set search: on
+// FujitaTrap(6), the shape of E7's extractor, and on GNP n = 40 at p = 0.15.
+func BenchmarkMinimumExact(b *testing.B) {
+	fujita, _ := gen.FujitaTrap(6)
+	for _, c := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"fujita6", fujita}, {"gnp40", gen.GNP(40, 0.15, rng.New(40))}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if MinimumExact(c.g, nil) == nil {
+					b.Fatal("no dominating set")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkMinimumWeightExact times column generation's pricing step: a
+// minimum-weight k-dominating set of GNP n = 40 at p = 0.15 under seeded
+// float weights, at k = 1 and 2.
+func BenchmarkMinimumWeightExact(b *testing.B) {
+	src := rng.New(40)
+	g := gen.GNP(40, 0.15, src.Split())
+	weights := make([]float64, g.N())
+	for v := range weights {
+		weights[v] = src.Float64()
+	}
+	for _, k := range []int{1, 2} {
+		b.Run(fmt.Sprintf("gnp40/k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if set, _ := MinimumWeightExact(g, weights, k); set == nil {
+					b.Fatal("no k-dominating set")
+				}
+			}
+		})
 	}
 }
 

@@ -132,7 +132,7 @@ func RandomFailures(g *graph.Graph, count, horizon int, src *rng.Source) Failure
 	perm := src.Perm(g.N())
 	plan := make(FailurePlan, 0, count)
 	for _, v := range perm[:count] {
-		plan = append(plan, Failure{Time: src.Intn(maxInt(1, horizon)), Node: v})
+		plan = append(plan, Failure{Time: src.Intn(max(1, horizon)), Node: v})
 	}
 	plan.Sort()
 	return plan
@@ -156,18 +156,11 @@ func NeighborhoodFailures(g *graph.Graph, neighborhoods, perNbhd, horizon int, s
 			v := int(cn[idx])
 			if !killed[v] {
 				killed[v] = true
-				plan = append(plan, Failure{Time: src.Intn(maxInt(1, horizon)), Node: v})
+				plan = append(plan, Failure{Time: src.Intn(max(1, horizon)), Node: v})
 				picks++
 			}
 		}
 	}
 	plan.Sort()
 	return plan
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

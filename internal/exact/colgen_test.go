@@ -19,7 +19,7 @@ func TestMinimumWeightExactMatchesCardinalityCase(t *testing.T) {
 			w[i] = 1
 		}
 		set, weight := domset.MinimumWeightExact(g, w, 1)
-		card := domset.MinimumExact(g, nil, nil)
+		card := domset.MinimumExact(g, nil)
 		if int(math.Round(weight)) != len(card) || len(set) != len(card) {
 			t.Fatalf("trial %d: weighted min %v (%.1f) vs cardinality min %d",
 				trial, set, weight, len(card))

@@ -5,7 +5,8 @@
 //
 // The pipeline: enumerate all *minimal* k-dominating sets (an optimal
 // schedule never benefits from a non-minimal set — shrinking a set preserves
-// feasibility), then
+// feasibility) with domset.Enumerate, the one branch-and-bound over
+// dominating sets, then
 //
 //   - Fractional: solve the packing LP  max Σ t_D  s.t.  Σ_{D∋v} t_D ≤ b_v,
 //     t ≥ 0 — an upper bound on the integral optimum and the natural
@@ -13,129 +14,46 @@
 //   - Integral: branch-and-bound over integer slot allocations, pruned by
 //     the residual energy-coverage bound of Lemma 5.1.
 //
-// Everything here is exponential by design; callers keep n small (≲ 20).
+// Column generation (FractionalCG) prices its columns with
+// domset.MinimumWeightExact, another Enumerate leaf, instead of listing
+// every set. Everything here is exponential by design; callers keep n small
+// (≲ 20).
 package exact
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
+	"repro/internal/domset"
 	"repro/internal/graph"
 	"repro/internal/lp"
 )
 
-// MinimalDominatingSets enumerates every minimal k-dominating set of g.
-// A set is minimal if removing any member breaks k-domination. The
-// enumeration branches on the first deficient node, forbidding
-// earlier-tried candidates so each set is produced at most once;
-// non-minimal leaves are filtered out.
+// MinimalDominatingSets enumerates every minimal k-dominating set of g,
+// each sorted, in lexicographic order. A set is minimal if removing any
+// member breaks k-domination. It is domset.Enumerate's search with no
+// bound, whose leaf keeps a set when no member can leave it.
 func MinimalDominatingSets(g *graph.Graph, k int) [][]int {
 	if k < 1 {
 		panic("exact: k must be >= 1")
 	}
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return [][]int{{}}
 	}
-	// Infeasible if some closed neighborhood is smaller than k.
-	for v := 0; v < n; v++ {
-		if g.Degree(v)+1 < k {
-			return nil
-		}
-	}
-
-	domCount := make([]int, n)
-	inSet := make([]bool, n)
-	forbidden := make([]bool, n)
-	var current []int
+	sess := domset.NewSession(g)
 	var out [][]int
-
-	isKDominatingWithout := func(skip int) bool {
-		for v := 0; v < n; v++ {
-			c := domCount[v]
-			if v == skip || int32Contains(g.Neighbors(v), int32(skip)) {
-				c--
-			}
-			if c < k {
-				return false
-			}
+	domset.Enumerate(g, k, nil, nil, func(set []int, _ float64) float64 {
+		sess.Reset(set, k, nil)
+		if !slices.ContainsFunc(set, sess.DropKeeps) {
+			kept := slices.Clone(set)
+			slices.Sort(kept)
+			out = append(out, kept)
 		}
-		return true
-	}
-
-	record := func() {
-		for _, v := range current {
-			if isKDominatingWithout(v) {
-				return // not minimal
-			}
-		}
-		out = append(out, append([]int(nil), current...))
-	}
-
-	var rec func()
-	rec = func() {
-		// First deficient node.
-		target := -1
-		for v := 0; v < n; v++ {
-			if domCount[v] < k {
-				target = v
-				break
-			}
-		}
-		if target == -1 {
-			record()
-			return
-		}
-		// Candidates: closed neighborhood, unforbidden, not already in.
-		var cands []int
-		if !inSet[target] && !forbidden[target] {
-			cands = append(cands, target)
-		}
-		for _, u := range g.Neighbors(target) {
-			if !inSet[u] && !forbidden[u] {
-				cands = append(cands, int(u))
-			}
-		}
-		for _, c := range cands {
-			inSet[c] = true
-			current = append(current, c)
-			domCount[c]++
-			for _, u := range g.Neighbors(c) {
-				domCount[u]++
-			}
-			rec()
-			domCount[c]--
-			for _, u := range g.Neighbors(c) {
-				domCount[u]--
-			}
-			current = current[:len(current)-1]
-			inSet[c] = false
-			forbidden[c] = true
-		}
-		for _, c := range cands {
-			forbidden[c] = false
-		}
-	}
-	rec()
-	for _, s := range out {
-		sort.Ints(s)
-	}
-	sort.Slice(out, func(i, j int) bool { return lessIntSlice(out[i], out[j]) })
+		return math.Inf(1)
+	})
+	slices.SortFunc(out, slices.Compare[[]int])
 	return out
-}
-
-func int32Contains(s []int32, v int32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-func lessIntSlice(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Fractional solves the continuous-time Maximum k-tolerant Cluster-Lifetime

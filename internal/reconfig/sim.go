@@ -63,6 +63,9 @@ type SimResult struct {
 	Slots int
 	// FirstViolation is the first undominated slot, or -1.
 	FirstViolation int
+	// Coverage[t] is the fraction of alive nodes k-dominated in slot t.
+	// len(Coverage) == Slots.
+	Coverage []float64
 	// EnergySpent is total battery drained; OverlapEnergy the share charged
 	// to overlap contributors by the planner.
 	EnergySpent   int
@@ -296,6 +299,7 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 		if na > 0 {
 			cov = float64(covered) / float64(na)
 		}
+		res.Coverage = append(res.Coverage, cov)
 		opt.Hooks.Emit(obs.SlotEnd(t, len(serving), na, cov))
 
 		res.Slots = t + 1

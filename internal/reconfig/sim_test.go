@@ -35,6 +35,14 @@ func TestSimulateQuietRunMatchesSchedule(t *testing.T) {
 	if res.Reconfigs != 0 || res.WakeMisses != 0 || res.OverlapEnergy != 0 {
 		t.Fatalf("quiet run recorded reconfig activity: %+v", res)
 	}
+	if len(res.Coverage) != res.Slots {
+		t.Fatalf("%d coverage entries for %d slots", len(res.Coverage), res.Slots)
+	}
+	for slot, c := range res.Coverage {
+		if c != 1 {
+			t.Fatalf("slot %d coverage %v, want 1", slot, c)
+		}
+	}
 }
 
 func TestSimulateAppliesChangesAndChaos(t *testing.T) {
@@ -203,6 +211,18 @@ func TestSimulateDeadNetworkNotCovered(t *testing.T) {
 	}
 	if res.CoveredSlots != 2 {
 		t.Fatalf("CoveredSlots = %d, want 2 — dead slots must not count as covered", res.CoveredSlots)
+	}
+	if len(res.Coverage) != res.Slots || res.Slots <= 2 {
+		t.Fatalf("%d coverage entries for %d slots, want one per slot past the wipeout", len(res.Coverage), res.Slots)
+	}
+	for slot, c := range res.Coverage {
+		want := 1.0
+		if slot >= 2 {
+			want = 0
+		}
+		if c != want {
+			t.Fatalf("slot %d coverage %v, want %v (the network dies at slot 2)", slot, c, want)
+		}
 	}
 }
 

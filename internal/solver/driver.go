@@ -126,10 +126,6 @@ func Solve(inst *instance.Instance, spec Spec, opt Options) (*core.Schedule, err
 	if err := sv.Validate(inst, spec); err != nil {
 		return nil, err
 	}
-	if !sv.refiner() && spec.Base != "" {
-		return nil, fmt.Errorf("solver: %s is not a refiner; base solver %q is only meaningful with one of %v",
-			spec.Name, spec.Base, RefinerNames())
-	}
 	if opt.RaceWidth <= 1 {
 		return solveOne(sv, inst, spec, opt)
 	}

@@ -49,11 +49,11 @@ func traitInstances() []struct {
 // for byte), Guaranteed, and for accepted cases Solve's lifetime and
 // schedule SHA-256 at Tries 3 and seed 1. Every name is crossed with
 // Base "", greedy, auto, tabu and an unknown name, so the refiners' base
-// resolution and the driver's "not a refiner" rejection are in the
+// resolution and Validate's "not a refiner" rejection are in the
 // transcript too. The transcript's SHA-256 is the pin; on a mismatch the
 // test logs the transcript.
 func TestRegistryTraitsGolden(t *testing.T) {
-	const want = "fa2f03b76d0270a930c8172e653f0013f2036ddad0d55c5730f46f2a4f8608e9"
+	const want = "682de1a88a8c50d16b23e1297735aa43511a728ada3ceb50b952964a04cc94dd"
 	var tr strings.Builder
 	for _, name := range solver.Names() {
 		for _, base := range []string{"", solver.NameGreedy, solver.NameAuto, solver.NameTabu, "nope"} {

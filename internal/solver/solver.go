@@ -179,10 +179,11 @@ func (s *Solver) guaranteed(inst *instance.Instance, spec Spec) int {
 // guarantee the core constructors never panic. An infeasible-but-well-
 // formed instance (e.g. tolerance above the minimum closed neighborhood) is
 // NOT an error: it yields an empty schedule, matching core. auto validates
-// the solver it dispatches to. A refiner also resolves its base through the
-// auto dispatch, so a base of "auto" is checked against what auto picks on
-// this instance, and rejects a base that is itself a refiner or a tiling:
-// the serve layer surfaces those as a 400 at decode time.
+// the solver it dispatches to. A non-refiner rejects any base. A refiner
+// resolves its base through the auto dispatch, so a base of "auto" is
+// checked against what auto picks on this instance, and rejects a base that
+// is itself a refiner or a tiling: the serve layer surfaces those as a 400
+// at decode time.
 func (s *Solver) Validate(inst *instance.Instance, spec Spec) error {
 	if s.name == NameAuto {
 		return mustGet(autoPick(inst)).Validate(inst, spec)
@@ -207,6 +208,10 @@ func (s *Solver) Validate(inst *instance.Instance, spec Spec) error {
 		}
 	}
 	if !s.refiner() {
+		if spec.Base != "" {
+			return fmt.Errorf("solver: %s is not a refiner; base solver %q is only meaningful with one of %v",
+				s.name, spec.Base, RefinerNames())
+		}
 		return nil
 	}
 	base, bspec, err := Effective(inst, baseSpec(spec))

@@ -333,7 +333,8 @@ func TestRegistryNames(t *testing.T) {
 }
 
 // TestValidateRejections spot-checks the shape errors Validate centralizes
-// (they were scattered across serve/request.go and the cmds before).
+// (they were scattered across serve/request.go and the cmds before): Solve
+// and Guaranteed must both refuse each spec.
 func TestValidateRejections(t *testing.T) {
 	g := testGraph(t)
 	cases := []struct {
@@ -346,11 +347,15 @@ func TestValidateRejections(t *testing.T) {
 		{"budget length mismatch", solver.Spec{Name: solver.NameGeneral}, inst(g, uniformBudgets(g.N()-1, 3))},
 		{"negative budget", solver.Spec{Name: solver.NameGeneral}, inst(g, append(uniformBudgets(g.N()-1, 3), -1))},
 		{"exact node cap", solver.Spec{Name: solver.NameExact}, inst(g, uniformBudgets(g.N(), 3))},
+		{"base on a non-refiner", solver.Spec{Name: solver.NameGreedy, Base: solver.NameGreedy}, inst(g, uniformBudgets(g.N(), 3))},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := solver.Solve(tc.in, tc.spec, solver.Options{Tries: 1, Src: rng.New(1)}); err == nil {
-				t.Fatal("accepted")
+				t.Fatal("Solve accepted")
+			}
+			if g, err := solver.Guaranteed(tc.in, tc.spec); err == nil {
+				t.Fatalf("Guaranteed accepted: %d", g)
 			}
 		})
 	}
