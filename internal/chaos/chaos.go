@@ -174,7 +174,7 @@ func (ge *GilbertElliott) Drop(from, to, round int) bool {
 
 // Injector is the stateful per-slot executor of a plan's crash and leak
 // events. A fresh Injector starts at slot 0; one Injector drives one
-// execution.
+// execution. Relabel carries its pending events across a graph delta.
 type Injector struct {
 	plan      Plan
 	nextCrash int
@@ -225,4 +225,34 @@ func (in *Injector) Inject(net *energy.Network, t int) int {
 		in.nextLeak++
 	}
 	return deaths
+}
+
+// Relabel moves the pending events into a graph delta's new ID space:
+// mapping[v] is node v's post-delta ID, or -1 when the delta removed it.
+// Pending events on removed nodes, and on IDs outside the mapping, are
+// dropped; the rest keep their order and name their nodes' new IDs, also in
+// the crash and leak events they emit. Events already applied are not
+// touched, and neither is the Plan the injector was built from, so one plan
+// can still drive several executions.
+func (in *Injector) Relabel(mapping []int) {
+	moved := func(v int) (int, bool) {
+		if v < 0 || v >= len(mapping) || mapping[v] < 0 {
+			return 0, false
+		}
+		return mapping[v], true
+	}
+	var crashes energy.FailurePlan
+	for _, c := range in.plan.Crashes[in.nextCrash:] {
+		if v, ok := moved(c.Node); ok {
+			crashes = append(crashes, energy.Failure{Time: c.Time, Node: v})
+		}
+	}
+	var leaks []Leak
+	for _, l := range in.plan.Leaks[in.nextLeak:] {
+		if v, ok := moved(l.Node); ok {
+			leaks = append(leaks, Leak{Time: l.Time, Node: v, Amount: l.Amount})
+		}
+	}
+	in.plan.Crashes, in.plan.Leaks = crashes, leaks
+	in.nextCrash, in.nextLeak = 0, 0
 }

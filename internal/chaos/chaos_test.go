@@ -1,10 +1,14 @@
 package chaos
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/energy"
 	"repro/internal/gen"
+	"repro/internal/obs"
 	"repro/internal/rng"
 )
 
@@ -43,6 +47,62 @@ func TestInjectorCountsOnlyAliveKills(t *testing.T) {
 	net := energy.NewNetwork(g, energy.Uniform(g, 1))
 	if d := plan.Injector().Inject(net, 0); d != 1 {
 		t.Fatalf("double-kill counted %d deaths, want 1", d)
+	}
+}
+
+func TestInjectorRelabel(t *testing.T) {
+	plan := Plan{
+		Crashes: energy.FailurePlan{{Time: 1, Node: 1}, {Time: 2, Node: 2}, {Time: 3, Node: 4}, {Time: 4, Node: 5}},
+		Leaks:   []Leak{{Time: 1, Node: 3, Amount: 1}, {Time: 2, Node: 2, Amount: 1}, {Time: 3, Node: 5, Amount: 2}, {Time: 4, Node: 0, Amount: 1}},
+	}
+	orig := Plan{
+		Crashes: slices.Clone(plan.Crashes),
+		Leaks:   slices.Clone(plan.Leaks),
+	}
+	mem := &obs.Memory{}
+	in := plan.Injector().WithHooks(obs.Hooks{Trace: mem})
+	net := energy.NewNetwork(gen.Path(6), energy.Uniform(gen.Path(6), 3))
+	if d := in.Inject(net, 1); d != 1 || net.Alive[1] || net.Residual[3] != 2 {
+		t.Fatalf("slot 1: deaths %d, alive %v, residual %v", d, net.Alive, net.Residual)
+	}
+
+	// The first delta removes node 2 and shifts 3, 4, 5 down by one. The
+	// slot-1 events are applied already; node 2's slot-2 events are dropped.
+	in.Relabel([]int{0, 1, -1, 2, 3, 4})
+	net = energy.NewNetwork(gen.Path(5), energy.Uniform(gen.Path(5), 3))
+	if d := in.Inject(net, 2); d != 0 || net.AliveCount() != 5 || net.TotalResidual() != 15 {
+		t.Fatalf("slot 2 after relabel: deaths %d, alive %v, residual %v; want nothing applied",
+			d, net.Alive, net.Residual)
+	}
+
+	// The second delta removes node 0 (original 0) and adds node 4. The
+	// chained relabels put original 4 on node 2 and original 5 on node 3;
+	// original 0's leak is dropped and never reaches the added node.
+	in.Relabel([]int{-1, 0, 1, 2, 3})
+	net = energy.NewNetwork(gen.Path(5), energy.Uniform(gen.Path(5), 3))
+	deaths := in.Inject(net, 3) + in.Inject(net, 4)
+	if deaths != 2 || net.Alive[2] || net.Alive[3] || !net.Alive[4] {
+		t.Fatalf("slots 3-4: deaths %d, alive %v; want nodes 2 and 3 dead", deaths, net.Alive)
+	}
+	if !slices.Equal(net.Residual, []int{3, 3, 3, 1, 3}) {
+		t.Fatalf("slots 3-4: residual %v; want original 5's leak of 2 on node 3 only", net.Residual)
+	}
+	var got []string
+	for _, ev := range mem.Events {
+		got = append(got, fmt.Sprintf("%s t=%d node=%d", ev.Type, ev.T, ev.Node))
+	}
+	want := []string{"crash t=1 node=1", "leak t=1 node=3", "crash t=3 node=2", "leak t=3 node=3", "crash t=4 node=3"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("events %q, want %q", got, want)
+	}
+
+	// The plan is untouched: a second injector replays the original IDs.
+	if !reflect.DeepEqual(plan, orig) {
+		t.Fatalf("Relabel modified the plan: %+v, want %+v", plan, orig)
+	}
+	net = energy.NewNetwork(gen.Path(6), energy.Uniform(gen.Path(6), 3))
+	if d := plan.Injector().Inject(net, 4); d != 4 || !slices.Equal(net.Residual, []int{2, 3, 2, 2, 3, 1}) {
+		t.Fatalf("replay: deaths %d, residual %v; want 4 and [2 3 2 2 3 1]", d, net.Residual)
 	}
 }
 

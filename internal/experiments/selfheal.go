@@ -70,7 +70,7 @@ func runE23(cfg Config) *Table {
 			res := sensim.Run(net, s, sensim.Options{K: 1, Chaos: buildPlan(src, horizon)})
 			return sample{
 				nominal: s.Lifetime(), achieved: res.AchievedLifetime,
-				covered: coveredSlots(res.Coverage), deaths: res.Deaths, ok: true,
+				covered: res.CoveredSlots, deaths: res.Deaths, ok: true,
 			}
 		}
 	}
@@ -93,7 +93,7 @@ func runE23(cfg Config) *Table {
 			}
 			return sample{
 				nominal: plain.Lifetime(), achieved: res.AchievedLifetime,
-				covered: coveredSlots(res.Coverage), deaths: res.Deaths,
+				covered: res.CoveredSlots, deaths: res.Deaths,
 				recruits: res.Recruited, replans: res.Replans,
 				msgs: res.Protocol.Messages, degraded: res.DegradedSlots, ok: true,
 			}
@@ -139,15 +139,4 @@ func runE23(cfg Config) *Table {
 		"static 1-dom falls at the first crash of a serving clusterhead; healing recruits replacements and replans over residuals",
 		"covered slots counts all fully covered slots, achieved the consecutive prefix (the lifetime definition)")
 	return t
-}
-
-// coveredSlots counts the slots with full coverage anywhere in the trace.
-func coveredSlots(coverage []float64) int {
-	c := 0
-	for _, f := range coverage {
-		if f >= 1 {
-			c++
-		}
-	}
-	return c
 }

@@ -26,34 +26,21 @@ package heal
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
-	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/distsim"
 	"repro/internal/domset"
 	"repro/internal/energy"
 	"repro/internal/obs"
 	"repro/internal/sched"
+	"repro/internal/sensim"
 )
 
-// Options configures a self-healing execution. It follows the canonical
-// shape documented in package obs, shared with sensim.Options: the
-// tolerance K, the fault plan Chaos, and the embedded obs.Hooks carrying
-// the tracing sinks.
-type Options struct {
-	// K is the required domination tolerance per slot (>= 1; 0 means 1).
-	K int
-	// Chaos is the fault plan injected during execution (zero value = none).
-	// Its Radio, when set, is the patch protocol's medium; nil is a
-	// reliable one.
-	Chaos chaos.Plan
-	// Hooks carries the observability sinks (obs.Hooks; the promoted Trace
-	// field receives slot, crash/leak, patch, recruit, replan, degraded,
-	// and protocol round events). The zero value is the no-op default: the
-	// slot loop stays allocation-free.
-	obs.Hooks
-}
+// Options configures a self-healing execution: it is sensim's, the
+// canonical shape documented in package obs. Chaos.Radio, when set, is the
+// patch protocol's medium; nil is a reliable one.
+type Options = sensim.Options
 
 const (
 	// patchAttempts bounds the recruitment retries per slot. Attempt a
@@ -64,19 +51,13 @@ const (
 	replanAfter = 2
 )
 
-// Result summarizes a self-healing execution. The coverage bookkeeping
-// matches sensim.Result so the two runtimes are directly comparable.
+// Result summarizes a self-healing execution. Its coverage record is
+// sensim's Score, so the two runtimes are directly comparable; a violation
+// is a slot that stayed under-covered after the full escalation ladder.
 type Result struct {
-	// AchievedLifetime is the number of consecutive slots from time 0
-	// during which every alive node was k-dominated by serving nodes.
-	AchievedLifetime int
+	sensim.Score
 	// ScheduleLifetime is the nominal lifetime of the input schedule.
 	ScheduleLifetime int
-	// Coverage[t] is the fraction of alive nodes k-dominated in slot t.
-	Coverage []float64
-	// FirstViolation is the first slot that stayed under-covered after the
-	// full escalation ladder, or -1.
-	FirstViolation int
 	// EnergySpent is the total budget units drained (schedule + recruits).
 	EnergySpent int
 	// Deaths counts chaos-plan crashes applied.
@@ -110,7 +91,8 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 	if opt.K < 1 {
 		opt.K = 1
 	}
-	res := Result{ScheduleLifetime: s.Lifetime(), FirstViolation: -1}
+	meter := sensim.NewMeter(opt.Hooks)
+	res := Result{Score: meter.Score, ScheduleLifetime: s.Lifetime()}
 	g := net.G
 	// Enough slots for any replan over the residual budgets to play out.
 	maxSlots := s.Lifetime() + net.TotalResidual() + 1
@@ -126,7 +108,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 	cur := s
 	pos := 0 // slot index within cur
 	failStreak := 0
-	recruits := map[int]bool{}
+	var recruits []int
 	lastPhase := -1
 
 	opt.Emit(obs.RunStart("heal", g.N()))
@@ -135,13 +117,9 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 		res.Deaths += inject.Inject(net, t)
 
 		if net.AliveCount() == 0 && g.N() > 0 {
-			// Dead network: no recruit or replan can revive anyone, so this
-			// is a terminal coverage violation (same semantics as sensim.Run).
-			res.Coverage = append(res.Coverage, 0)
-			if res.FirstViolation == -1 {
-				res.FirstViolation = t
-			}
-			opt.Emit(obs.SlotEnd(t, 0, 0, 0))
+			// Dead network: no recruit or replan can revive anyone, so the
+			// meter scores a terminal violation.
+			meter.Slot(t, 0, sess.Reset(nil, opt.K, net.Alive))
 			break
 		}
 
@@ -158,14 +136,13 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 			res.Replans++
 			opt.Emit(obs.Replan(t, next.Lifetime()))
 			cur, pos = next, 0
-			recruits = map[int]bool{}
 			lastPhase = -1
 			phaseSet, phaseIdx = activeAt(cur, pos)
 		}
 		if phaseIdx != lastPhase {
 			// Recruits backstop the phase that was broken when they were
 			// enlisted; a fresh phase starts from its own scheduled set.
-			recruits = map[int]bool{}
+			recruits = recruits[:0]
 			lastPhase = phaseIdx
 		}
 
@@ -188,12 +165,13 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 				res.Protocol.Add(stats)
 				opt.Emit(obs.Patch(t, attempt, len(enlisted)))
 				if err != nil {
+					res.Score = meter.Score
 					return res, fmt.Errorf("heal: slot %d: patch attempt %d: %w", t, attempt, err)
 				}
 				if len(enlisted) > 0 {
 					res.Recruited += len(enlisted)
 					for _, v := range enlisted {
-						recruits[v] = true
+						recruits = append(recruits, v)
 						opt.Emit(obs.Recruit(t, v))
 						// runPatch only returns serviceable non-serving nodes,
 						// so each one is a single incremental membership delta.
@@ -222,7 +200,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 					res.Replans++
 					opt.Emit(obs.Replan(t, next.Lifetime()))
 					cur, pos = next, 0
-					recruits = map[int]bool{}
+					recruits = recruits[:0]
 					phaseSet, lastPhase = activeAt(cur, pos)
 					serving = serviceable(net, phaseSet, recruits)
 					// A replan swaps the whole set — pay a fresh Reset (rare).
@@ -239,42 +217,14 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 			opt.Emit(obs.Degraded(t, len(uncovered)))
 		}
 
+		// Every serving node can pay: serviceable and the patch protocol
+		// pick only nodes that can, and nothing drains before this.
 		served := net.DrainServiceable(serving)
 		res.EnergySpent += len(served) * net.ActiveCost
-		if len(served) != len(serving) {
-			// A serving node could no longer pay for the slot (defensive:
-			// nothing mid-slot drains today): only the paid nodes serve.
-			sess.SetMembers(served)
-		}
-
-		alive := sess.AliveCount()
-		covered := sess.CoveredCount()
-		cov := 1.0 // only the 0-node network
-		dominated := covered == alive
-		if alive > 0 {
-			cov = float64(covered) / float64(alive)
-		} else if g.N() > 0 {
-			// Dead non-empty network: "0 of 0 covered" is a coverage
-			// violation, not perfect coverage — the vacuous-equality bug PR 2
-			// fixed in sensim. Unreachable today thanks to the top-of-loop
-			// dead check, but the scoring must not depend on that.
-			cov = 0
-			dominated = false
-		}
-		res.Coverage = append(res.Coverage, cov)
-		opt.Emit(obs.SlotEnd(t, len(served), alive, cov))
-		if dominated {
-			if res.FirstViolation == -1 {
-				res.AchievedLifetime = t + 1
-			}
-		} else if res.FirstViolation == -1 {
-			res.FirstViolation = t
-		}
-		if alive == 0 && g.N() > 0 {
-			break // terminal: no recruit or replan revives a dead network
-		}
+		meter.Slot(t, len(served), sess)
 		pos++
 	}
+	res.Score = meter.Score
 	opt.Emit(obs.RunEnd("heal", len(res.Coverage), res.AchievedLifetime, res.Deaths))
 	return res, nil
 }
@@ -292,22 +242,9 @@ func activeAt(s *core.Schedule, pos int) ([]int, int) {
 }
 
 // serviceable merges the scheduled set with the surviving recruits and
-// filters both down to nodes that can actually serve the slot.
-func serviceable(net *energy.Network, phaseSet []int, recruits map[int]bool) []int {
-	var out []int
-	seen := make(map[int]bool, len(phaseSet)+len(recruits))
-	for _, v := range phaseSet {
-		if !seen[v] && net.CanServe(v) {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	for v := range recruits {
-		if !seen[v] && net.CanServe(v) {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Ints(out)
-	return out
+// filters both down to the sorted nodes that can actually serve the slot.
+func serviceable(net *energy.Network, phaseSet, recruits []int) []int {
+	out := slices.DeleteFunc(slices.Concat(phaseSet, recruits), func(v int) bool { return !net.CanServe(v) })
+	slices.Sort(out)
+	return slices.Compact(out)
 }

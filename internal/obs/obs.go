@@ -14,9 +14,9 @@
 //
 // # Hooks: the canonical Options shape
 //
-// Every runtime Options struct (sensim.Options, heal.Options,
-// distsim.Options) embeds a Hooks value, so observability is wired the same
-// way everywhere:
+// Every runtime Options struct (sensim.Options, which heal.Options aliases,
+// and distsim.Options) embeds a Hooks value, so observability is wired the
+// same way everywhere:
 //
 //	sensim.Options{K: 1, Chaos: plan, Hooks: obs.Hooks{Trace: sink}}
 //	distsim.Options{MaxRounds: 10, Radio: r, Hooks: obs.Hooks{Trace: sink}}
@@ -28,8 +28,8 @@
 // here once instead of three times: K (domination tolerance), Chaos (the
 // slot runtimes' one fault plan, chaos.Plan), MaxRounds (distsim's round
 // cap) and Radio (distsim's unreliable-medium model, which heal takes from
-// Chaos.Radio). sensim.Options and heal.Options hold exactly K, Chaos and
-// Hooks; see docs/OBSERVABILITY.md for the full schema.
+// Chaos.Radio). sensim.Options (heal.Options is an alias of it) holds
+// exactly K, Chaos and Hooks; see docs/OBSERVABILITY.md for the full schema.
 package obs
 
 import "sync"

@@ -6,10 +6,12 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/domset"
+	"repro/internal/energy"
 	"repro/internal/graph"
 	"repro/internal/instance"
 	"repro/internal/obs"
 	"repro/internal/rng"
+	"repro/internal/sensim"
 )
 
 // Change is one scheduled live reconfiguration: at slot At (global simulated
@@ -41,38 +43,33 @@ type SimOptions struct {
 	// time — the overlap contributors in particular — and nodes the delta
 	// just provisioned learn the schedule immediately. 0 disables the model.
 	WakeLoss float64
-	// Chaos injects crashes and battery leaks. Node IDs are in the ORIGINAL
-	// graph's ID space; events whose node has been removed by a delta are
-	// dropped.
+	// Chaos injects crashes and battery leaks through chaos.Injector. Node
+	// IDs are in the ORIGINAL graph's ID space: the injector is relabeled at
+	// every change, and events whose node a delta removed are dropped.
 	Chaos chaos.Plan
-	// Hooks receives slot, crash, leak, wake-miss, and reconfig events.
+	// Hooks receives run, slot, crash, leak, wake-miss, and reconfig
+	// events. A run that fails at a change emits no run_end.
 	Hooks obs.Hooks
 }
 
 // SimResult summarizes a simulated run under live reconfigurations.
 type SimResult struct {
+	// Score is the coverage record. A dead network does not end the run —
+	// a later change can provision fresh alive nodes — so CoveredSlots also
+	// counts covered slots after the first violation.
+	sensim.Score
 	// ScheduleLifetime is the nominal lifetime: initial schedule slots spent
 	// before the first change plus every transition plan's full length.
 	ScheduleLifetime int
-	// AchievedLifetime is the last slot index (exclusive) up to which every
-	// slot k-dominated the then-alive nodes.
-	AchievedLifetime int
-	// CoveredSlots counts all dominated slots, contiguous or not.
-	CoveredSlots int
-	// Slots is how many slots were simulated.
+	// Slots is how many slots were simulated; len(Coverage) == Slots.
 	Slots int
-	// FirstViolation is the first undominated slot, or -1.
-	FirstViolation int
-	// Coverage[t] is the fraction of alive nodes k-dominated in slot t.
-	// len(Coverage) == Slots.
-	Coverage []float64
 	// EnergySpent is total battery drained; OverlapEnergy the share charged
 	// to overlap contributors by the planner.
 	EnergySpent   int
 	OverlapEnergy int
 	// Reconfigs, DegradedTransitions, ViolatedTransitions count the planner
 	// outcomes; WakeMisses the nodes that slept through an install;
-	// Deaths the nodes lost to chaos or battery exhaustion.
+	// Deaths the alive nodes that chaos-plan crashes killed.
 	Reconfigs           int
 	DegradedTransitions int
 	ViolatedTransitions int
@@ -104,25 +101,17 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 		k = 1
 	}
 
-	res := SimResult{FirstViolation: -1}
+	meter := sensim.NewMeter(opt.Hooks)
+	res := SimResult{ScheduleLifetime: s.Lifetime()}
 	cur := s
 	pos := 0 // position within cur's timeline
-	curG := g
-	residual := append([]int(nil), budgets...)
-	var alive []bool // nil until the first death
+	net := energy.NewNetwork(g, budgets)
+	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
 	// The coverage session lives across slots: consecutive slots usually run
 	// the same phase set, so SetMembers moves it to each slot's serving set
-	// (O(changed · deg)) instead of recounting every node. Deaths stream in
-	// through SetAlive.
-	sess := domset.NewSession(curG).Reset(nil, k, nil)
-	serving := make([]int, 0, curG.N()) // reused slot buffer
-
-	// origIdx maps original node IDs (the chaos plan's space) to current
-	// IDs, composed through every delta; -1 = removed.
-	origIdx := make([]int, g.N())
-	for v := range origIdx {
-		origIdx[v] = v
-	}
+	// (O(changed · deg)) instead of recounting every node.
+	sess := domset.NewSession(g).Reset(nil, k, net.Alive)
+	serving := make([]int, 0, g.N()) // reused slot buffer
 
 	// Initial lifetime plus total budget plus one: enough slots that any
 	// feasible plan can run out.
@@ -130,59 +119,32 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 	for _, b := range budgets {
 		maxSlots += b
 	}
-	res.ScheduleLifetime = s.Lifetime()
 
 	wakeSrc := rng.New(opt.Seed ^ 0x77616b65) // independent of solver seeds
 	var informed []bool                       // per current node; nil = everyone has the schedule
-	nextCrash, nextLeak := 0, 0
 	nextEvent := 0
 
-	ensureAlive := func() []bool {
-		if alive == nil {
-			alive = make([]bool, curG.N())
-			for i := range alive {
-				alive[i] = true
-			}
-		}
-		return alive
-	}
-
+	opt.Hooks.Emit(obs.RunStart("reconfig", g.N()))
 	for t := 0; t < maxSlots; t++ {
-		// Chaos due at t, remapped from original IDs; events on removed
-		// nodes are dropped.
-		for nextCrash < len(opt.Chaos.Crashes) && opt.Chaos.Crashes[nextCrash].Time <= t {
-			ev := opt.Chaos.Crashes[nextCrash]
-			nextCrash++
-			if ev.Node < 0 || ev.Node >= len(origIdx) || origIdx[ev.Node] < 0 {
-				continue
+		if deaths := inject.Inject(net, t); deaths > 0 {
+			res.Deaths += deaths
+			// Only a slot with a crash pays the O(n) mask sync.
+			for v, up := range net.Alive {
+				sess.SetAlive(v, up)
 			}
-			v := origIdx[ev.Node]
-			if a := ensureAlive(); a[v] {
-				a[v] = false
-				sess.SetAlive(v, false)
-				res.Deaths++
-				opt.Hooks.Emit(obs.Crash(t, v))
-			}
-		}
-		for nextLeak < len(opt.Chaos.Leaks) && opt.Chaos.Leaks[nextLeak].Time <= t {
-			ev := opt.Chaos.Leaks[nextLeak]
-			nextLeak++
-			if ev.Node < 0 || ev.Node >= len(origIdx) || origIdx[ev.Node] < 0 {
-				continue
-			}
-			v := origIdx[ev.Node]
-			residual[v] -= ev.Amount
-			if residual[v] < 0 {
-				residual[v] = 0
-			}
-			opt.Hooks.Emit(obs.Leak(t, v, ev.Amount))
 		}
 
 		// Scheduled reconfigurations due at t.
 		for nextEvent < len(events) && events[nextEvent].At <= t {
 			change := events[nextEvent]
 			nextEvent++
-			p, err := Compute(instance.New(curG, residual).WithK(k), Request{
+			// No alive mask until the first crash: with one, the planner
+			// falls back from opt.Solver to greedy recruitment.
+			var alive []bool
+			if res.Deaths > 0 {
+				alive = net.Alive
+			}
+			p, err := Compute(instance.New(net.G, net.Residual).WithK(k), Request{
 				Old:     cur,
 				At:      pos,
 				Alive:   alive,
@@ -194,6 +156,7 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 				Hooks:   opt.Hooks,
 			})
 			if err != nil {
+				res.Score = meter.Score
 				return res, fmt.Errorf("reconfig: simulate: change at t=%d: %w", change.At, err)
 			}
 			res.Reconfigs++
@@ -225,22 +188,16 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 				}
 			}
 
-			// Compose the original-ID index with the delta's mapping.
-			for ov, v := range origIdx {
-				if v < 0 {
-					continue
-				}
-				origIdx[ov] = p.Mapping[v]
+			inject.Relabel(p.Mapping)
+			net = energy.NewNetwork(p.Graph, p.Budgets)
+			if p.Alive != nil {
+				copy(net.Alive, p.Alive)
 			}
-
-			curG = p.Graph
-			residual = append([]int(nil), p.Budgets...)
-			alive = p.Alive
 			cur = p.Schedule()
 			pos = 0
 			// New graph, new node space: restart the session (one Reset per
 			// reconfig, not per slot).
-			sess = domset.NewSession(curG).Reset(nil, k, alive)
+			sess = domset.NewSession(net.G).Reset(nil, k, net.Alive)
 		}
 
 		intended := cur.ActiveAt(pos)
@@ -258,7 +215,7 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 		// survivors).
 		serving = serving[:0]
 		for _, v := range intended {
-			if alive != nil && !alive[v] {
+			if !net.Alive[v] {
 				continue
 			}
 			if informed != nil && !informed[v] {
@@ -269,41 +226,21 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 					continue
 				}
 			}
-			if residual[v] < 1 {
+			if !net.CanServe(v) {
 				continue
 			}
-			residual[v]--
-			res.EnergySpent++
+			net.Residual[v] -= net.ActiveCost
+			res.EnergySpent += net.ActiveCost
 			serving = append(serving, v)
 		}
 
 		// Usually nothing flips: the phase carries over.
 		sess.SetMembers(serving)
-
-		na := sess.AliveCount()
-		covered := sess.CoveredCount()
-		// A dead non-empty network is a violation, not "0 of 0 covered":
-		// vacuous equality used to inflate CoveredSlots and AchievedLifetime.
-		// The slot loop still continues — a later delta can provision fresh
-		// alive nodes, and CoveredSlots counts non-contiguous coverage.
-		dominated := covered == na && (na > 0 || curG.N() == 0)
-		if dominated {
-			res.CoveredSlots++
-			if res.FirstViolation == -1 {
-				res.AchievedLifetime = t + 1
-			}
-		} else if res.FirstViolation == -1 {
-			res.FirstViolation = t
-		}
-		cov := 0.0
-		if na > 0 {
-			cov = float64(covered) / float64(na)
-		}
-		res.Coverage = append(res.Coverage, cov)
-		opt.Hooks.Emit(obs.SlotEnd(t, len(serving), na, cov))
-
+		meter.Slot(t, len(serving), sess)
 		res.Slots = t + 1
 		pos++
 	}
+	res.Score = meter.Score
+	opt.Hooks.Emit(obs.RunEnd("reconfig", res.Slots, res.AchievedLifetime, res.Deaths))
 	return res, nil
 }

@@ -1,9 +1,12 @@
 package reconfig
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -261,5 +264,65 @@ func TestSimulateDeadNodesSkipWakeDraws(t *testing.T) {
 	}
 	if ctl.WakeMisses == 0 {
 		t.Fatal("control arm recorded no wake misses — the regression test is vacuous")
+	}
+}
+
+func TestSimulateEmptyGraphCovered(t *testing.T) {
+	// Regression: on a 0-node graph Simulate counted every slot as covered
+	// but recorded coverage 0 for it, where sensim and heal record 1. The
+	// slot meter scores all four runtimes with one rule.
+	g := graph.NewFromEdges(0, nil)
+	s := &core.Schedule{Phases: []core.Phase{{Set: []int{}, Duration: 2}}}
+	res, err := Simulate(g, s, nil, nil, SimOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(res.Coverage, []float64{1, 1}) {
+		t.Fatalf("coverage = %v, want [1 1]", res.Coverage)
+	}
+	if res.CoveredSlots != 2 || res.AchievedLifetime != 2 || res.FirstViolation != -1 {
+		t.Fatalf("covered %d, achieved %d, first violation %d; want 2, 2, -1",
+			res.CoveredSlots, res.AchievedLifetime, res.FirstViolation)
+	}
+}
+
+// BenchmarkSimulate times one run shaped like experiment E24: a GNP network
+// with n = 512 and p = 6 ln n / n under a greedy schedule at battery 20,
+// three node replacements at the nominal schedule's quarter points, 20
+// random crashes, overlap 2 and wake loss 0.5. As in E24, a change fires
+// only while a schedule still runs, and only the first one does: its fresh
+// node, wired to three survivors, caps the incoming schedule at the
+// residual budget of its closed neighborhood, which runs out before the
+// second quarter point.
+func BenchmarkSimulate(b *testing.B) {
+	const n, battery = 512, 20
+	src := rng.New(24)
+	g := gen.GNP(n, 6*math.Log(n)/n, src.Split())
+	budgets := energy.Uniform(g, battery)
+	s := sched.Replan(g, budgets, 1, nil)
+	horizon := s.Lifetime()
+	var events []Change
+	for q := 1; q <= 3; q++ {
+		// Replace the last node by a fresh one wired to three survivors.
+		perm := src.Perm(n - 1)
+		events = append(events, Change{At: q * horizon / 4, Delta: graph.Delta{
+			RemoveNodes: []int{n - 1},
+			AddNodes:    1,
+			NewBudgets:  []int{battery},
+			AddEdges:    [][2]int{{perm[0], n - 1}, {perm[1], n - 1}, {perm[2], n - 1}},
+			SetBudgets:  []graph.BudgetUpdate{{Node: perm[3], Budget: battery}},
+		}})
+	}
+	opt := SimOptions{K: 1, Overlap: 2, Seed: 24, WakeLoss: 0.5, Chaos: chaos.Crashes(g, 20, horizon, src.Split())}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Simulate(g, s, budgets, events, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Reconfigs == 0 {
+			b.Fatal("no change applied")
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/domset"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // Model is a realistic per-slot energy model, generalizing the paper's
@@ -23,17 +24,12 @@ type Model struct {
 
 // RealisticResult reports a battery-drain execution.
 type RealisticResult struct {
-	// AchievedLifetime counts the leading slots with full coverage of alive
-	// nodes.
-	AchievedLifetime int
-	// FirstViolation is the first uncovered slot, or -1.
-	FirstViolation int
+	// Score is the coverage record of the executed slots.
+	Score
 	// Deaths counts nodes that ran out of battery during the run.
 	Deaths int
 	// EnergySpent sums all charges.
 	EnergySpent int
-	// SlotsExecuted is the number of slots simulated.
-	SlotsExecuted int
 }
 
 // RunRealistic executes the schedule under the battery-drain model: every
@@ -44,8 +40,8 @@ type RealisticResult struct {
 // argument hides). Nodes whose battery is exhausted die and neither serve
 // nor need coverage. tree may be nil to skip delivery accounting.
 //
-// As in Run, a fully dead network is a terminal coverage violation: the slot
-// that finds no node alive sets FirstViolation (if unset) and ends the run.
+// As in Run, a fully dead network is a terminal coverage violation: the
+// slot that finds no node alive is scored as uncovered and ends the run.
 func RunRealistic(g *graph.Graph, s *core.Schedule, batteries []int, m Model, tree *agg.Tree) RealisticResult {
 	if len(batteries) != g.N() {
 		panic(fmt.Sprintf("sensim: %d batteries for %d nodes", len(batteries), g.N()))
@@ -53,16 +49,12 @@ func RunRealistic(g *graph.Graph, s *core.Schedule, batteries []int, m Model, tr
 	if m.ActiveCost < m.SleepCost {
 		panic("sensim: ActiveCost below SleepCost makes no physical sense")
 	}
-	res := RealisticResult{FirstViolation: -1}
+	var res RealisticResult
 	battery := append([]int(nil), batteries...)
 	alive := make([]bool, g.N())
-	aliveCount := 0
 	for v := range alive {
 		// Nodes starting at 0 battery count as dead, not deaths.
 		alive[v] = battery[v] > 0
-		if alive[v] {
-			aliveCount++
-		}
 	}
 
 	charge := func(v, amount int) {
@@ -76,52 +68,36 @@ func RunRealistic(g *graph.Graph, s *core.Schedule, batteries []int, m Model, tr
 		res.EnergySpent += amount
 		if battery[v] == 0 {
 			alive[v] = false
-			aliveCount--
 			res.Deaths++
 		}
 	}
 
 	sess := domset.NewSession(g)
-	inServing := bitset.New(g.N())
+	meter := NewMeter(obs.Hooks{})
 	sent := bitset.New(g.N())
 	serving := make([]int, 0, g.N())
 
 	t := 0
+run:
 	for _, phase := range s.Phases {
 		for dt := 0; dt < phase.Duration; dt++ {
-			if aliveCount == 0 && g.N() > 0 {
-				// Dead network: terminal violation, stop the run.
-				if res.FirstViolation == -1 {
-					res.FirstViolation = t
-				}
-				res.SlotsExecuted++
-				return res
-			}
 			// Serving set: scheduled, alive, able to pay a full active slot.
 			serving = serving[:0]
-			inServing.Reset()
 			for _, v := range phase.Set {
 				if alive[v] && battery[v] >= m.ActiveCost {
 					serving = append(serving, v)
-					inServing.Set(v)
 				}
 			}
-			// Coverage check before charging (the slot's service happens
-			// while the energy is still there).
-			covered := sess.Reset(serving, 1, alive).CoveredCount()
-			if covered == aliveCount {
-				if res.FirstViolation == -1 {
-					res.AchievedLifetime = t + 1
-				}
-			} else if res.FirstViolation == -1 {
-				res.FirstViolation = t
+			// Coverage is scored before charging (the slot's service
+			// happens while the energy is still there).
+			if _, dead := meter.Slot(t, len(serving), sess.Reset(serving, 1, alive)); dead {
+				break run
 			}
-			// Charges.
 			for v := 0; v < g.N(); v++ {
 				if !alive[v] {
 					continue
 				}
-				if inServing.Test(v) {
+				if sess.Contains(v) {
 					charge(v, m.ActiveCost)
 				} else {
 					charge(v, m.SleepCost)
@@ -132,9 +108,9 @@ func RunRealistic(g *graph.Graph, s *core.Schedule, batteries []int, m Model, tr
 				chargeDelivery(tree, serving, alive, m.TxCost, charge, sent)
 			}
 			t++
-			res.SlotsExecuted++
 		}
 	}
+	res.Score = meter.Score
 	return res
 }
 

@@ -18,38 +18,37 @@ import (
 
 // Result summarizes one schedule execution.
 type Result struct {
-	// AchievedLifetime is the number of consecutive slots from time 0 during
-	// which coverage held (every alive node k-dominated by serving nodes).
-	AchievedLifetime int
+	// Score is the coverage record: AchievedLifetime counts the consecutive
+	// slots from time 0 in which every alive node was k-dominated by serving
+	// nodes, and len(Coverage) is the number of slots executed.
+	Score
 	// ScheduleLifetime is the nominal lifetime of the executed schedule.
 	ScheduleLifetime int
-	// Coverage[t] is the fraction of alive nodes that were k-dominated in
-	// slot t. len(Coverage) == number of slots actually executed.
-	Coverage []float64
 	// EnergySpent is the total budget units drained across all nodes.
 	EnergySpent int
 	// ReportsDelivered counts node-slots in which an alive node was
 	// dominated (its sensor reading reached a clusterhead).
 	ReportsDelivered int
-	// FirstViolation is the slot of the first coverage violation, or -1.
-	FirstViolation int
 	// Deaths is the number of chaos-plan crashes that killed an alive node.
 	Deaths int
 }
 
 // Options configures an execution. It follows the canonical shape
-// documented in package obs, shared with heal.Options: the tolerance K, the
-// fault plan Chaos, and the embedded obs.Hooks carrying the tracing sinks.
+// documented in package obs: the tolerance K, the fault plan Chaos, and the
+// embedded obs.Hooks carrying the tracing sinks. heal.Options is an alias
+// of it.
 type Options struct {
-	// K is the required domination tolerance per slot (>= 1).
+	// K is the required domination tolerance per slot (>= 1; 0 means 1).
 	K int
 	// Chaos is the fault plan applied during execution (zero value = none):
 	// its crashes and leaks land at the start of their slots, and its kills
-	// count toward Result.Deaths. Its Radio is unused here (no messages).
+	// count toward the result's Deaths. Run sends no messages and ignores
+	// its Radio; heal.Run makes it the patch protocol's medium.
 	Chaos chaos.Plan
 	// Hooks carries the observability sinks (obs.Hooks; the promoted Trace
-	// field receives slot, crash, leak, and run events). The zero value is
-	// the no-op default: the slot loop stays allocation-free.
+	// field receives run, slot, crash and leak events, and under heal.Run
+	// also patch, recruit, replan, degraded and protocol round events). The
+	// zero value is the no-op default: the slot loop stays allocation-free.
 	obs.Hooks
 }
 
@@ -60,11 +59,9 @@ type Options struct {
 // experience.
 //
 // A fully dead network is a terminal coverage violation: crashed nodes never
-// revive, so the slot in which the last node dies is recorded with coverage
-// 0, FirstViolation is set (if not already), and the run stops — lifetime
-// never accrues past the death of the network. (Earlier versions scored the
-// empty network as "vacuously covered", which let a chaos plan that kills
-// everyone *improve* the reported lifetime.)
+// revive, so the slot in which the last node dies is scored by the Meter
+// with coverage 0, and the run stops — lifetime never accrues past the death
+// of the network.
 //
 // When opt.Hooks carries a tracer, Run emits run_start/run_end, per-slot
 // slot_start/slot_end (serving count, alive count, coverage), and the chaos
@@ -74,63 +71,33 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 	if opt.K < 1 {
 		opt.K = 1
 	}
-	res := Result{ScheduleLifetime: s.Lifetime(), FirstViolation: -1}
+	res := Result{ScheduleLifetime: s.Lifetime()}
 	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
 	sess := domset.NewSession(net.G)
+	meter := NewMeter(opt.Hooks)
 	t := 0
-	// Hoisted so the hot loop skips Event construction entirely when tracing
-	// is off — the nil check inside Emit alone still pays for building the
-	// event argument first.
-	traced := opt.Enabled()
 	opt.Emit(obs.RunStart("sensim", net.G.N()))
-	finish := func() Result {
-		opt.Emit(obs.RunEnd("sensim", len(res.Coverage), res.AchievedLifetime, res.Deaths))
-		return res
-	}
-
+run:
 	for _, phase := range s.Phases {
 		for dt := 0; dt < phase.Duration; dt++ {
-			if traced {
-				opt.Emit(obs.SlotStart(t))
-			}
+			opt.Emit(obs.SlotStart(t))
 			res.Deaths += inject.Inject(net, t)
 			// Serving set: the scheduled nodes that are alive and have
 			// budget; the rest are silently excluded (they cannot serve),
 			// exactly as a deployment would experience.
 			serving := net.DrainServiceable(phase.Set)
 			res.EnergySpent += len(serving) * net.ActiveCost
-
-			alive := net.AliveCount()
-			if alive == 0 && net.G.N() > 0 {
-				// Dead network: terminal violation, stop the run.
-				res.Coverage = append(res.Coverage, 0)
-				if res.FirstViolation == -1 {
-					res.FirstViolation = t
-				}
-				opt.Emit(obs.SlotEnd(t, 0, 0, 0))
-				return finish()
-			}
-			covered := sess.Reset(serving, opt.K, net.Alive).CoveredCount()
-			cov := 1.0 // only the 0-node network
-			if alive > 0 {
-				cov = float64(covered) / float64(alive)
-			}
-			res.Coverage = append(res.Coverage, cov)
+			covered, dead := meter.Slot(t, len(serving), sess.Reset(serving, opt.K, net.Alive))
 			res.ReportsDelivered += covered
-			if traced {
-				opt.Emit(obs.SlotEnd(t, len(serving), alive, cov))
-			}
-			if covered == alive {
-				if res.FirstViolation == -1 {
-					res.AchievedLifetime = t + 1
-				}
-			} else if res.FirstViolation == -1 {
-				res.FirstViolation = t
+			if dead {
+				break run
 			}
 			t++
 		}
 	}
-	return finish()
+	res.Score = meter.Score
+	opt.Emit(obs.RunEnd("sensim", len(res.Coverage), res.AchievedLifetime, res.Deaths))
+	return res
 }
 
 // NaiveAllOn returns the baseline schedule with every node active in every
