@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet fmtcheck race fuzz bench cover experiments examples clean
+.PHONY: all build test vet fmtcheck race fuzz bench cover experiments examples examples-check clean
 
 all: build vet test
 
@@ -48,6 +48,14 @@ examples:
 	go run ./examples/faulttolerant
 	go run ./examples/distributed
 	go run ./examples/planner
+
+# Run the six examples and diff what they print against
+# examples/testdata/output.txt; CI runs this. After an intended change,
+# refresh the pin with `make -s examples > examples/testdata/output.txt`.
+examples-check:
+	@$(MAKE) -s examples > examples/testdata/output.got
+	diff -u examples/testdata/output.txt examples/testdata/output.got
+	@rm examples/testdata/output.got
 
 clean:
 	go clean ./...

@@ -219,9 +219,9 @@ func run() error {
 	scheduleK := 1
 	switch f.alg {
 	case solver.NameUniform:
-		budgets = uniformBudgets(g.N(), f.b)
+		budgets = energy.Uniform(g, f.b)
 	case solver.NameFT:
-		budgets = uniformBudgets(g.N(), f.b)
+		budgets = energy.Uniform(g, f.b)
 		scheduleK = f.k
 	}
 	if f.refine != "" {
@@ -421,14 +421,4 @@ func report(deaths, achieved, firstViolation int) {
 	} else {
 		fmt.Printf("first coverage violation: none\n")
 	}
-}
-
-// uniformBudgets broadcasts the scalar battery b over n nodes for the
-// solver registry's budget-vector surface.
-func uniformBudgets(n, b int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = b
-	}
-	return out
 }

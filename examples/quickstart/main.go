@@ -44,7 +44,7 @@ func main() {
 	fmt.Printf("schedule: %d phases, lifetime %d slots\n",
 		len(schedule.Phases), schedule.Lifetime())
 	fmt.Printf("upper bound on any schedule (Lemma 4.1): %d slots\n",
-		core.UniformUpperBound(g, b))
+		core.GeneralUpperBound(g, budgets))
 	fmt.Printf("naive always-on baseline: %d slots\n", b)
 	guaranteed, err := solver.Guaranteed(in, solver.Spec{Name: solver.NameUniform})
 	if err != nil {

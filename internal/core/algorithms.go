@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/domatic"
 	"repro/internal/graph"
@@ -81,9 +82,6 @@ func General(g *graph.Graph, b []int, opt Options) *Schedule {
 	}
 	opt = opt.normalize()
 	n := g.N()
-	if n == 0 {
-		return &Schedule{}
-	}
 
 	// First exchange: b̂_v and τ_v over closed neighborhoods.
 	bhat := make([]int, n)
@@ -114,28 +112,61 @@ func General(g *graph.Graph, b []int, opt Options) *Schedule {
 		}
 	}
 
-	// Color selection: node v is active in slot t iff t ∈ C_v.
-	slots := make(map[int][]int)
-	maxColor := -1
-	for v := 0; v < n; v++ {
-		r := GeneralColorRange(tau2[v], bhat2[v], n, opt.K)
-		seen := make(map[int]bool, b[v])
-		for j := 0; j < b[v]; j++ {
-			c := opt.Src.Intn(r)
-			if seen[c] {
-				continue // duplicate draws collapse: C_v is a set
-			}
+	// Color selection: node v is active in slot t iff t ∈ C_v. One buffer
+	// holds each node's draws in turn.
+	var drawn []int
+	return FromSlots(n, func(v int) []int {
+		drawn = DrawSlots(drawn[:0], b[v], GeneralColorRange(tau2[v], bhat2[v], n, opt.K), opt.Src)
+		return drawn
+	})
+}
+
+// drawScanMax is the longest draw DrawSlots de-duplicates by scanning what
+// it already drew; longer draws use a set, so a huge battery stays linear.
+const drawScanMax = 16
+
+// DrawSlots appends to dst the slot set C_v that a node with battery b
+// draws in Algorithm 2: b uniform colors from [0, r), in draw order, with
+// repeats collapsed, since C_v is a set. General and the distributed
+// protocol in package distsim both draw through it.
+func DrawSlots(dst []int, b, r int, src *rng.Source) []int {
+	start := len(dst)
+	var seen map[int]bool
+	if b > drawScanMax {
+		seen = make(map[int]bool, b)
+	}
+	for ; b > 0; b-- {
+		c := src.Intn(r)
+		if seen[c] || seen == nil && slices.Contains(dst[start:], c) {
+			continue
+		}
+		if seen != nil {
 			seen[c] = true
-			slots[c] = append(slots[c], v)
-			if c > maxColor {
-				maxColor = c
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// FromSlots assembles an Algorithm 2 schedule over nodes 0..n-1, where
+// slotsOf(v) lists the slots node v serves: one phase of duration 1 per
+// slot up to the largest slot listed, empty slots included, each holding
+// its nodes in increasing ID order. slotsOf is called once per node, in
+// ID order, and its result is read before the next call, so the caller may
+// reuse one buffer. General and distsim.GeneralSchedule assemble through it.
+func FromSlots(n int, slotsOf func(v int) []int) *Schedule {
+	var slots [][]int
+	for v := 0; v < n; v++ {
+		for _, t := range slotsOf(v) {
+			for t >= len(slots) {
+				slots = append(slots, nil)
 			}
+			slots[t] = append(slots[t], v)
 		}
 	}
-
 	s := &Schedule{}
-	for t := 0; t <= maxColor; t++ {
-		s.Phases = append(s.Phases, Phase{Set: slots[t], Duration: 1})
+	for _, set := range slots {
+		s.Phases = append(s.Phases, Phase{Set: set, Duration: 1})
 	}
 	return s
 }
@@ -158,30 +189,19 @@ func GeneralColorRange(tau2, bhat2, n int, k float64) int {
 
 // GeneralGuaranteedSlots returns the number of leading slots of a General
 // raw schedule covered by Lemma 5.2: ⌊τ/(K ln(b_max·n))⌋ with
-// τ = min_u Σ_{N+[u]} b_u, at least 1 when any battery is positive.
+// τ = min_u Σ_{N+[u]} b_u, the Lemma 5.1 bound, at least 1 when any battery
+// is positive. It is the color range of a node whose two-hop quantities are
+// the global τ and b_max.
 func GeneralGuaranteedSlots(g *graph.Graph, b []int, opt Options) int {
 	opt = opt.normalize()
-	n := g.N()
-	if n == 0 {
+	if g.N() == 0 {
 		return 0
 	}
-	tauMin, bMax := math.MaxInt, 0
-	for v := 0; v < n; v++ {
-		sum := b[v]
-		if b[v] > bMax {
-			bMax = b[v]
-		}
-		for _, u := range g.Neighbors(v) {
-			sum += b[u]
-		}
-		if sum < tauMin {
-			tauMin = sum
-		}
-	}
-	if bMax == 0 {
+	bMax := slices.Max(b)
+	if bMax <= 0 {
 		return 0
 	}
-	return GeneralColorRange(tauMin, bMax, n, opt.K)
+	return GeneralColorRange(GeneralUpperBound(g, b), bMax, g.N(), opt.K)
 }
 
 // FaultTolerant runs Algorithm 3 of the paper on graph g with uniform
@@ -201,38 +221,54 @@ func FaultTolerant(g *graph.Graph, b, k int, opt Options) *Schedule {
 		panic(fmt.Sprintf("core: negative battery %d", b))
 	}
 	opt = opt.normalize()
-	n := g.N()
-	if b == 0 || n == 0 {
+	if b == 0 || g.N() == 0 || g.MinDegree()+1 < k {
+		// Nothing to schedule, or some node has fewer than k closed
+		// neighbors: the k-tolerant problem is infeasible (paper §2
+		// restricts to δ ≥ k-1).
 		return &Schedule{}
 	}
-	if g.MinDegree()+1 < k {
-		// Some node has fewer than k closed neighbors: the k-tolerant
-		// problem is infeasible (paper §2 restricts to δ ≥ k-1).
-		return &Schedule{}
-	}
+	return FaultTolerantFrom(domatic.RandomColoring(g, opt.K, opt.Src), g.N(), b, k)
+}
 
+// FaultTolerantFrom assembles Algorithm 3's schedule from the color classes
+// of an Algorithm 1 coloring of n nodes: all nodes serve the first ⌊b/2⌋
+// slots, then each merged group of k consecutive classes serves ⌈b/2⌉
+// slots. It returns the empty schedule when b = 0 or n = 0. FaultTolerant
+// and distsim.FaultTolerantSchedule assemble through it.
+func FaultTolerantFrom(classes [][]int, n, b, k int) *Schedule {
 	s := &Schedule{}
-	firstHalf := b / 2
-	secondHalf := b - firstHalf
-	if firstHalf > 0 {
+	if b == 0 || n == 0 {
+		return s
+	}
+	if b/2 > 0 {
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
 		}
-		s.Phases = append(s.Phases, Phase{Set: all, Duration: firstHalf})
+		s.Phases = append(s.Phases, Phase{Set: all, Duration: b / 2})
 	}
-
-	p := domatic.RandomColoring(g, opt.K, opt.Src)
-	// Merge k consecutive classes into one k-dominating candidate each.
-	for start := 0; start+k <= len(p); start += k {
-		var merged []int
-		for c := start; c < start+k; c++ {
-			merged = append(merged, p[c]...)
-		}
-		group := FromPartition([][]int{merged}, secondHalf)
-		s.Phases = append(s.Phases, group.Phases...)
-	}
+	s.Phases = append(s.Phases, mergeGroups(classes, k, b-b/2)...)
 	return s
+}
+
+// mergeGroups returns one phase of duration dur for each full run of k
+// consecutive sets: the run's sorted, duplicate-free union, skipped when
+// empty. A merged phase is k-dominating whenever each of its k sets is
+// dominating.
+func mergeGroups(sets [][]int, k, dur int) []Phase {
+	var phases []Phase
+	for start := 0; start+k <= len(sets); start += k {
+		var merged []int
+		for _, set := range sets[start : start+k] {
+			merged = append(merged, set...)
+		}
+		if len(merged) == 0 {
+			continue
+		}
+		slices.Sort(merged)
+		phases = append(phases, Phase{Set: slices.Compact(merged), Duration: dur})
+	}
+	return phases
 }
 
 // GeneralFaultTolerant addresses the open problem the paper's conclusion
@@ -259,32 +295,11 @@ func GeneralFaultTolerant(g *graph.Graph, b []int, k int, opt Options) *Schedule
 		return &Schedule{}
 	}
 	raw := General(g, b, opt)
-	s := &Schedule{}
-	for start := 0; start+k <= len(raw.Phases); start += k {
-		seen := map[int]bool{}
-		var merged []int
-		for i := start; i < start+k; i++ {
-			for _, v := range raw.Phases[i].Set {
-				if !seen[v] {
-					seen[v] = true
-					merged = append(merged, v)
-				}
-			}
-		}
-		group := FromPartition([][]int{merged}, 1)
-		s.Phases = append(s.Phases, group.Phases...)
+	slots := make([][]int, len(raw.Phases))
+	for t, p := range raw.Phases {
+		slots[t] = p.Set
 	}
-	return s
-}
-
-// GeneralKTolerantUpperBound combines Lemmas 5.1 and 6.1: a k-tolerant
-// schedule drains at least k budget units per slot from the binding node's
-// closed neighborhood, so L_OPT ≤ min_u Σ_{N+[u]} b_w / k.
-func GeneralKTolerantUpperBound(g *graph.Graph, b []int, k int) int {
-	if k < 1 {
-		panic(fmt.Sprintf("core: tolerance k = %d must be >= 1", k))
-	}
-	return GeneralUpperBound(g, b) / k
+	return &Schedule{Phases: mergeGroups(slots, k, 1)}
 }
 
 // FaultTolerantGuarantee returns the w.h.p. lifetime target of

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -12,6 +11,15 @@ import (
 
 func opts(seed uint64) Options {
 	return Options{K: 3, Src: rng.New(seed)}
+}
+
+// closedFormBound is Lemma 6.1's b(δ+1)/k, Lemma 4.1's b(δ+1) at k = 1,
+// and 0 on the empty graph.
+func closedFormBound(g *graph.Graph, b, k int) int {
+	if g.N() == 0 {
+		return 0
+	}
+	return b * (g.MinDegree() + 1) / k
 }
 
 func TestUniformSchedulesAreFeasible(t *testing.T) {
@@ -65,7 +73,7 @@ func TestUniformWHPReachesGuarantee(t *testing.T) {
 		t.Fatalf("WHP lifetime %d below guarantee %d", s.Lifetime(), want)
 	}
 	// And never above the Lemma 4.1 optimum bound.
-	if ub := UniformUpperBound(g, b); s.Lifetime() > ub {
+	if ub := b * (g.MinDegree() + 1); s.Lifetime() > ub {
 		t.Fatalf("lifetime %d exceeds upper bound %d", s.Lifetime(), ub)
 	}
 }
@@ -94,7 +102,7 @@ func TestUniformApproximationRatioIsLogarithmic(t *testing.T) {
 	const b = 2
 	o := opts(13)
 	s := uniformWHPForTest(g, b, o, 50)
-	ub := UniformUpperBound(g, b)
+	ub := b * (g.MinDegree() + 1)
 	ratio := float64(ub) / float64(s.Lifetime())
 	logn := math.Log(float64(g.N()))
 	// The constant is ≈ K (=3) plus rounding loss from the ⌊δ/(K ln n)⌋
@@ -184,12 +192,12 @@ func TestGeneralMatchesUniformUpperBoundOnUniformInput(t *testing.T) {
 	for i, g := range graphs {
 		for b := 0; b <= 4; b++ {
 			batteries := uniformBatteries(g.N(), b)
-			if got, want := GeneralUpperBound(g, batteries), UniformUpperBound(g, b); got != want {
-				t.Fatalf("graph %d, b=%d: GeneralUpperBound = %d, UniformUpperBound = %d", i, b, got, want)
+			if got, want := GeneralUpperBound(g, batteries), closedFormBound(g, b, 1); got != want {
+				t.Fatalf("graph %d, b=%d: GeneralUpperBound = %d, b(δ+1) = %d", i, b, got, want)
 			}
 			for k := 1; k <= 3; k++ {
-				if got, want := GeneralKTolerantUpperBound(g, batteries, k), KTolerantUpperBound(g, b, k); got != want {
-					t.Fatalf("graph %d, b=%d, k=%d: GeneralKTolerantUpperBound = %d, KTolerantUpperBound = %d",
+				if got, want := GeneralKTolerantUpperBound(g, batteries, k), closedFormBound(g, b, k); got != want {
+					t.Fatalf("graph %d, b=%d, k=%d: GeneralKTolerantUpperBound = %d, b(δ+1)/k = %d",
 						i, b, k, got, want)
 				}
 			}
@@ -206,7 +214,7 @@ func TestFaultTolerantSchedulesAreKDominating(t *testing.T) {
 		if err := s.Validate(g, uniformBatteries(g.N(), b), k); err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		if ub := KTolerantUpperBound(g, b, k); s.Lifetime() > ub {
+		if ub := b * (g.MinDegree() + 1) / k; s.Lifetime() > ub {
 			t.Fatalf("k=%d: lifetime %d exceeds bound %d", k, s.Lifetime(), ub)
 		}
 		// The first b/2 slots come from the everyone-active phase.
@@ -262,11 +270,11 @@ func TestFaultTolerantPanicsOnBadK(t *testing.T) {
 
 func TestBoundsKnownValues(t *testing.T) {
 	g := gen.Complete(5) // δ = 4
-	if got := UniformUpperBound(g, 3); got != 15 {
-		t.Errorf("UniformUpperBound(K5, 3) = %d, want 15", got)
+	if got := closedFormBound(g, 3, 1); got != 15 {
+		t.Errorf("b(δ+1) on K5 at b = 3 = %d, want 15", got)
 	}
-	if got := KTolerantUpperBound(g, 3, 2); got != 7 {
-		t.Errorf("KTolerantUpperBound(K5, 3, 2) = %d, want 7", got)
+	if got := closedFormBound(g, 3, 2); got != 7 {
+		t.Errorf("b(δ+1)/k on K5 at b = 3, k = 2 = %d, want 7", got)
 	}
 	if got := GeneralUpperBound(g, []int{1, 2, 3, 4, 5}); got != 15 {
 		t.Errorf("GeneralUpperBound = %d, want 15", got)
@@ -279,26 +287,8 @@ func TestBoundsKnownValues(t *testing.T) {
 
 func TestBoundsEmptyGraph(t *testing.T) {
 	g := graph.New(0)
-	if UniformUpperBound(g, 5) != 0 || GeneralUpperBound(g, nil) != 0 || KTolerantUpperBound(g, 5, 2) != 0 {
+	if GeneralUpperBound(g, nil) != 0 || GeneralKTolerantUpperBound(g, nil, 2) != 0 {
 		t.Fatal("empty graph bounds should be 0")
-	}
-}
-
-func TestAlgorithmsNeverBeatExactOptimum(t *testing.T) {
-	// On small instances the truncated algorithm lifetime must be ≤ the
-	// exact integral optimum (it is a feasible schedule).
-	src := rng.New(8)
-	for trial := 0; trial < 5; trial++ {
-		g := gen.GNP(10, 0.5, src)
-		b := make([]int, g.N())
-		for i := range b {
-			b[i] = 1 + src.Intn(3)
-		}
-		opt, _, _ := exact.Integral(g, b, 1)
-		s := generalWHPForTest(g, b, opts(uint64(50+trial)), 20)
-		if s.Lifetime() > opt {
-			t.Fatalf("trial %d: algorithm %d beats exact optimum %d", trial, s.Lifetime(), opt)
-		}
 	}
 }
 

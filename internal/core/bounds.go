@@ -7,21 +7,12 @@ import (
 	"repro/internal/graph"
 )
 
-// UniformUpperBound returns the Lemma 4.1 bound on the optimal uniform
-// cluster-lifetime: L_OPT ≤ b(δ+1). A minimum-degree node must be covered
-// in every slot by one of its δ+1 closed neighbors, each of which can serve
-// at most b slots.
-func UniformUpperBound(g *graph.Graph, b int) int {
-	if g.N() == 0 {
-		return 0
-	}
-	return b * (g.MinDegree() + 1)
-}
-
 // GeneralUpperBound returns the Lemma 5.1 bound on the optimal general
 // cluster-lifetime: L_OPT ≤ min_u Σ_{w∈N+[u]} b_w, the minimum energy
 // coverage of the network. Every slot drains at least one unit from the
-// binding node's closed neighborhood.
+// binding node's closed neighborhood. On uniform batteries b it is Lemma
+// 4.1's b(δ+1): b times δ+1, the trivial bound on the fractional domatic
+// number.
 func GeneralUpperBound(g *graph.Graph, b []int) int {
 	if len(b) != g.N() {
 		panic(fmt.Sprintf("core: %d batteries for %d nodes", len(b), g.N()))
@@ -42,15 +33,13 @@ func GeneralUpperBound(g *graph.Graph, b []int) int {
 	return best
 }
 
-// KTolerantUpperBound returns the Lemma 6.1 bound on the optimal k-tolerant
-// uniform cluster-lifetime: L_OPT ≤ b(δ+1)/k. Every slot drains at least k
-// units from a minimum-degree node's closed neighborhood.
-func KTolerantUpperBound(g *graph.Graph, b, k int) int {
+// GeneralKTolerantUpperBound combines Lemmas 5.1 and 6.1: a k-tolerant
+// schedule drains at least k budget units per slot from the binding node's
+// closed neighborhood, so L_OPT ≤ min_u Σ_{N+[u]} b_w / k. On uniform
+// batteries b it is Lemma 6.1's b(δ+1)/k.
+func GeneralKTolerantUpperBound(g *graph.Graph, b []int, k int) int {
 	if k < 1 {
 		panic(fmt.Sprintf("core: tolerance k = %d must be >= 1", k))
 	}
-	if g.N() == 0 {
-		return 0
-	}
-	return b * (g.MinDegree() + 1) / k
+	return GeneralUpperBound(g, b) / k
 }

@@ -64,17 +64,17 @@ func Programs[T Program](nodes []T) []Program {
 // UniformSchedule assembles the Algorithm 1 schedule from the colors the
 // distributed run produced: color class i is active for b slots.
 func UniformSchedule(nodes []*UniformNode, b int) *core.Schedule {
-	maxColor := 0
-	for _, u := range nodes {
-		if u.Color > maxColor {
-			maxColor = u.Color
-		}
-	}
-	classes := make([][]int, maxColor+1)
+	return core.FromPartition(colorClasses(nodes), b)
+}
+
+// colorClasses groups the nodes of a distributed Algorithm 1 run by the
+// color each chose.
+func colorClasses(nodes []*UniformNode) domatic.Partition {
+	colors := make([]int, len(nodes))
 	for v, u := range nodes {
-		classes[u.Color] = append(classes[u.Color], v)
+		colors[v] = u.Color
 	}
-	return core.FromPartition(classes, b)
+	return domatic.Classes(colors)
 }
 
 // generalExchange is the round-1 message of Algorithm 2: (b̂_v, τ_v).
@@ -144,15 +144,7 @@ func (gn *GeneralNode) Round(received []any) (any, bool) {
 				}
 			}
 		}
-		r := core.GeneralColorRange(tau2, bhat2, gn.n, gn.k)
-		seen := make(map[int]bool, gn.b)
-		for j := 0; j < gn.b; j++ {
-			c := gn.src.Intn(r)
-			if !seen[c] {
-				seen[c] = true
-				gn.Colors = append(gn.Colors, c)
-			}
-		}
+		gn.Colors = core.DrawSlots(gn.Colors, gn.b, core.GeneralColorRange(tau2, bhat2, gn.n, gn.k), gn.src)
 		return nil, true
 	}
 }
@@ -160,25 +152,7 @@ func (gn *GeneralNode) Round(received []any) (any, bool) {
 // GeneralSchedule assembles the Algorithm 2 schedule from the slot sets the
 // distributed run produced: slot t is served by every node with t ∈ C_v.
 func GeneralSchedule(nodes []*GeneralNode) *core.Schedule {
-	maxColor := -1
-	for _, gn := range nodes {
-		for _, c := range gn.Colors {
-			if c > maxColor {
-				maxColor = c
-			}
-		}
-	}
-	s := &core.Schedule{}
-	slots := make([][]int, maxColor+1)
-	for v, gn := range nodes {
-		for _, c := range gn.Colors {
-			slots[c] = append(slots[c], v)
-		}
-	}
-	for t := 0; t <= maxColor; t++ {
-		s.Phases = append(s.Phases, core.Phase{Set: slots[t], Duration: 1})
-	}
-	return s
+	return core.FromSlots(len(nodes), func(v int) []int { return nodes[v].Colors })
 }
 
 // FaultTolerantSchedule assembles the Algorithm 3 schedule from the colors
@@ -189,37 +163,5 @@ func FaultTolerantSchedule(nodes []*UniformNode, b, tol int) *core.Schedule {
 	if tol < 1 {
 		panic(fmt.Sprintf("distsim: tolerance %d must be >= 1", tol))
 	}
-	n := len(nodes)
-	s := &core.Schedule{}
-	if n == 0 || b == 0 {
-		return s
-	}
-	firstHalf := b / 2
-	secondHalf := b - firstHalf
-	if firstHalf > 0 {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		s.Phases = append(s.Phases, core.Phase{Set: all, Duration: firstHalf})
-	}
-	maxColor := 0
-	for _, u := range nodes {
-		if u.Color > maxColor {
-			maxColor = u.Color
-		}
-	}
-	classes := make([][]int, maxColor+1)
-	for v, u := range nodes {
-		classes[u.Color] = append(classes[u.Color], v)
-	}
-	for start := 0; start+tol <= len(classes); start += tol {
-		var merged []int
-		for c := start; c < start+tol; c++ {
-			merged = append(merged, classes[c]...)
-		}
-		group := core.FromPartition([][]int{merged}, secondHalf)
-		s.Phases = append(s.Phases, group.Phases...)
-	}
-	return s
+	return core.FaultTolerantFrom(colorClasses(nodes), len(nodes), b, tol)
 }

@@ -19,6 +19,7 @@ package domatic
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/domset"
@@ -164,8 +165,10 @@ func ConstrainedExtractor(g *graph.Graph, allowed []bool) []int {
 
 // GreedyPartition repeatedly extracts a dominating set from the not-yet-used
 // nodes until no further dominating set exists, and returns the resulting
-// partition. With GreedyExtractor this is the natural greedy algorithm whose
-// approximation ratio Feige et al. bound by O(√n log n).
+// partition. An empty extraction, which only the empty graph allows, also
+// ends it, since it uses up no node. With GreedyExtractor this is the
+// natural greedy algorithm whose approximation ratio Feige et al. bound by
+// O(√n log n).
 func GreedyPartition(g *graph.Graph, extract Extractor) Partition {
 	allowed := make([]bool, g.N())
 	for i := range allowed {
@@ -174,7 +177,7 @@ func GreedyPartition(g *graph.Graph, extract Extractor) Partition {
 	var p Partition
 	for {
 		set := extract(g, allowed)
-		if set == nil {
+		if len(set) == 0 {
 			return p
 		}
 		for _, v := range set {
@@ -215,20 +218,23 @@ func RandomColoring(g *graph.Graph, k float64, src *rng.Source) Partition {
 	if k <= 0 {
 		panic("domatic: coloring constant K must be positive")
 	}
-	n := g.N()
-	if n == 0 {
+	d2 := g.TwoHopMinDegree()
+	colors := make([]int, g.N())
+	for v := range colors {
+		colors[v] = src.Intn(UniformColorRange(d2[v], g.N(), k))
+	}
+	return Classes(colors)
+}
+
+// Classes groups nodes by color: class c lists, in increasing ID order, the
+// nodes v with colors[v] = c, for every c from 0 to the largest color. It
+// returns nil when there are no nodes. The centralized colorings and the
+// distributed Algorithm 1 protocol in package distsim all group through it.
+func Classes(colors []int) Partition {
+	if len(colors) == 0 {
 		return nil
 	}
-	d2 := g.TwoHopMinDegree()
-	colors := make([]int, n)
-	maxColor := 0
-	for v := 0; v < n; v++ {
-		colors[v] = src.Intn(UniformColorRange(d2[v], n, k))
-		if colors[v] > maxColor {
-			maxColor = colors[v]
-		}
-	}
-	p := make(Partition, maxColor+1)
+	p := make(Partition, slices.Max(colors)+1)
 	for v, c := range colors {
 		p[c] = append(p[c], v)
 	}
@@ -246,37 +252,21 @@ func RandomColoringGlobal(g *graph.Graph, k float64, src *rng.Source) Partition 
 	if k <= 0 {
 		panic("domatic: coloring constant K must be positive")
 	}
-	n := g.N()
-	if n == 0 {
-		return nil
+	r := UniformColorRange(g.MinDegree(), g.N(), k)
+	colors := make([]int, g.N())
+	for v := range colors {
+		colors[v] = src.Intn(r)
 	}
-	r := UniformColorRange(g.MinDegree(), n, k)
-	p := make(Partition, r)
-	maxColor := 0
-	for v := 0; v < n; v++ {
-		c := src.Intn(r)
-		if c > maxColor {
-			maxColor = c
-		}
-		p[c] = append(p[c], v)
-	}
-	return p[:maxColor+1]
+	return Classes(colors)
 }
 
 // GuaranteedClasses returns the number of leading color classes that
 // Lemma 4.2 guarantees to be dominating w.h.p. after RandomColoring with
-// constant k: max(1, ⌊δ/(k ln n)⌋). Classes above this index are drawn only
-// by nodes whose two-hop minimum degree exceeds δ and carry no guarantee.
+// constant k: max(1, ⌊δ/(k ln n)⌋), the color range of a node whose two-hop
+// minimum degree is δ. Classes above this index are drawn only by nodes
+// whose two-hop minimum degree exceeds δ and carry no guarantee.
 func GuaranteedClasses(g *graph.Graph, k float64) int {
-	n := g.N()
-	if n <= 1 {
-		return 1
-	}
-	r := int(float64(g.MinDegree()) / (k * math.Log(float64(n))))
-	if r < 1 {
-		return 1
-	}
-	return r
+	return UniformColorRange(g.MinDegree(), g.N(), k)
 }
 
 // ValidPrefix returns the number of leading classes of p that are dominating

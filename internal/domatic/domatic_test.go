@@ -89,6 +89,16 @@ func TestGreedyPartitionRespectsUpperBound(t *testing.T) {
 	}
 }
 
+// TestGreedyPartitionEmptyGraph: on the empty graph every extractor returns
+// the empty set, which uses up no node, so the partition ends at once.
+func TestGreedyPartitionEmptyGraph(t *testing.T) {
+	for _, extract := range []Extractor{GreedyExtractor, MinimumExtractor, ConstrainedExtractor} {
+		if p := GreedyPartition(graph.New(0), extract); len(p) != 0 {
+			t.Fatalf("partition of the empty graph = %v, want none", p)
+		}
+	}
+}
+
 func TestGreedyPartitionFindsAtLeastOneSet(t *testing.T) {
 	// Any non-empty graph admits at least the all-nodes dominating set, and
 	// greedy's first extraction always succeeds.

@@ -528,6 +528,22 @@ func TestMinimumExactSmallCases(t *testing.T) {
 	}
 }
 
+// TestExactSearchesOnEmptyGraph: the empty set dominates the empty graph,
+// so both searches find it, with weight 0, for every k, rather than
+// answering "no dominating set exists" (nil, and nil with +Inf).
+func TestExactSearchesOnEmptyGraph(t *testing.T) {
+	g := graph.New(0)
+	if set := MinimumExact(g, nil); set == nil || len(set) != 0 {
+		t.Fatalf("MinimumExact(empty) = %#v, want the empty set", set)
+	}
+	for k := 1; k <= 3; k++ {
+		set, weight := MinimumWeightExact(g, []float64{}, k)
+		if set == nil || len(set) != 0 || weight != 0 {
+			t.Fatalf("k=%d: MinimumWeightExact(empty) = %#v, %v, want the empty set and 0", k, set, weight)
+		}
+	}
+}
+
 func TestMinimumExactNeverBeatenByGreedy(t *testing.T) {
 	src := rng.New(6)
 	for trial := 0; trial < 20; trial++ {

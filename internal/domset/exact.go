@@ -109,16 +109,19 @@ func Enumerate(g *graph.Graph, k int, allowed []bool, weights []float64, leaf fu
 
 // MinimumExact returns a minimum-cardinality dominating set of g using only
 // allowed nodes (nil means all), sorted, or nil if no allowed dominating set
-// exists. It runs Enumerate with a leaf that keeps the smallest set so far.
+// exists. The empty graph's answer is the empty, non-nil set. It runs
+// Enumerate with a leaf that keeps the smallest set so far.
 // The branching factor is at most Δ+1, so it is exponential in the worst
 // case and meant for the small instances of the exact experiments (n ≲ 60
 // sparse).
 func MinimumExact(g *graph.Graph, allowed []bool) []int {
-	var best []int
-	Enumerate(g, 1, allowed, nil, func(set []int, size float64) float64 {
+	best := []int{}
+	if !Enumerate(g, 1, allowed, nil, func(set []int, size float64) float64 {
 		best = append(best[:0], set...)
 		return size
-	})
+	}) {
+		return nil
+	}
 	sort.Ints(best)
 	return best
 }
@@ -128,7 +131,8 @@ func MinimumExact(g *graph.Graph, allowed []bool) []int {
 // It runs Enumerate, cheapest candidates first, with a leaf that keeps the
 // lightest set so far. Exponential; used as the pricing oracle of the
 // column-generation LP (package exact). Returns (nil, +Inf) if no
-// k-dominating set exists.
+// k-dominating set exists, and the empty set with weight 0 on the empty
+// graph.
 func MinimumWeightExact(g *graph.Graph, weights []float64, k int) ([]int, float64) {
 	if len(weights) != g.N() {
 		panic("domset: weight count mismatch")
@@ -141,13 +145,11 @@ func MinimumWeightExact(g *graph.Graph, weights []float64, k int) ([]int, float6
 			panic("domset: negative weight")
 		}
 	}
-	var best []int
-	bestWeight := math.Inf(1)
-	Enumerate(g, k, nil, weights, func(set []int, weight float64) float64 {
+	best, bestWeight := []int{}, 0.0
+	if !Enumerate(g, k, nil, weights, func(set []int, weight float64) float64 {
 		best, bestWeight = append(best[:0], set...), weight
 		return weight
-	})
-	if best == nil {
+	}) {
 		return nil, math.Inf(1)
 	}
 	sort.Ints(best)

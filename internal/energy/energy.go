@@ -1,8 +1,8 @@
 // Package energy models the battery and failure semantics the paper's
 // introduction describes: nodes are battery powered; a node in the active
-// mode drains its dominating-duty budget (one unit per slot by default)
-// while sleeping nodes spend nothing; and node failure "is an event of
-// non-negligible probability" — the motivation for the k-tolerant variant.
+// mode drains its dominating-duty budget, one unit per slot, while sleeping
+// nodes spend nothing; and node failure "is an event of non-negligible
+// probability" — the motivation for the k-tolerant variant.
 //
 // The budget b_v tracked here is, as in the paper, the energy a node may
 // spend *serving in dominating sets*, not its total battery: deployments
@@ -17,25 +17,26 @@ import (
 	"repro/internal/rng"
 )
 
-// Network is the mutable energy state of a deployment.
+// Network is the mutable energy state of a deployment. A node drains one
+// budget unit per active slot.
 type Network struct {
-	G          *graph.Graph
-	Residual   []int  // remaining dominating-duty budget per node
-	Alive      []bool // false once a node has crashed
-	ActiveCost int    // budget units drained per active slot (default 1)
+	G        *graph.Graph
+	Residual []int  // remaining dominating-duty budget per node
+	Alive    []bool // false once a node has crashed
+	charged  []bool // DrainServiceable's marks, all false between calls
 }
 
-// NewNetwork returns a fresh network over g with the given initial budgets,
-// all nodes alive, and the default active cost of 1 unit per slot.
+// NewNetwork returns a fresh network over g with the given initial budgets
+// and all nodes alive.
 func NewNetwork(g *graph.Graph, budgets []int) *Network {
 	if len(budgets) != g.N() {
 		panic(fmt.Sprintf("energy: %d budgets for %d nodes", len(budgets), g.N()))
 	}
 	net := &Network{
-		G:          g,
-		Residual:   append([]int(nil), budgets...),
-		Alive:      make([]bool, g.N()),
-		ActiveCost: 1,
+		G:        g,
+		Residual: append([]int(nil), budgets...),
+		Alive:    make([]bool, g.N()),
+		charged:  make([]bool, g.N()),
 	}
 	for i := range net.Alive {
 		net.Alive[i] = true
@@ -55,26 +56,30 @@ func Uniform(g *graph.Graph, b int) []int {
 // CanServe reports whether node v is alive and has budget for one more
 // active slot.
 func (n *Network) CanServe(v int) bool {
-	return n.Alive[v] && n.Residual[v] >= n.ActiveCost
+	return n.Alive[v] && n.Residual[v] > 0
 }
 
 // DrainServiceable charges one active slot to every node of set that can
 // actually serve (alive, in range, with budget, not yet charged this call)
 // and skips the rest instead of failing, as a degraded deployment needs. It
-// returns the input-order subset that was charged — the set that truly
-// served the slot. Duplicates are charged once.
-func (n *Network) DrainServiceable(set []int) []int {
-	var served []int
-	seen := make(map[int]bool, len(set))
+// appends the charged nodes to dst in input order — the set that truly
+// served the slot — and returns the extended slice, so a caller that
+// passes the previous slot's buffer allocates nothing. Duplicates are
+// charged once.
+func (n *Network) DrainServiceable(dst, set []int) []int {
+	start := len(dst)
 	for _, v := range set {
-		if v < 0 || v >= len(n.Residual) || seen[v] || !n.CanServe(v) {
+		if v < 0 || v >= len(n.Residual) || n.charged[v] || !n.CanServe(v) {
 			continue
 		}
-		seen[v] = true
-		n.Residual[v] -= n.ActiveCost
-		served = append(served, v)
+		n.charged[v] = true
+		n.Residual[v]--
+		dst = append(dst, v)
 	}
-	return served
+	for _, v := range dst[start:] {
+		n.charged[v] = false
+	}
+	return dst
 }
 
 // Kill marks node v as crashed. Killing a dead node is a no-op.

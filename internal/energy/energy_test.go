@@ -16,9 +16,6 @@ func TestNewNetworkDefaults(t *testing.T) {
 	if net.TotalResidual() != 10 {
 		t.Fatalf("total residual = %d, want 10", net.TotalResidual())
 	}
-	if net.ActiveCost != 1 {
-		t.Fatalf("default active cost = %d, want 1", net.ActiveCost)
-	}
 }
 
 func TestNewNetworkCopiesBudgets(t *testing.T) {
@@ -56,7 +53,7 @@ func TestDrainAndCanServe(t *testing.T) {
 	if !net.CanServe(0) || !net.CanServe(1) || net.CanServe(2) {
 		t.Fatal("CanServe wrong on fresh network")
 	}
-	if served := net.DrainServiceable([]int{0, 1}); len(served) != 2 {
+	if served := net.DrainServiceable(nil, []int{0, 1}); len(served) != 2 {
 		t.Fatalf("served %v, want [0 1]", served)
 	}
 	if net.Residual[0] != 1 || net.Residual[1] != 0 {
@@ -65,7 +62,7 @@ func TestDrainAndCanServe(t *testing.T) {
 	if net.CanServe(1) {
 		t.Fatal("exhausted node still serves")
 	}
-	if served := net.DrainServiceable([]int{1}); served != nil {
+	if served := net.DrainServiceable(nil, []int{1}); served != nil {
 		t.Fatalf("exhausted node served: %v", served)
 	}
 }
@@ -135,7 +132,7 @@ func TestDrainServiceable(t *testing.T) {
 	g := gen.Path(5)
 	net := NewNetwork(g, []int{2, 0, 1, 2, 2})
 	net.Kill(3)
-	served := net.DrainServiceable([]int{0, 1, 2, 3, 4, 0, 7, -1})
+	served := net.DrainServiceable(nil, []int{0, 1, 2, 3, 4, 0, 7, -1})
 	want := []int{0, 2, 4}
 	if len(served) != len(want) {
 		t.Fatalf("served %v, want %v", served, want)
@@ -158,7 +155,7 @@ func TestDrainServiceable(t *testing.T) {
 func TestDrainServiceableEmpty(t *testing.T) {
 	g := gen.Path(2)
 	net := NewNetwork(g, Uniform(g, 0))
-	if served := net.DrainServiceable([]int{0, 1}); served != nil {
+	if served := net.DrainServiceable(nil, []int{0, 1}); served != nil {
 		t.Fatalf("zero-budget network served %v", served)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/core"
 	"repro/internal/domset"
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -118,34 +119,6 @@ func Integral(g *graph.Graph, b []int, k int) (int, [][]int, []int) {
 	residual := make([]int, n)
 	copy(residual, b)
 
-	// Per-node closed-neighborhood lists for the Lemma 5.1 bound.
-	closed := make([][]int, n)
-	for v := 0; v < n; v++ {
-		cn := []int{v}
-		for _, u := range g.Neighbors(v) {
-			cn = append(cn, int(u))
-		}
-		closed[v] = cn
-	}
-	coverageBound := func() int {
-		best := -1
-		for v := 0; v < n; v++ {
-			sum := 0
-			for _, u := range closed[v] {
-				sum += residual[u]
-			}
-			if best == -1 || sum < best {
-				best = sum
-			}
-		}
-		if best < 0 {
-			best = 0
-		}
-		// Lemma 6.1 refinement: with k-domination each slot drains >= k
-		// units from the binding neighborhood.
-		return best / k
-	}
-
 	bestVal := 0
 	bestAlloc := make([]int, len(sets))
 	alloc := make([]int, len(sets))
@@ -188,7 +161,9 @@ func Integral(g *graph.Graph, b []int, k int) (int, [][]int, []int) {
 		if idx == len(sets) {
 			return
 		}
-		if lifetime+coverageBound() <= bestVal {
+		// Lemmas 5.1 and 6.1 on the residual batteries: each further slot
+		// drains at least k units from the binding closed neighborhood.
+		if lifetime+core.GeneralKTolerantUpperBound(g, residual, k) <= bestVal {
 			return
 		}
 		// Maximum slots this set can run given residual batteries.

@@ -58,6 +58,25 @@ func TestOptimalityChainProperty(t *testing.T) {
 	}
 }
 
+// TestAlgorithmsNeverBeatExactOptimum: on small instances the truncated
+// Algorithm 2 lifetime is at most the exact integral optimum, since it is a
+// feasible schedule.
+func TestAlgorithmsNeverBeatExactOptimum(t *testing.T) {
+	src := rng.New(8)
+	for trial := 0; trial < 5; trial++ {
+		g := gen.GNP(10, 0.5, src)
+		b := make([]int, g.N())
+		for i := range b {
+			b[i] = 1 + src.Intn(3)
+		}
+		opt, _, _ := Integral(g, b, 1)
+		s := generalWHPFixture(g, b, core.Options{K: 3, Src: rng.New(uint64(50 + trial))}, 20)
+		if s.Lifetime() > opt {
+			t.Fatalf("trial %d: algorithm %d beats exact optimum %d", trial, s.Lifetime(), opt)
+		}
+	}
+}
+
 // TestColumnGenerationAgreesWithEnumerationProperty: CG and full enumeration
 // solve the same LP.
 func TestColumnGenerationAgreesWithEnumerationProperty(t *testing.T) {

@@ -35,16 +35,6 @@ func solve(name string, g *graph.Graph, budgets []int, k, tries int, src *rng.So
 	return s
 }
 
-// uniformBudgets broadcasts the uniform battery b over n nodes, bridging
-// the scalar-battery experiments onto the registry's budget-vector surface.
-func uniformBudgets(n, b int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = b
-	}
-	return out
-}
-
 // Config controls an experiment run.
 type Config struct {
 	// Seed makes every experiment deterministic end to end.

@@ -36,16 +36,17 @@ func runE5(cfg Config) *Table {
 		{"sparse (δ/ln n < k)", sparse},
 	} {
 		g := reg.g
+		budgets := energy.Uniform(g, b)
 		for _, k := range []int{1, 2, 3, 4} {
 			if g.MinDegree()+1 < k {
 				continue // k-domination infeasible
 			}
 			srcs := root.SplitN(cfg.trials())
 			lifetimesAll := mapTrials(cfg, "E5", cfg.trials(), func(i int) int {
-				return solve(solver.NameFT, g, uniformBudgets(g.N(), b), k, 30, srcs[i]).Lifetime()
+				return solve(solver.NameFT, g, budgets, k, 30, srcs[i]).Lifetime()
 			})
 			var ratios, lifetimes []float64
-			ub := core.KTolerantUpperBound(g, b, k)
+			ub := core.GeneralKTolerantUpperBound(g, budgets, k)
 			for _, lt := range lifetimesAll {
 				if lt == 0 {
 					continue
@@ -58,7 +59,7 @@ func runE5(cfg Config) *Table {
 			}
 			r := mean(ratios)
 			t.AddRow(reg.name, itoa(g.N()), itoa(g.MinDegree()), itoa(k),
-				itoa(core.KTolerantUpperBound(g, b, k)),
+				itoa(ub),
 				f2(mean(lifetimes)),
 				f2(r), f3(r/math.Log(float64(g.N()))))
 		}
@@ -111,7 +112,7 @@ func runE10(cfg Config) *Table {
 			return core.FromPartition(p, b)
 		}},
 		{"Algorithm 3 (3-dom)", func(src *rng.Source) *core.Schedule {
-			return solve(solver.NameFT, g, uniformBudgets(g.N(), b), k, 30, src)
+			return solve(solver.NameFT, g, energy.Uniform(g, b), k, 30, src)
 		}},
 	}
 	for _, sched := range schedules {

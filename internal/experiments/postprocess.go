@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -31,7 +32,7 @@ func runE17(cfg Config) *Table {
 	}
 	variants := []variant{
 		{"Algorithm 1 (uniform)", func(src *rng.Source, g *graph.Graph, _ []int) *core.Schedule {
-			return solve(solver.NameUniform, g, uniformBudgets(g.N(), b), 1, 30, src)
+			return solve(solver.NameUniform, g, energy.Uniform(g, b), 1, 30, src)
 		}},
 		{"Algorithm 2 (general)", func(src *rng.Source, g *graph.Graph, batteries []int) *core.Schedule {
 			return solve(solver.NameGeneral, g, batteries, 1, 30, src)

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"repro/internal/chaos"
+	"repro/internal/energy"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -41,7 +42,7 @@ func runE24(cfg Config) *Table {
 	}
 	const b = 14
 	g := gen.GNP(n, 8*math.Log(float64(n))/float64(n), root.Split())
-	budgets := uniformBudgets(n, b)
+	budgets := energy.Uniform(g, b)
 	s := sched.Replan(g, budgets, 1, nil)
 	horizon := s.Lifetime()
 

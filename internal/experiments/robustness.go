@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/core"
 	"repro/internal/distsim"
+	"repro/internal/energy"
 	"repro/internal/exact"
 	"repro/internal/gen"
 	"repro/internal/rng"
@@ -31,10 +32,7 @@ func runE20(cfg Config) *Table {
 			if g.MinDegree()+1 < k {
 				return sample{}
 			}
-			batteries := make([]int, n)
-			for j := range batteries {
-				batteries[j] = b
-			}
+			batteries := energy.Uniform(g, b)
 			opt, _, _ := exact.Integral(g, batteries, k)
 			if opt == 0 {
 				return sample{}
@@ -43,7 +41,7 @@ func runE20(cfg Config) *Table {
 			return sample{
 				opt:   float64(opt),
 				alg:   float64(s.Lifetime()),
-				bound: float64(core.KTolerantUpperBound(g, b, k)),
+				bound: float64(core.GeneralKTolerantUpperBound(g, batteries, k)),
 				ok:    true,
 			}
 		})

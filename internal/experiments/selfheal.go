@@ -78,7 +78,7 @@ func runE23(cfg Config) *Table {
 	arms := []arm{
 		{"static 1-dom (greedy partition)", static(plain)},
 		{"static 3-tolerant (Algorithm 3)", func(src *rng.Source) sample {
-			s := solve(solver.NameFT, g, uniformBudgets(g.N(), b), k, 30, src.Split())
+			s := solve(solver.NameFT, g, energy.Uniform(g, b), k, 30, src.Split())
 			return static(s)(src)
 		}},
 		{"1-dom + self-healing", func(src *rng.Source) sample {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/energy"
 	"repro/internal/gen"
 	"repro/internal/geom"
 	"repro/internal/graph"
@@ -105,7 +106,7 @@ func runE26(cfg Config) *Table {
 		id := fmt.Sprintf("E26/%s/%d", a.label, a.shards)
 		samples := mapTrials(cfg, "E26", cfg.trials(), func(i int) sample {
 			g, pts, seed := buildInstance(i)
-			s, st := runArm(a, g, pts, uniformBudgets(g.N(), b), seed)
+			s, st := runArm(a, g, pts, energy.Uniform(g, b), seed)
 			out := sample{lifetime: float64(s.Lifetime())}
 			if st != nil {
 				out.repairs = float64(st.Repairs)
@@ -136,7 +137,7 @@ func runE26(cfg Config) *Table {
 		// would measure scheduler contention; this pass is the honest
 		// wall-clock comparison and the only non-deterministic cell.
 		g0, pts0, seed0 := buildInstance(0)
-		budgets0 := uniformBudgets(g0.N(), b)
+		budgets0 := energy.Uniform(g0, b)
 		start := time.Now()
 		runArm(a, g0, pts0, budgets0, seed0)
 		ms := float64(time.Since(start).Microseconds()) / 1000

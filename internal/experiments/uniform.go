@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/domatic"
+	"repro/internal/energy"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -74,11 +75,12 @@ func runE2(cfg Config) *Table {
 			samples := mapTrials(cfg, "E2", cfg.trials(), func(i int) sample {
 				src := srcs[i]
 				g := fam.build(n, src)
-				s := solve(solver.NameUniform, g, uniformBudgets(g.N(), b), 1, 30, src.Split())
+				budgets := energy.Uniform(g, b)
+				s := solve(solver.NameUniform, g, budgets, 1, 30, src.Split())
 				if s.Lifetime() == 0 {
 					return sample{}
 				}
-				ub := core.UniformUpperBound(g, b)
+				ub := core.GeneralUpperBound(g, budgets)
 				return sample{
 					ratio:    float64(ub) / float64(s.Lifetime()),
 					lifetime: float64(s.Lifetime()),

@@ -108,7 +108,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 	cur := s
 	pos := 0 // slot index within cur
 	failStreak := 0
-	var recruits []int
+	var recruits, served []int
 	lastPhase := -1
 
 	opt.Emit(obs.RunStart("heal", g.N()))
@@ -219,8 +219,8 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) (Result, error) {
 
 		// Every serving node can pay: serviceable and the patch protocol
 		// pick only nodes that can, and nothing drains before this.
-		served := net.DrainServiceable(serving)
-		res.EnergySpent += len(served) * net.ActiveCost
+		served = net.DrainServiceable(served[:0], serving)
+		res.EnergySpent += len(served)
 		meter.Slot(t, len(served), sess)
 		pos++
 	}

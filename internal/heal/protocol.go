@@ -216,8 +216,8 @@ func runPatch(g *graph.Graph, net *energy.Network, serving []int, uncovered []in
 
 // spendable returns how many whole active slots node v can still fund.
 func spendable(net *energy.Network, v int) int {
-	if !net.Alive[v] || net.Residual[v] < net.ActiveCost {
+	if !net.CanServe(v) {
 		return 0
 	}
-	return net.Residual[v] / net.ActiveCost
+	return net.Residual[v]
 }

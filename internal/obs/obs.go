@@ -259,10 +259,6 @@ func (h Hooks) Emit(ev Event) {
 	}
 }
 
-// Enabled reports whether a tracer is attached, for callers that want to
-// skip building expensive event payloads entirely.
-func (h Hooks) Enabled() bool { return h.Trace != nil }
-
 // Tee fans events out to every non-nil tracer. It returns nil when no
 // tracer remains (so the result can be stored directly in Hooks.Trace), and
 // the tracer itself when only one remains (no indirection on the hot path).

@@ -229,8 +229,8 @@ func Simulate(g *graph.Graph, s *core.Schedule, budgets []int, events []Change, 
 			if !net.CanServe(v) {
 				continue
 			}
-			net.Residual[v] -= net.ActiveCost
-			res.EnergySpent += net.ActiveCost
+			net.Residual[v]--
+			res.EnergySpent++
 			serving = append(serving, v)
 		}
 

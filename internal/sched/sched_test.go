@@ -149,7 +149,7 @@ func TestSqueezeBeatsRawSchedule(t *testing.T) {
 	if sq.Lifetime() < 2*raw.Lifetime() {
 		t.Fatalf("squeeze gained too little: %d -> %d", raw.Lifetime(), sq.Lifetime())
 	}
-	if ub := core.UniformUpperBound(g, b); sq.Lifetime() > ub {
+	if ub := b * (g.MinDegree() + 1); sq.Lifetime() > ub {
 		t.Fatalf("squeezed lifetime %d beats the Lemma 4.1 bound %d", sq.Lifetime(), ub)
 	}
 }

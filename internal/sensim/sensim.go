@@ -75,6 +75,7 @@ func Run(net *energy.Network, s *core.Schedule, opt Options) Result {
 	inject := opt.Chaos.Injector().WithHooks(opt.Hooks)
 	sess := domset.NewSession(net.G)
 	meter := NewMeter(opt.Hooks)
+	var serving []int
 	t := 0
 	opt.Emit(obs.RunStart("sensim", net.G.N()))
 run:
@@ -85,8 +86,8 @@ run:
 			// Serving set: the scheduled nodes that are alive and have
 			// budget; the rest are silently excluded (they cannot serve),
 			// exactly as a deployment would experience.
-			serving := net.DrainServiceable(phase.Set)
-			res.EnergySpent += len(serving) * net.ActiveCost
+			serving = net.DrainServiceable(serving[:0], phase.Set)
+			res.EnergySpent += len(serving)
 			covered, dead := meter.Slot(t, len(serving), sess.Reset(serving, opt.K, net.Alive))
 			res.ReportsDelivered += covered
 			if dead {
